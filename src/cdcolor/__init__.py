@@ -11,7 +11,6 @@ from .coloring import CdColoring, ValidationReport, validate_cd_coloring
 from .errors import (
     CapacityError,
     CdColorError,
-    NotChordalError,
     NotSplitError,
     ParseError,
     PreconditionError,
@@ -36,7 +35,6 @@ from .fpt import (
 from .graph import (
     Graph,
     bipartition,
-    clique_number_chordal,
     connected_components,
     girth,
     parse_graph,

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .coloring import CdColoring, merge_colorings, validate_cd_coloring
+from .coloring import CdColoring, validate_cd_coloring
 from .errors import CdColorError
 from .exact import cd_chromatic_bruteforce, cd_chromatic_exact, DEFAULT_EXACT_CAP
 from .generate import (
@@ -24,7 +24,7 @@ from .generate import (
     random_graph,
     random_split_graph,
 )
-from .graph import Graph, components_within, detect_format, parse_graph, to_dimacs
+from .graph import Graph, detect_format, parse_graph, to_dimacs
 from .partize import (
     DeletionSolution,
     partization2,
@@ -59,26 +59,12 @@ def _emit_certificate(args, payload: dict) -> None:
         print(text)
 
 
-def _check_threads(args) -> None:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise CdColorError("--threads must be at least 1")
-    # solvers are sequential and deterministic; extra threads change nothing
-
-
 def _cmd_cdnumber(args) -> int:
-    _check_threads(args)
     g = _load_graph(args.file)
     if args.brute:
         q, coloring = cd_chromatic_bruteforce(g)
     elif args.girth5:
-        total, parts = 0, []
-        for comp in components_within(g, g.full_mask):
-            sub, ids = g.induced(comp)
-            qq, cc = cd_chromatic_girth5(sub)
-            total += qq
-            parts.append(cc.relabeled(ids))
-        q, coloring = total, merge_colorings(parts)
+        q, coloring = cd_chromatic_girth5(g)
     elif args.split:
         q, coloring = cd_chromatic_split(g)
     else:
@@ -146,7 +132,6 @@ def _solution_payload(g: Graph, sol: DeletionSolution) -> dict:
 
 
 def _cmd_partize(args) -> int:
-    _check_threads(args)
     g = _load_graph(args.file)
     if args.k < 0:
         raise CdColorError("--k must be non-negative")
@@ -293,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert-out")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_cdnumber)
 
     p = sub.add_parser("recognize", help="is the graph q-cd-colorable, q <= 3")
@@ -318,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", action="store_true", help="split-graph brancher")
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert-out")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_partize)
 
     p = sub.add_parser("gen", help="generate instances")

@@ -10,10 +10,10 @@ open-neighborhood reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bits import iter_bits, mask_of
-from .graph import Graph
+from .graph import Graph, connected_components
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,6 @@ class CdColoring:
     @property
     def q(self) -> int:
         return len(self.classes)
-
-    def color_of(self) -> Dict[int, int]:
-        """Vertex to 0-based color index map."""
-        out: Dict[int, int] = {}
-        for i, cls in enumerate(self.classes):
-            for v in cls:
-                out[v] = i
-        return out
 
     def vertices_mask(self) -> int:
         return mask_of(v for cls in self.classes for v in cls)
@@ -85,6 +77,26 @@ def merge_colorings(parts: Sequence[CdColoring]) -> CdColoring:
         classes.extend(c.classes)
         doms.extend(c.dominators)
     return CdColoring(tuple(classes), tuple(doms))
+
+
+def solve_per_component(
+    g: Graph, solve: Callable[[Graph], Tuple[int, CdColoring]]
+) -> Tuple[int, CdColoring]:
+    """Run ``solve`` on each connected component and add the answers.
+
+    The cd-chromatic number is additive over components.  Each
+    component's coloring is renamed back to ``g``'s vertex ids and the
+    colorings are concatenated in component order (by lowest vertex).
+    The empty graph has the empty coloring.
+    """
+    total = 0
+    parts: List[CdColoring] = []
+    for comp in connected_components(g):
+        sub, ids = g.induced(comp)
+        q, coloring = solve(sub)
+        total += q
+        parts.append(coloring.relabeled(ids))
+    return total, merge_colorings(parts)
 
 
 @dataclass(frozen=True)

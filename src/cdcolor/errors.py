@@ -25,15 +25,5 @@ class PreconditionError(CdColorError):
     """A solver precondition does not hold for the given input."""
 
 
-class NotChordalError(PreconditionError):
-    """Graph is not chordal; carries a chordless cycle of length >= 4."""
-
-    def __init__(self, cycle: tuple[int, ...]):
-        self.cycle = cycle
-        super().__init__(
-            f"graph is not chordal: chordless cycle {cycle} of length {len(cycle)}"
-        )
-
-
 class NotSplitError(PreconditionError):
     """Graph admits no partition into a clique and an independent set."""

@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, weight_masks
-from .coloring import CdColoring, make_coloring, merge_colorings
+from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError, PreconditionError
-from .graph import Graph, connected_components
+from .graph import Graph
 
 DEFAULT_EXACT_CAP = 26
 
@@ -210,14 +210,7 @@ def cd_chromatic_exact(
     """
     if g.n == 0:
         raise PreconditionError("graph must have at least one vertex")
-    total = 0
-    parts: List[CdColoring] = []
-    for comp in connected_components(g):
-        sub, ids = g.induced(comp)
-        q, coloring = _exact_component(sub, cap)
-        total += q
-        parts.append(coloring.relabeled(ids))
-    return total, merge_colorings(parts)
+    return solve_per_component(g, lambda sub: _exact_component(sub, cap))
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -268,13 +261,4 @@ def cd_chromatic_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> Tuple[int, C
     """Independent oracle for the cd-chromatic number (small graphs only)."""
     if g.n > cap:
         raise CapacityError(f"brute-force oracle capacity is {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return 0, CdColoring((), ())
-    total = 0
-    parts: List[CdColoring] = []
-    for comp in connected_components(g):
-        sub, ids = g.induced(comp)
-        q, coloring = _bruteforce_component(sub)
-        total += q
-        parts.append(coloring.relabeled(ids))
-    return total, merge_colorings(parts)
+    return solve_per_component(g, _bruteforce_component)

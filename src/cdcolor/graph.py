@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
-from .errors import NotChordalError, ParseError
+from .errors import ParseError
 
 
 class Graph:
@@ -71,9 +71,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def neighbors(self, u: int) -> int:
-        return self.adj[u]
 
     def closed(self, u: int) -> int:
         """Closed neighborhood mask of ``u`` (neighbors plus ``u``)."""
@@ -386,89 +383,3 @@ def split_partition(g: Graph) -> Optional[Tuple[int, int]]:
             break
     return clique, indep
 
-
-# -- chordal graphs ----------------------------------------------------------
-
-
-def _mcs_elimination_order(g: Graph) -> List[int]:
-    """Maximum cardinality search; returns a candidate elimination order."""
-    weight = [0] * g.n
-    numbered = 0
-    visit: List[int] = []
-    for _ in range(g.n):
-        best_v, best_w = -1, -1
-        for v in range(g.n):
-            if not (numbered >> v) & 1 and weight[v] > best_w:
-                best_v, best_w = v, weight[v]
-        numbered |= 1 << best_v
-        visit.append(best_v)
-        for w in iter_bits(g.adj[best_v]):
-            if not (numbered >> w) & 1:
-                weight[w] += 1
-    visit.reverse()
-    return visit
-
-
-def _chordless_cycle_witness(g: Graph) -> Tuple[int, ...]:
-    """Some chordless cycle of length >= 4 in a non-chordal graph."""
-    for v in range(g.n):
-        nb = bit_list(g.adj[v])
-        for i, u in enumerate(nb):
-            for w in nb[i + 1 :]:
-                if g.has_edge(u, w):
-                    continue
-                allowed = g.full_mask & ~(g.closed(v) & ~((1 << u) | (1 << w)))
-                path = _shortest_path_within(g, u, w, allowed)
-                if path is not None:
-                    return (v, *path)
-    raise AssertionError("no chordless cycle found in a non-chordal graph")
-
-
-def _shortest_path_within(g: Graph, src: int, dst: int, allowed: int):
-    if not ((allowed >> src) & 1 and (allowed >> dst) & 1):
-        return None
-    prev = {src: -1}
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        if u == dst:
-            path = []
-            while u != -1:
-                path.append(u)
-                u = prev[u]
-            return tuple(reversed(path))
-        for w in iter_bits(g.adj[u] & allowed):
-            if w not in prev:
-                prev[w] = u
-                queue.append(w)
-    return None
-
-
-def clique_number_chordal(g: Graph) -> int:
-    """Clique number of a chordal graph via a perfect elimination order.
-
-    Raises :class:`NotChordalError` with a chordless-cycle witness when
-    the input is not chordal.
-    """
-    order = _mcs_elimination_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    later = [0] * g.n
-    for v in range(g.n):
-        for w in iter_bits(g.adj[v]):
-            if pos[w] > pos[v]:
-                later[v] |= 1 << w
-    best = 1 if g.n else 0
-    for v in order:
-        nb = later[v]
-        if not nb:
-            continue
-        best = max(best, 1 + nb.bit_count())
-        u = min(iter_bits(nb), key=lambda w: pos[w])
-        rest = nb & ~(1 << u)
-        if rest & ~g.adj[u]:
-            raise NotChordalError(_chordless_cycle_witness(g))
-    return best

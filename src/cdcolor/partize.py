@@ -131,28 +131,22 @@ def delete_to_type2(g: Graph, k: int) -> Optional[DeletionSolution]:
         if inner is None:
             continue
         deleted = mask_of(ids[v] for v in iter_bits(inner.deleted))
-        w1 = inner.plan[0][1]
-        w1_mapped = TypeWitness(
-            1,
-            tuple(ids[d] for d in w1.dominators),
-            {n: tuple(ids[v] for v in vs) for n, vs in w1.parts.items()},
-            w1.coloring.relabeled(ids),
-        )
+        w1 = inner.plan[0][1].relabeled(ids)
         coloring = CdColoring(
-            w1_mapped.coloring.classes + ((x,),),
-            w1_mapped.coloring.dominators + (x,),
+            w1.coloring.classes + ((x,),),
+            w1.coloring.dominators + (x,),
         )
         kept_rest = g.full_mask & ~deleted & ~(1 << x)
         if g.adj[x] & kept_rest:
             plan = (
                 (
                     "Type2",
-                    TypeWitness(2, (x,), dict(w1_mapped.parts), coloring),
+                    TypeWitness(2, (x,), dict(w1.parts), coloring),
                 ),
             )
         else:
             lone = TypeWitness(0, (), {}, CdColoring(((x,),), (x,)))
-            plan = (("IsolatedVertex", lone), ("Type1", w1_mapped))
+            plan = (("IsolatedVertex", lone), ("Type1", w1))
         return DeletionSolution(deleted, plan, coloring)
     return None
 

@@ -11,12 +11,12 @@ are handled additively over components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import iter_bits
+from .bits import iter_bits, lowest_bit
 from .coloring import CdColoring, make_coloring, merge_colorings
 from .errors import PreconditionError
-from .exact import cd_chromatic_bruteforce
+from .fpt import demand_sides
 from .graph import Graph, bipartition, bipartition_within, components_within, is_connected
 
 
@@ -28,6 +28,15 @@ class TypeWitness:
     dominators: Tuple[int, ...]
     parts: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     coloring: CdColoring = CdColoring((), ())
+
+    def relabeled(self, mapping: Sequence[int]) -> "TypeWitness":
+        """Apply a vertex renaming (index -> mapping[index])."""
+        return TypeWitness(
+            self.type_id,
+            tuple(mapping[d] for d in self.dominators),
+            {name: tuple(mapping[v] for v in vs) for name, vs in self.parts.items()},
+            self.coloring.relabeled(mapping),
+        )
 
 
 @dataclass
@@ -51,9 +60,15 @@ def has_dominating_edge(g: Graph) -> Optional[Tuple[int, int]]:
 
 
 def _type0(g: Graph) -> Optional[TypeWitness]:
+    """At most three vertices: one singleton class per vertex ``v``,
+    dominated by the lowest vertex of ``N[v]``.  On K1, K2 and K3 this
+    is the partition-search oracle's certificate."""
     if g.n > 3:
         return None
-    q, coloring = cd_chromatic_bruteforce(g)
+    vertices = range(g.n)
+    coloring = make_coloring(
+        [1 << v for v in vertices], [lowest_bit(g.closed(v)) for v in vertices]
+    )
     return TypeWitness(0, (), {}, coloring)
 
 
@@ -84,17 +99,11 @@ def _type2(g: Graph) -> Optional[TypeWitness]:
         w = _type1(sub)
         if w is None:
             continue
-        sub_col = w.coloring.relabeled(ids)
-        coloring = CdColoring(sub_col.classes + ((v,),), sub_col.dominators + (v,))
-        return TypeWitness(
-            2,
-            (v,),
-            {
-                "A": tuple(ids[a] for a in w.parts["A"]),
-                "B": tuple(ids[b] for b in w.parts["B"]),
-            },
-            coloring,
+        w = w.relabeled(ids)
+        coloring = CdColoring(
+            w.coloring.classes + ((v,),), w.coloring.dominators + (v,)
         )
+        return TypeWitness(2, (v,), w.parts, coloring)
     return None
 
 
@@ -162,32 +171,6 @@ def _type4(g: Graph) -> Optional[TypeWitness]:
     return None
 
 
-def _oriented_two_coloring(
-    g: Graph, active: int, force_first: int, force_second: int
-) -> Optional[Tuple[int, int]]:
-    """Proper 2-coloring of ``g[active]`` respecting side demands.
-
-    Per component the coloring is fixed up to a swap, so each component
-    independently picks the orientation that satisfies its demands (the
-    unswapped one when both work).  None when impossible.
-    """
-    first = second = 0
-    for comp in components_within(g, active):
-        sides = bipartition_within(g, comp)
-        if sides is None:
-            return None
-        a, b = sides
-        if not (force_first & b) and not (force_second & a):
-            first |= a
-            second |= b
-        elif not (force_first & a) and not (force_second & b):
-            first |= b
-            second |= a
-        else:
-            return None
-    return first, second
-
-
 def _type5(g: Graph) -> Optional[TypeWitness]:
     full = g.full_mask
     for x in range(g.n):
@@ -202,8 +185,8 @@ def _type5(g: Graph) -> Optional[TypeWitness]:
                 if any(g.adj[v] & z_part for v in iter_bits(z_part)):
                     continue  # Z independent; Z avoids N(x), N(y) by construction
                 w_mask = g.adj[x] | g.adj[y]
-                sides = _oriented_two_coloring(
-                    g, w_mask, w_mask & ~g.adj[y], w_mask & ~g.adj[x]
+                sides = demand_sides(
+                    g, full & ~w_mask, w_mask & ~g.adj[y], w_mask & ~g.adj[x]
                 )
                 if sides is None:
                     continue
@@ -265,10 +248,5 @@ def cd_recognize_upto3(g: Graph) -> Optional[RecognitionResult]:
         total += q_i
         if total > 3:
             return None
-        witness.dominators = tuple(ids[d] for d in witness.dominators)
-        witness.parts = {
-            name: tuple(ids[v] for v in vs) for name, vs in witness.parts.items()
-        }
-        witness.coloring = witness.coloring.relabeled(ids)
-        out.append((comp, witness))
+        out.append((comp, witness.relabeled(ids)))
     return RecognitionResult(total, out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
-from .coloring import CdColoring, make_coloring, merge_colorings, validate_cd_coloring
+from .coloring import CdColoring, make_coloring, solve_per_component, validate_cd_coloring
 from .errors import NotSplitError, PreconditionError
 from .fpt import odd_cycle_transversal, vertex_cover
 from .graph import Graph, components_within, is_connected, split_partition
@@ -63,16 +63,7 @@ def cd_chromatic_split(g: Graph) -> Tuple[int, CdColoring]:
     """Split-graph cd-chromatic number, components solved separately."""
     if split_partition(g) is None:
         raise NotSplitError("graph is not a split graph")
-    if g.n == 0:
-        return 0, CdColoring((), ())
-    total = 0
-    parts: List[CdColoring] = []
-    for comp in components_within(g, g.full_mask):
-        sub, ids = g.induced(comp)
-        q, coloring = split_cd_coloring(sub)
-        total += q
-        parts.append(coloring.relabeled(ids))
-    return total, merge_colorings(parts)
+    return solve_per_component(g, split_cd_coloring)
 
 
 def _split_chi_parts(g: Graph, active: int) -> Tuple[int, int, List[int]]:

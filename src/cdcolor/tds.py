@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
-from .coloring import CdColoring, make_coloring
+from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError, PreconditionError
 from .graph import Graph, connected_components, find_triangle, girth, is_connected
 
@@ -221,16 +221,13 @@ def cd_coloring_from_tds(g: Graph, cert: TdsCertificate) -> CdColoring:
     return make_coloring(class_masks, dominators)
 
 
-def cd_chromatic_girth5(g: Graph) -> Tuple[int, CdColoring]:
+def _girth5_component(g: Graph) -> Tuple[int, CdColoring]:
     """cd-chromatic number of a connected girth >= 5 graph.
 
     Equals the minimum total dominating set size; the first parameter
     value the bounded search accepts is the answer.  A lone vertex is
     its own class.
     """
-    _require_girth5(g, "girth-5 solver")
-    if not is_connected(g):
-        raise PreconditionError("girth-5 solver needs a connected graph")
     if g.n == 1:
         return 1, CdColoring(((0,),), (0,))
     for k in range(1, g.n + 1):
@@ -239,3 +236,9 @@ def cd_chromatic_girth5(g: Graph) -> Tuple[int, CdColoring]:
             assert cert.size == k
             return cert.size, cd_coloring_from_tds(g, cert)
     raise AssertionError("connected graph with >= 2 vertices has a TDS")
+
+
+def cd_chromatic_girth5(g: Graph) -> Tuple[int, CdColoring]:
+    """cd-chromatic number of a girth >= 5 graph, summed over components."""
+    _require_girth5(g, "girth-5 solver")
+    return solve_per_component(g, _girth5_component)

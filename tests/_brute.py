@@ -82,14 +82,6 @@ def brute_split_partition_exists(g: Graph) -> bool:
     return False
 
 
-def brute_is_chordal(g: Graph) -> bool:
-    for size in range(4, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if induces_cycle(g, combo):
-                return False
-    return True
-
-
 def brute_family_masks(g: Graph) -> set:
     """All nonempty independent sets inside some closed neighborhood."""
     out = set()

@@ -186,7 +186,6 @@ def test_certificates_byte_identical_across_runs(c5, k5, tmp_path):
         (["recognize", "--q", "3"], c5),
         (["tds", "--k", "3"], c5),
         (["partize", "--q", "3", "--k", "2"], k5),
-        (["partize", "--q", "3", "--k", "2", "--threads", "4"], k5),
     ]
     for base, path in pairs:
         c1 = tmp_path / "one.json"
@@ -194,10 +193,6 @@ def test_certificates_byte_identical_across_runs(c5, k5, tmp_path):
         assert main(base + [path, "--cert-out", str(c1)]) == 0
         assert main(base + [path, "--cert-out", str(c2)]) == 0
         assert c1.read_bytes() == c2.read_bytes()
-
-
-def test_threads_flag_validation(c5, capsys):
-    assert main(["cdnumber", c5, "--threads", "0"]) == 2
 
 
 def test_petersen_through_cli(tmp_path, capsys):

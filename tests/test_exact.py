@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cdcolor.bits import mask_of
-from cdcolor.coloring import CdColoring, validate_cd_coloring
+from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
     CoefficientTable,
@@ -191,6 +191,10 @@ def test_additivity_over_components():
             cd_chromatic_exact(both)[0]
             == cd_chromatic_exact(g1)[0] + cd_chromatic_exact(g2)[0]
         )
+    assert solve_per_component(Graph(0, []), cd_chromatic_exact) == (
+        0,
+        CdColoring((), ()),
+    )
 
 
 def test_witness_dominators_form_dominating_set():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cdcolor.bits import bit_list, mask_of
-from cdcolor.errors import NotChordalError, ParseError
+from cdcolor.errors import ParseError
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -16,7 +16,6 @@ from cdcolor.generate import (
 from cdcolor.graph import (
     Graph,
     bipartition,
-    clique_number_chordal,
     connected_components,
     detect_format,
     find_triangle,
@@ -29,10 +28,8 @@ from cdcolor.graph import (
 from _brute import (
     brute_girth,
     brute_is_bipartite,
-    brute_is_chordal,
     brute_max_clique,
     brute_split_partition_exists,
-    induces_cycle,
     is_independent,
 )
 
@@ -175,31 +172,6 @@ def test_split_partition_matches_bruteforce():
             assert is_independent(g, indep)
             # the clique side is a maximum clique
             assert clique.bit_count() == brute_max_clique(g)
-
-
-def test_clique_number_chordal_named():
-    assert clique_number_chordal(complete_graph(4)) == 4
-    assert clique_number_chordal(path_graph(4)) == 2
-    with pytest.raises(NotChordalError) as err:
-        clique_number_chordal(cycle_graph(4))
-    assert len(err.value.cycle) == 4
-
-
-def test_clique_number_chordal_random():
-    rng = random.Random(19)
-    seen_chordal = 0
-    for _ in range(200):
-        g = random_graph(rng.randint(1, 7), rng.choice([0.3, 0.6, 0.9]), rng)
-        if brute_is_chordal(g):
-            seen_chordal += 1
-            assert clique_number_chordal(g) == brute_max_clique(g)
-        else:
-            with pytest.raises(NotChordalError) as err:
-                clique_number_chordal(g)
-            cycle = err.value.cycle
-            assert len(cycle) >= 4
-            assert induces_cycle(g, tuple(sorted(cycle)))
-    assert seen_chordal > 30
 
 
 def test_induced_subgraph():

@@ -45,6 +45,14 @@ def test_type0():
     assert w.type_id == 0 and w.coloring.q == 1
     assert recognize_type(complete_graph(3), 0).coloring.q == 3
     assert recognize_type(complete_graph(4), 0) is None
+    # every connected graph on at most 3 vertices
+    for g in (Graph(1, [0]), path_graph(2), path_graph(3), complete_graph(3)):
+        w = recognize_type(g, 0)
+        assert w.coloring.q <= 3
+        report = validate_cd_coloring(g, w.coloring)
+        assert report.ok, report.problem
+    k3 = complete_graph(3)
+    assert recognize_type(k3, 0).coloring == cd_chromatic_bruteforce(k3)[1]
 
 
 def test_type1_c4():

@@ -201,8 +201,16 @@ def test_girth5_named():
     assert cd_chromatic_girth5(petersen_graph())[0] == 4
     assert cd_chromatic_girth5(path_graph(4))[0] == 2
     assert cd_chromatic_girth5(Graph(1, [0]))[0] == 1
+    # components add up: 3 + 4 + 1
+    g = disjoint_union(cycle_graph(5), petersen_graph(), Graph(1, [0]))
+    q, wit = cd_chromatic_girth5(g)
+    assert q == 8 and wit.q == 8
+    report = validate_cd_coloring(g, wit)
+    assert report.ok, report.problem
     with pytest.raises(PreconditionError):
         cd_chromatic_girth5(cycle_graph(4))
+    with pytest.raises(PreconditionError):
+        cd_chromatic_girth5(disjoint_union(cycle_graph(5), cycle_graph(4)))
 
 
 def test_girth5_matches_oracle():
