@@ -14,6 +14,14 @@ the carry-free sums, which are the unions of disjoint pairs.  Iterating
 the monomials of the lighter slice keeps each layer product linear in
 the table size.
 
+The search meets in the middle: the full set lies in power ``a + b``
+exactly when some member ``S`` of power ``a`` has its complement in
+power ``b``, i.e. when power ``a`` meets the complemented table of power
+``b`` (bit ``d`` moved to bit ``full ^ d``, a reversal of all ``2**n``
+bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
+built finds ``q`` with only ``ceil(q/2) - 1`` products, the cheap early
+ones.  The witness is peeled separately inside each half.
+
 :func:`cd_chromatic_bruteforce` is the independent validation oracle: a
 direct search over vertex partitions that never touches the tables.
 """
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit, weight_masks
+from .bits import iter_bits, lowest_bit, weight_masks
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError, PreconditionError
 from .graph import Graph
@@ -30,6 +38,24 @@ from .graph import Graph
 DEFAULT_EXACT_CAP = 26
 
 BRUTEFORCE_CAP = 9
+
+# byte value -> the same byte with its 8 bits in reverse order
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _set_positions(bits: int) -> List[int]:
+    """Set bit positions of a table, ascending, in time linear in its width.
+
+    Unlike :func:`bits.bit_list`, which copies the whole integer per
+    member, this scans one string; it pays off on ``2**n``-bit tables.
+    """
+    digits = bin(bits)[:1:-1]
+    out: List[int] = []
+    pos = digits.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = digits.find("1", pos + 1)
+    return out
 
 
 class CoefficientTable:
@@ -55,7 +81,7 @@ class CoefficientTable:
 
     def members(self) -> List[int]:
         """All present subset masks, ascending."""
-        return bit_list(self.bits)
+        return _set_positions(self.bits)
 
     def slice(self, weight: int) -> int:
         """Bits of the table restricted to subsets of the given size."""
@@ -69,8 +95,21 @@ class CoefficientTable:
 
     def slice_members(self, weight: int) -> List[int]:
         if weight not in self._members:
-            self._members[weight] = bit_list(self.slice(weight))
+            self._members[weight] = _set_positions(self.slice(weight))
         return self._members[weight]
+
+    def complement(self) -> "CoefficientTable":
+        """Table of the complements: bit ``d`` moves to bit ``full ^ d``.
+
+        That reverses all ``2**n`` bits: reverse the byte order (write
+        big-endian, read little-endian) and the bits inside each byte;
+        below ``n = 3`` the padding of the single byte is shifted out.
+        """
+        size = 1 << self.n
+        nbytes = (size + 7) // 8
+        raw = self.bits.to_bytes(nbytes, "big").translate(_BIT_REVERSE)
+        bits = int.from_bytes(raw, "little") >> (8 * nbytes - size)
+        return CoefficientTable(self.n, bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -159,44 +198,49 @@ def _dominator_of(g: Graph, class_mask: int) -> int:
     raise AssertionError("class has no dominator")
 
 
-def _peel_witness(
-    g: Graph, family: CoefficientTable, powers: List[CoefficientTable]
-) -> CdColoring:
-    """Recover one optimal partition into family sets from the powers.
+def _peel(
+    members: List[int], powers: List[CoefficientTable], want: int, parts: int
+) -> List[int]:
+    """Split ``want``, a member of ``powers[parts]``, into ``parts`` family sets.
 
-    Walking down from the top power, peel the lexicographically
-    smallest family member whose removal stays reachable one power
-    lower.  Deterministic by construction.
+    At each level peel the lexicographically smallest family member
+    whose removal stays reachable one power lower; ``powers[0]`` holds
+    only the empty set.  Deterministic by construction.
     """
-    want = g.full_mask
     class_masks: List[int] = []
-    for level in range(len(powers) - 1, 0, -1):
+    for level in range(parts, 0, -1):
         lower = powers[level - 1]
-        for s in family.members():
-            if s & ~want:
-                continue
-            if lower.contains(want ^ s):
+        for s in members:
+            if not s & ~want and lower.contains(want ^ s):
                 class_masks.append(s)
                 want ^= s
                 break
         else:
             raise AssertionError("witness peel failed")
-    if not family.contains(want):
-        raise AssertionError("witness peel left a non-member")
-    class_masks.append(want)
-    return make_coloring(class_masks, [_dominator_of(g, c) for c in class_masks])
+    return class_masks
 
 
 def _exact_component(g: Graph, cap: int) -> Tuple[int, CdColoring]:
     family = build_color_class_family(g, cap=cap)
-    powers = [family]
     full = g.full_mask
-    while not powers[-1].contains(full):
-        if len(powers) >= g.n:
+    powers = [CoefficientTable(g.n, 1), family]  # powers[a] is power a
+    prev_comp = 1 << full  # complement of power 0 = {empty set}
+    while True:
+        a = len(powers) - 1
+        cur = powers[a].bits
+        b, meet = a - 1, cur & prev_comp  # k = 2a - 1
+        if not meet:
+            prev_comp = powers[a].complement().bits
+            b, meet = a, cur & prev_comp  # k = 2a
+        if meet:
+            break
+        if 2 * a >= g.n:
             raise AssertionError("no family partition covers the component")
-        powers.append(star_product(powers[-1], family))
-    q = len(powers)
-    return q, _peel_witness(g, family, powers)
+        powers.append(star_product(powers[a], family))
+    s = lowest_bit(meet)
+    members = family.members()
+    class_masks = _peel(members, powers, s, a) + _peel(members, powers, full ^ s, b)
+    return a + b, make_coloring(class_masks, [_dominator_of(g, c) for c in class_masks])
 
 
 def cd_chromatic_exact(

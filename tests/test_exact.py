@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cdcolor.bits import mask_of
+from cdcolor import exact
+from cdcolor.bits import bit_list, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
@@ -67,6 +68,26 @@ def test_family_matches_bruteforce():
 def test_family_capacity():
     with pytest.raises(CapacityError):
         build_color_class_family(Graph(5, [0] * 5), cap=4)
+
+
+def test_members_scan_matches_bit_list():
+    rng = random.Random(19)
+    for n in range(13):
+        for density in (0.0, 0.02, 0.5, 1.0):
+            bits = sum(1 << d for d in range(1 << n) if rng.random() < density)
+            table = CoefficientTable(n, bits)
+            assert table.members() == bit_list(bits)
+            for w in range(n + 1):
+                assert table.slice_members(w) == bit_list(table.slice(w))
+
+
+def test_complement_maps_each_subset_to_its_complement():
+    rng = random.Random(17)
+    for n in range(11):
+        full = (1 << n) - 1
+        for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
+            want = sum(1 << (full ^ d) for d in bit_list(bits))
+            assert CoefficientTable(n, bits).complement() == CoefficientTable(n, want)
 
 
 def test_star_product_singletons():
@@ -142,6 +163,9 @@ KNOWN_VALUES = [
     (complete_graph(4), 4),
     (complete_graph(5), 5),
     (complete_graph(6), 6),
+    (complete_graph(7), 7),
+    (complete_graph(8), 8),
+    (complete_graph(9), 9),
     (path_graph(2), 2),
     (path_graph(3), 2),
     (path_graph(4), 2),
@@ -162,6 +186,19 @@ def test_named_values(g, expected):
     assert q_exact == expected
     assert validate_cd_coloring(g, wit_brute).ok
     assert validate_cd_coloring(g, wit_exact).ok
+
+
+@pytest.mark.parametrize("g,q", [(complete_graph(7), 7), (cycle_graph(6), 4)])
+def test_meet_in_the_middle_product_count(monkeypatch, g, q):
+    calls = []
+
+    def counting(p, r):
+        calls.append(1)
+        return star_product(p, r)
+
+    monkeypatch.setattr(exact, "star_product", counting)
+    assert cd_chromatic_exact(g)[0] == q
+    assert len(calls) == (q + 1) // 2 - 1
 
 
 def test_bruteforce_examples():
@@ -187,10 +224,10 @@ def test_additivity_over_components():
         g1 = random_graph(rng.randint(1, 4), 0.5, rng)
         g2 = random_graph(rng.randint(1, 4), 0.5, rng)
         both = disjoint_union(g1, g2)
-        assert (
-            cd_chromatic_exact(both)[0]
-            == cd_chromatic_exact(g1)[0] + cd_chromatic_exact(g2)[0]
-        )
+        q, wit = cd_chromatic_exact(both)
+        assert q == cd_chromatic_exact(g1)[0] + cd_chromatic_exact(g2)[0]
+        assert q == cd_chromatic_bruteforce(both)[0]
+        assert validate_cd_coloring(both, wit).ok
     assert solve_per_component(Graph(0, []), cd_chromatic_exact) == (
         0,
         CdColoring((), ()),
