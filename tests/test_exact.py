@@ -163,9 +163,6 @@ KNOWN_VALUES = [
     (complete_graph(4), 4),
     (complete_graph(5), 5),
     (complete_graph(6), 6),
-    (complete_graph(7), 7),
-    (complete_graph(8), 8),
-    (complete_graph(9), 9),
     (path_graph(2), 2),
     (path_graph(3), 2),
     (path_graph(4), 2),
@@ -175,6 +172,9 @@ KNOWN_VALUES = [
     (cycle_graph(7), 4),
     (cycle_graph(8), 4),
     (star_graph(3), 2),
+    (complete_graph(7), 7),
+    (complete_graph(8), 8),
+    (complete_graph(9), 9),
 ]
 
 
