@@ -24,9 +24,6 @@ from .exact import (
     star_product,
 )
 from .fpt import (
-    GadgetGraph,
-    build_exclusion_gadget,
-    build_forcing_gadget,
     oct_excluding,
     oct_with_forced_sides,
     odd_cycle_transversal,

@@ -26,6 +26,8 @@ from .generate import (
 )
 from .graph import Graph, detect_format, parse_graph, to_dimacs
 from .partize import (
+    BRUTE_K_CAP,
+    BRUTE_N_CAP,
     DeletionSolution,
     partization2,
     partization3,
@@ -151,7 +153,7 @@ def _cmd_partize(args) -> int:
     else:
         print(
             f"warning: q={args.q} runs the brute-force oracle "
-            "(capacity n <= 9, k <= 4)",
+            f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})",
             file=sys.stderr,
         )
         sol = partization_bruteforce(g, args.k, args.q)

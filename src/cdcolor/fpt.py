@@ -6,19 +6,20 @@ graph one vertex at a time, and whenever the carried transversal
 overflows, re-split it into deleted / side-one / side-two vertices and
 finish with a minimum vertex cut between the bipartition conflicts.
 
-Two gadget constructions adapt a plain OCT solver to constrained
-queries: replacing a vertex by one new vertex per neighbor pair forbids
-deleting it, and two large mutually adjacent independent sets pin
-prescribed vertex sets to opposite sides of the residual bipartition.
+The compression also takes a set of undeletable vertices: they never get
+the "delete" label and their cut arc has infinite capacity.  That answers
+both constrained queries exactly, on the graph itself: a transversal
+avoiding one vertex, and one whose residual bipartition puts two demand
+sets on opposite sides, asked with two undeletable adjacent terminals
+joined to the two sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit, mask_of
+from .bits import bit_list, iter_bits, lowest_bit
 from .errors import PreconditionError
 from .graph import Graph, bipartition_within, components_within
 
@@ -83,12 +84,18 @@ _INF = 1 << 20
 
 
 def _min_vertex_cut(
-    g: Graph, active: int, sources: int, sinks: int, budget: int
+    g: Graph,
+    active: int,
+    sources: int,
+    sinks: int,
+    undeletable: int,
+    budget: int,
 ) -> Optional[int]:
-    """Minimum set of ``active`` vertices separating sources from sinks.
+    """Minimum set of ``active`` vertices outside ``undeletable``
+    separating sources from sinks.
 
-    Unit capacity per vertex (source and sink vertices are deletable
-    too); None when the cut exceeds the budget.
+    Unit capacity per deletable vertex (source and sink vertices
+    included); None when the cut exceeds the budget.
     """
     if budget < 0:
         return None
@@ -96,7 +103,7 @@ def _min_vertex_cut(
     S, T = 2 * g.n, 2 * g.n + 1
     cap: Dict[int, Dict[int, int]] = {S: {}, T: {}}
     for v in iter_bits(active):
-        cap.setdefault(2 * v, {})[2 * v + 1] = 1
+        cap.setdefault(2 * v, {})[2 * v + 1] = _INF if (undeletable >> v) & 1 else 1
         cap.setdefault(2 * v + 1, {})[2 * v] = 0
     for v in iter_bits(active):
         for w in iter_bits(g.adj[v] & active):
@@ -152,14 +159,18 @@ def _min_vertex_cut(
     return cut
 
 
-def _compress(g: Graph, prefix: int, overfull: int, k: int) -> Optional[int]:
-    """Shrink an OCT of ``g[prefix]`` with ``k + 1`` vertices to ``k``."""
-    members = bit_list(overfull)
-    rest = prefix & ~overfull
+def _compress(
+    g: Graph, prefix: int, carried: int, undeletable: int, k: int
+) -> Optional[int]:
+    """Turn an OCT of ``g[prefix]`` into one of size <= k that avoids
+    ``undeletable``."""
+    members = bit_list(carried)
+    rest = prefix & ~carried
     base = bipartition_within(g, rest)
     assert base is not None
     c1, c2 = base
-    for assignment in itertools.product((0, 1, 2), repeat=len(members)):
+    labels = [(1, 2) if (undeletable >> v) & 1 else (0, 1, 2) for v in members]
+    for assignment in itertools.product(*labels):
         deleted = side1 = side2 = 0
         for v, a in zip(members, assignment):
             if a == 0:
@@ -184,7 +195,7 @@ def _compress(g: Graph, prefix: int, overfull: int, k: int) -> Optional[int]:
         force2 &= rest
         keep0 = (force1 & c1) | (force2 & c2)  # demand: keep base coloring
         keep1 = (force1 & c2) | (force2 & c1)  # demand: flip base coloring
-        cut = _min_vertex_cut(g, rest, keep0, keep1, budget)
+        cut = _min_vertex_cut(g, rest, keep0, keep1, undeletable, budget)
         if cut is not None:
             return deleted | cut
     return None
@@ -208,8 +219,9 @@ def _minimalize_oct(g: Graph, oct_mask: int) -> int:
     return oct_mask
 
 
-def odd_cycle_transversal(g: Graph, k: int) -> Optional[int]:
-    """Minimal odd cycle transversal of size <= k as a mask, or None."""
+def _oct_avoiding(g: Graph, undeletable: int, k: int) -> Optional[int]:
+    """Minimal odd cycle transversal of size <= k that avoids
+    ``undeletable``."""
     if k < 0:
         return None
     if bipartition_within(g, g.full_mask) is not None:
@@ -217,114 +229,28 @@ def odd_cycle_transversal(g: Graph, k: int) -> Optional[int]:
     x = 0
     for i in range(g.n):
         x |= 1 << i
-        if x.bit_count() > k:
-            prefix = (1 << (i + 1)) - 1
-            x = _compress(g, prefix, x, k)
+        # an undeletable vertex must leave the carried set as soon as it joins
+        if x.bit_count() > k or x & undeletable:
+            x = _compress(g, (1 << (i + 1)) - 1, x, undeletable, k)
             if x is None:
                 return None
     return _minimalize_oct(g, x)
 
 
-# -- constrained-OCT gadgets ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GadgetGraph:
-    """An auxiliary graph plus the provenance of every vertex.
-
-    ``origin[w]`` is ``("v", u)`` for a copied original vertex ``u``,
-    ``("pair", u1, u2)`` for an exclusion pair vertex (``u1 < u2``), and
-    ``("force_p", i)`` / ``("force_q", i)`` for side-forcing vertices.
-    ``core`` masks the copied original vertices in the gadget indexing.
-    """
-
-    graph: Graph
-    origin: Tuple[tuple, ...]
-    core: int
-
-
-def build_exclusion_gadget(g: Graph, v: int) -> GadgetGraph:
-    """Replace ``v`` by one new vertex per pair of its neighbors.
-
-    Any odd cycle through a pair vertex corresponds to one through
-    ``v``, so transversals of the gadget avoid deleting ``v``.
-    """
+def _vertex_bit(g: Graph, v: int) -> int:
     if not 0 <= v < g.n:
         raise PreconditionError(f"vertex {v} not in graph")
-    keep = bit_list(g.full_mask & ~(1 << v))
-    pos = {old: new for new, old in enumerate(keep)}
-    nbrs = bit_list(g.adj[v])
-    pairs = list(itertools.combinations(nbrs, 2))
-    n2 = len(keep) + len(pairs)
-    edges = [
-        (pos[a], pos[b]) for a, b in g.edges() if a != v and b != v
-    ]
-    origin: List[tuple] = [("v", old) for old in keep]
-    for t, (a, b) in enumerate(pairs):
-        w = len(keep) + t
-        origin.append(("pair", a, b))
-        edges.append((w, pos[a]))
-        edges.append((w, pos[b]))
-    return GadgetGraph(
-        Graph.from_edges(n2, edges), tuple(origin), (1 << len(keep)) - 1
-    )
+    return 1 << v
 
 
-def build_forcing_gadget(g: Graph, p_mask: int, q_mask: int, k: int) -> GadgetGraph:
-    """Attach two (k+1)-sized independent sets pinning ``p`` and ``q``.
-
-    The first set is complete to ``p`` and to the second set, the second
-    complete to ``q``; no transversal of size <= k can separate them, so
-    surviving ``p`` and ``q`` vertices end on fixed opposite sides.
-    """
-    if p_mask & q_mask:
-        raise PreconditionError("forced side sets must be disjoint")
-    size = k + 1
-    n2 = g.n + 2 * size
-    edges = list(g.edges())
-    ip = list(range(g.n, g.n + size))
-    iq = list(range(g.n + size, g.n + 2 * size))
-    for a in ip:
-        edges.extend((a, u) for u in iter_bits(p_mask))
-        edges.extend((a, b) for b in iq)
-    for b in iq:
-        edges.extend((b, u) for u in iter_bits(q_mask))
-    origin: List[tuple] = [("v", u) for u in range(g.n)]
-    origin += [("force_p", i) for i in range(size)]
-    origin += [("force_q", i) for i in range(size)]
-    return GadgetGraph(Graph.from_edges(n2, edges), tuple(origin), g.full_mask)
-
-
-def _oct_avoiding_bruteforce(g: Graph, v: Optional[int], k: int) -> Optional[int]:
-    candidates = [u for u in range(g.n) if u != v]
-    for size in range(k + 1):
-        for combo in itertools.combinations(candidates, size):
-            mask = mask_of(combo)
-            if _is_bipartite_without(g, mask):
-                return mask
-    return None
+def odd_cycle_transversal(g: Graph, k: int) -> Optional[int]:
+    """Minimal odd cycle transversal of size <= k as a mask, or None."""
+    return _oct_avoiding(g, 0, k)
 
 
 def oct_excluding(g: Graph, v: int, k: int) -> Optional[int]:
-    """Odd cycle transversal of size <= k that avoids vertex ``v``.
-
-    Solved on the exclusion gadget; pair vertices in the answer are
-    re-routed to their lower original endpoint, then the result is
-    re-verified and made minimal.
-    """
-    if k < 0:
-        return None
-    gadget = build_exclusion_gadget(g, v)
-    found = odd_cycle_transversal(gadget.graph, k)
-    if found is None:
-        return None
-    mapped = 0
-    for w in iter_bits(found):
-        mapped |= 1 << gadget.origin[w][1]
-    if not _is_bipartite_without(g, mapped):
-        # the re-routing argument should never fail; enumerate as a backstop
-        return _oct_avoiding_bruteforce(g, v, k)
-    return _minimalize_oct(g, mapped)
+    """Minimal odd cycle transversal of size <= k that avoids vertex ``v``."""
+    return _oct_avoiding(g, _vertex_bit(g, v), k)
 
 
 def demand_sides(
@@ -350,19 +276,6 @@ def demand_sides(
     return first, second
 
 
-def _forced_sides_bruteforce(
-    g: Graph, p_mask: int, q_mask: int, exclude: Optional[int], k: int
-) -> Optional[Tuple[int, Tuple[int, int]]]:
-    candidates = [u for u in range(g.n) if u != exclude]
-    for size in range(k + 1):
-        for combo in itertools.combinations(candidates, size):
-            mask = mask_of(combo)
-            sides = demand_sides(g, mask, p_mask, q_mask)
-            if sides is not None:
-                return mask, sides
-    return None
-
-
 def oct_with_forced_sides(
     g: Graph,
     p_mask: int,
@@ -370,57 +283,28 @@ def oct_with_forced_sides(
     exclude: Optional[int],
     k: int,
 ) -> Optional[Tuple[int, Tuple[int, int]]]:
-    """OCT of size <= k avoiding ``exclude`` whose residual bipartition
-    keeps surviving ``p`` and ``q`` on opposite fixed sides.
+    """Minimal OCT of size <= k avoiding ``exclude`` whose residual
+    bipartition keeps surviving ``p`` and ``q`` on opposite fixed sides.
 
-    Returns ``(oct, (p_side, q_side))``.  Both gadgets compose: the
-    exclusion gadget replaces ``exclude`` first, then the forcing gadget
-    pins the demand sets.  The mapped-back answer is always re-verified
-    against the original graph; an ascending-size enumeration backs up
-    the rare case where re-routing breaks the side demands.
+    Returns ``(oct, (p_side, q_side))``.  The transversal is computed on
+    ``g`` plus two adjacent undeletable terminals P and Q, with P joined
+    to every ``p`` vertex and Q to every ``q`` vertex: once P and Q sit
+    on opposite sides, a bipartition of the rest exists exactly when the
+    demands can be met, so the answer is exact and minimal.
     """
     if p_mask & q_mask:
         raise PreconditionError("forced side sets must be disjoint")
-    if k < 0:
-        return None
-    if exclude is not None:
-        eg = build_exclusion_gadget(g, exclude)
-        work = eg.graph
-        to_work = {tag[1]: w for w, tag in enumerate(eg.origin) if tag[0] == "v"}
-        pw = mask_of(to_work[u] for u in iter_bits(p_mask & ~(1 << exclude)))
-        qw = mask_of(to_work[u] for u in iter_bits(q_mask & ~(1 << exclude)))
-
-        def back(w: int) -> int:
-            return eg.origin[w][1]
-
-    else:
-        work = g
-        pw, qw = p_mask, q_mask
-
-        def back(w: int) -> int:
-            return w
-
-    fg = build_forcing_gadget(work, pw, qw, k)
-    found = odd_cycle_transversal(fg.graph, k)
+    undeletable = 0 if exclude is None else _vertex_bit(g, exclude)
+    P, Q = g.n, g.n + 1
+    adj = [
+        row | (((p_mask >> u) & 1) << P) | (((q_mask >> u) & 1) << Q)
+        for u, row in enumerate(g.adj)
+    ]
+    adj += [p_mask | (1 << Q), q_mask | (1 << P)]
+    undeletable |= (1 << P) | (1 << Q)
+    found = _oct_avoiding(Graph(g.n + 2, adj), undeletable, k)
     if found is None:
         return None
-    mapped = 0
-    for w in iter_bits(found):
-        tag = fg.origin[w]
-        if tag[0] == "v":
-            mapped |= 1 << back(tag[1])
-    sides = demand_sides(g, mapped, p_mask, q_mask)
-    if sides is None:
-        return _forced_sides_bruteforce(g, p_mask, q_mask, exclude, k)
-    # make minimal while keeping the side guarantee
-    changed = True
-    while changed:
-        changed = False
-        for v in iter_bits(mapped):
-            cand = mapped & ~(1 << v)
-            s = demand_sides(g, cand, p_mask, q_mask)
-            if s is not None:
-                mapped, sides = cand, s
-                changed = True
-                break
-    return mapped, sides
+    sides = demand_sides(g, found, p_mask, q_mask)
+    assert sides is not None
+    return found, sides

@@ -151,32 +151,13 @@ def delete_to_type2(g: Graph, k: int) -> Optional[DeletionSolution]:
     return None
 
 
-def _bounded_oct_with_edge(
-    g: Graph, b_mask: int, avoid: int, budget: int
-) -> Optional[int]:
-    """Smallest deletion inside ``b_mask`` (never ``avoid``) leaving a
-    bipartite, non-edgeless induced subgraph; ascending enumeration."""
-    if budget < 0:
-        return None
-    candidates = [v for v in iter_bits(b_mask) if v != avoid]
-    for size in range(budget + 1):
-        for combo in itertools.combinations(candidates, size):
-            removed = mask_of(combo)
-            rest = b_mask & ~removed
-            if bipartition_within(g, rest) is None:
-                continue
-            if any(g.adj[v] & rest for v in iter_bits(rest)):
-                return removed
-    return None
-
-
 def delete_to_type3(g: Graph, k: int) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominating pair (x, y): an
     independent set around x and a non-edgeless bipartite part around y.
 
-    Vertex cover cleans the independent side; a y-avoiding odd cycle
-    transversal cleans the bipartite side, with an ascending-size
-    fallback when the transversal leaves the bipartite part edgeless.
+    Vertex cover cleans the independent side; a minimal y-avoiding odd
+    cycle transversal cleans the bipartite side, and keeps an edge there
+    whenever any transversal within the budget can.
     """
     full = g.full_mask
     for x in range(g.n):
@@ -194,17 +175,15 @@ def delete_to_type3(g: Graph, k: int) -> Optional[DeletionSolution]:
             sub_b, ids_b = g.induced(b_cand)
             y_local = ids_b.index(y)
             found = oct_excluding(sub_b, y_local, budget)
-            s2 = None
-            if found is not None:
-                cand = mask_of(ids_b[v] for v in iter_bits(found))
-                rest = b_cand & ~cand
-                if any(g.adj[v] & rest for v in iter_bits(rest)):
-                    s2 = cand
-            if s2 is None:
-                s2 = _bounded_oct_with_edge(g, b_cand, y, budget)
-                if s2 is None:
-                    continue
+            if found is None:
+                continue
+            s2 = mask_of(ids_b[v] for v in iter_bits(found))
             rest = b_cand & ~s2
+            # a minimal transversal that leaves no edge is empty (putting
+            # one vertex back into an edgeless set keeps it bipartite), so
+            # then no transversal can keep an edge in the bipartite part
+            if not any(g.adj[v] & rest for v in iter_bits(rest)):
+                continue
             sides = bipartition_within(g, rest)
             class1 = (y_cand & ~s1) | (1 << x)
             witness = TypeWitness(

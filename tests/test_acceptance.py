@@ -19,7 +19,7 @@ from cdcolor.exact import (
     cd_chromatic_exact,
     star_product,
 )
-from cdcolor.fpt import oct_with_forced_sides
+from cdcolor.fpt import oct_excluding, oct_with_forced_sides
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -245,18 +245,13 @@ def test_criterion_7_partization():
                 assert sol2.size <= k
                 rep = validate_deletion(g, sol2, 2)
                 assert rep.ok, rep.problem
-    # gadget lemmas, bidirectional, on graphs up to 8 vertices
+    # constrained OCT against the oracles, on graphs up to 8 vertices
     rng2 = random.Random(2030)
     for _ in range(15):
         g = random_graph(rng2.randint(3, 8), rng2.choice([0.4, 0.7]), rng2)
         for v in range(g.n):
             for k in (0, 1, 2):
-                from cdcolor.fpt import build_exclusion_gadget, oct_excluding
-
-                gg = build_exclusion_gadget(g, v)
                 direct = brute_oct_min(g, k, avoid=v)
-                via = brute_oct_min(gg.graph, k)
-                assert (direct is None) == (via is None)
                 got = oct_excluding(g, v, k)
                 assert (got is None) == (direct is None)
     for _ in range(12):
@@ -270,7 +265,7 @@ def test_criterion_7_partization():
             got = oct_with_forced_sides(g, p, q, exclude, k)
             want = brute_forced_sides(g, p, q, exclude, k)
             assert (got is None) == (want is None), (g.adj, p, q, exclude, k)
-    report(7, f"partization q=2,3 = oracle on {len(graphs)} graphs x 4 budgets; gadget lemmas hold")
+    report(7, f"partization q=2,3 = oracle on {len(graphs)} graphs x 4 budgets; constrained OCT = oracle")
 
 
 def test_criterion_8_split_graphs():

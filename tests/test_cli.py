@@ -5,6 +5,7 @@ import pytest
 from cdcolor.cli import main
 from cdcolor.generate import complete_graph, cycle_graph, petersen_graph
 from cdcolor.graph import Graph, parse_graph, to_dimacs
+from cdcolor.partize import BRUTE_K_CAP, BRUTE_N_CAP
 
 
 def write_graph(tmp_path, name, g):
@@ -101,6 +102,7 @@ def test_partize_split_and_brute_routes(tmp_path, capsys):
     assert main(["partize", "--q", "4", "--k", "0", path]) == 0
     err = capsys.readouterr().err
     assert "brute-force" in err
+    assert f"n <= {BRUTE_N_CAP}" in err and f"k <= {BRUTE_K_CAP}" in err
 
 
 def test_validate_rejects_tampered_certificate(c5, tmp_path, capsys):

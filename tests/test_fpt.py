@@ -5,8 +5,6 @@ import pytest
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
-    build_exclusion_gadget,
-    build_forcing_gadget,
     demand_sides,
     oct_excluding,
     oct_with_forced_sides,
@@ -18,11 +16,10 @@ from cdcolor.generate import (
     cycle_graph,
     path_graph,
     random_graph,
-    star_graph,
 )
 from cdcolor.graph import Graph, bipartition_within
 
-from _brute import brute_forced_sides, brute_oct_min, brute_vertex_cover_min, is_independent
+from _brute import brute_forced_sides, brute_oct_min, brute_vertex_cover_min
 
 
 def is_vertex_cover(g, mask):
@@ -88,35 +85,6 @@ def test_oct_is_minimal():
             assert not is_oct(g, got & ~(1 << v))
 
 
-def test_exclusion_gadget_triangle():
-    gg = build_exclusion_gadget(complete_graph(3), 0)
-    assert gg.graph.n == 3 and gg.graph.m == 3
-    assert gg.origin == (("v", 1), ("v", 2), ("pair", 1, 2))
-    assert gg.core == 0b011
-
-
-def test_exclusion_gadget_star_and_degree0():
-    gg = build_exclusion_gadget(star_graph(3), 0)
-    assert gg.graph.n == 3 + 3  # leaves plus one vertex per leaf pair
-    assert gg.graph.m == 6
-    lonely = Graph(3, [0, 0, 0])
-    gg = build_exclusion_gadget(lonely, 1)
-    assert gg.graph.n == 2 and gg.graph.m == 0
-
-
-def test_exclusion_gadget_equivalence():
-    # minimum v-avoiding transversal == minimum transversal of the gadget
-    rng = random.Random(137)
-    for _ in range(40):
-        g = random_graph(rng.randint(2, 7), rng.choice([0.4, 0.7]), rng)
-        for v in range(g.n):
-            gg = build_exclusion_gadget(g, v)
-            for k in (0, 1, 2, 3):
-                direct = brute_oct_min(g, k, avoid=v)
-                via = brute_oct_min(gg.graph, k)
-                assert (direct is None) == (via is None), (g.adj, v, k)
-
-
 def test_oct_excluding_examples():
     got = oct_excluding(complete_graph(3), 0, 1)
     assert got.bit_count() == 1 and not got & 1
@@ -140,29 +108,6 @@ def test_oct_excluding_matches_bruteforce():
                 assert got.bit_count() <= k
 
 
-def test_forcing_gadget_shape():
-    g = path_graph(2)
-    gg = build_forcing_gadget(g, 0, 0, 1)
-    assert gg.graph.n == 2 + 4
-    # both forcing sets are independent and completely joined
-    ip = [w for w, tag in enumerate(gg.origin) if tag[0] == "force_p"]
-    iq = [w for w, tag in enumerate(gg.origin) if tag[0] == "force_q"]
-    assert len(ip) == len(iq) == 2
-    assert is_independent(gg.graph, mask_of(ip))
-    assert is_independent(gg.graph, mask_of(iq))
-    for a in ip:
-        assert gg.graph.adj[a] & mask_of(iq) == mask_of(iq)
-    with pytest.raises(PreconditionError):
-        build_forcing_gadget(g, 1, 1, 1)
-
-
-def test_forcing_gadget_pins_sides():
-    gg = build_forcing_gadget(path_graph(2), 0b01, 0b10, 1)
-    ip = mask_of(w for w, tag in enumerate(gg.origin) if tag[0] == "force_p")
-    p_nbrs = gg.graph.adj[0]
-    assert p_nbrs & ip == ip  # vertex 0 is complete to the p-forcers
-
-
 def test_forced_sides_trivial_cases():
     res = oct_with_forced_sides(path_graph(2), 0b01, 0b10, None, 0)
     assert res == (0, (0b01, 0b10))
@@ -171,6 +116,12 @@ def test_forced_sides_trivial_cases():
     assert res is not None and res[0] == 0
     p_side, q_side = res[1]
     assert p_side == 0b0101 and q_side == 0b1010
+    with pytest.raises(PreconditionError):
+        oct_with_forced_sides(c4, 0b0001, 0b0001, None, 1)
+    with pytest.raises(PreconditionError):
+        oct_with_forced_sides(c4, 0b0001, 0b0010, 4, 1)
+    with pytest.raises(PreconditionError):
+        oct_excluding(c4, 4, 1)
 
 
 def test_forced_sides_c5():
@@ -205,27 +156,6 @@ def test_forced_sides_matches_bruteforce():
                 assert not sp & sq
 
 
-def test_fallback_paths_agree_with_brute():
-    # the enumeration backstops must be correct even if never triggered
-    from cdcolor.fpt import _forced_sides_bruteforce, _oct_avoiding_bruteforce
-
-    rng = random.Random(151)
-    for _ in range(30):
-        g = random_graph(rng.randint(2, 6), 0.6, rng)
-        v = rng.randrange(g.n)
-        for k in (0, 1, 2):
-            got = _oct_avoiding_bruteforce(g, v, k)
-            want = brute_oct_min(g, k, avoid=v)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.bit_count() == want.bit_count()
-        p = mask_of([0]) if g.n > 1 else 0
-        q = mask_of([1]) if g.n > 1 else 0
-        got = _forced_sides_bruteforce(g, p, q, None, 2)
-        want = brute_forced_sides(g, p, q, None, 2)
-        assert (got is None) == (want is None)
-
-
 def test_forced_sides_exclude_inside_p():
     # pinning the excluded vertex itself: survivors still orient around it
     g = cycle_graph(5)
@@ -235,3 +165,15 @@ def test_forced_sides_exclude_inside_p():
     assert not oct_mask & 1
     assert (sp >> 0) & 1  # the pinned excluded vertex survives on the p side
     assert not (sq & 0b00001) and not (sp & 0b00010 & ~oct_mask)
+    # vertex 1 is both excluded and demanded on the q side; ignoring that
+    # demand admits a transversal at k = 1, but none meets it below k = 2
+    g = Graph(5, (8, 20, 26, 21, 14))
+    p, q = 0b01100, 0b00011
+    for k in (0, 1):
+        assert oct_with_forced_sides(g, p, q, 1, k) is None
+        assert brute_forced_sides(g, p, q, 1, k) is None
+    res = oct_with_forced_sides(g, p, q, 1, 2)
+    assert res is not None and brute_forced_sides(g, p, q, 1, 2) is not None
+    oct_mask, sides = res
+    assert oct_mask.bit_count() <= 2 and not (oct_mask >> 1) & 1
+    assert demand_sides(g, oct_mask, p, q) == sides
