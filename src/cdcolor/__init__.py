@@ -40,6 +40,9 @@ from .graph import (
 )
 from .partize import (
     DeletionSolution,
+    RecognitionResult,
+    TypeWitness,
+    cd_recognize_upto3,
     delete_to_type1,
     delete_to_type2,
     delete_to_type3,
@@ -48,14 +51,8 @@ from .partize import (
     partization2,
     partization3,
     partization_bruteforce,
-    validate_deletion,
-)
-from .recognize import (
-    RecognitionResult,
-    TypeWitness,
-    cd_recognize_upto3,
-    has_dominating_edge,
     recognize_type,
+    validate_deletion,
 )
 from .split import (
     GeneratedInstance,

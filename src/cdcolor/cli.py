@@ -29,11 +29,11 @@ from .partize import (
     BRUTE_K_CAP,
     BRUTE_N_CAP,
     DeletionSolution,
+    cd_recognize_upto3,
     partization2,
     partization3,
     partization_bruteforce,
 )
-from .recognize import cd_recognize_upto3
 from .split import (
     cd_chromatic_split,
     generate_from_partization,

@@ -1,10 +1,18 @@
-"""Vertex-deletion solvers: make the remainder cd-colorable with q colors.
+"""Type 0-5 pattern matchers: vertex deletion and recognition for q <= 3.
 
-For q = 3 the remainder of a successful deletion matches one of the
-Type 0-5 patterns (or an additive combination over components), and
-each pattern reduces to vertex covers plus constrained odd cycle
-transversals once a candidate dominator tuple is fixed.  The dominator
-vertices themselves are always exempted from the mandatory deletions.
+A connected graph is cd-colorable with at most three colors exactly
+when it matches one of six structural patterns (Type 0 through Type 5),
+each anchored by a small dominator tuple.  There is one matcher per
+Type: ``delete_to_type1`` .. ``delete_to_type5`` find at most k
+deletions that leave a remainder matching the pattern.  Once the
+dominator tuple is fixed, the pattern's parts are forced, and cleaning
+them reduces to vertex covers plus constrained odd cycle transversals.
+The dominator vertices themselves are always exempted from the
+mandatory deletions.
+
+Recognition is deletion with budget k = 0: ``recognize_type`` returns
+the matcher's witness, and ``cd_recognize_upto3`` sums over components.
+Type 0 (at most three vertices) is a closed form.
 
 ``partization_bruteforce`` is the validation oracle: exhaustive over
 deletion sets, scoring remainders with the partition-search oracle.
@@ -13,24 +21,54 @@ deletion sets, scoring remainders with the partition-search oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bits import iter_bits, mask_of
+from .bits import iter_bits, lowest_bit, mask_of
 from .coloring import (
     CdColoring,
     ValidationReport,
     make_coloring,
+    merge_colorings,
     validate_cd_coloring,
 )
-from .errors import CapacityError
+from .errors import CapacityError, PreconditionError
 from .exact import cd_chromatic_bruteforce
 from .fpt import oct_excluding, oct_with_forced_sides, vertex_cover
-from .graph import Graph, bipartition_within
-from .recognize import TypeWitness, cd_recognize_upto3
+from .graph import Graph, bipartition_within, components_within, is_connected
 
 BRUTE_N_CAP = 9
 BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
+
+
+@dataclass
+class TypeWitness:
+    """Certificate that a connected graph matches one pattern type."""
+
+    type_id: int
+    dominators: Tuple[int, ...]
+    parts: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    coloring: CdColoring = CdColoring((), ())
+
+    def relabeled(self, mapping: Sequence[int]) -> "TypeWitness":
+        """Apply a vertex renaming (index -> mapping[index])."""
+        return TypeWitness(
+            self.type_id,
+            tuple(mapping[d] for d in self.dominators),
+            {name: tuple(mapping[v] for v in vs) for name, vs in self.parts.items()},
+            self.coloring.relabeled(mapping),
+        )
+
+
+@dataclass
+class RecognitionResult:
+    """Total color count plus one witness per connected component."""
+
+    q: int
+    components: List[Tuple[int, TypeWitness]]  # (component mask, witness)
+
+    def coloring(self) -> CdColoring:
+        return merge_colorings([w.coloring for _, w in self.components])
 
 
 @dataclass
@@ -290,8 +328,9 @@ def delete_to_type5(g: Graph, k: int) -> Optional[DeletionSolution]:
                 s2 = mask_of(ids_b[v] for v in iter_bits(found))
                 y_side = mask_of(ids_b[v] for v in iter_bits(side_p))
                 x_side = mask_of(ids_b[v] for v in iter_bits(side_q))
-                if x_side & ~ax or y_side & ~ay:
-                    continue  # free vertices landed outside their dominator
+                # demand-free vertices of b_cand lie in ax & ay, and
+                # demand_sides pins the rest
+                assert not (x_side & ~ax or y_side & ~ay)
                 zs = z_cand & ~s1
                 witness = TypeWitness(
                     5,
@@ -311,6 +350,78 @@ def delete_to_type5(g: Graph, k: int) -> Optional[DeletionSolution]:
     return None
 
 
+_TYPE_SOLVERS = (
+    delete_to_type1,
+    delete_to_type2,
+    delete_to_type3,
+    delete_to_type4,
+    delete_to_type5,
+)
+
+
+def _type0(g: Graph) -> Optional[TypeWitness]:
+    """At most three vertices: one singleton class per vertex ``v``,
+    dominated by the lowest vertex of ``N[v]``.  On K1, K2 and K3 this
+    is the partition-search oracle's certificate."""
+    if g.n > 3:
+        return None
+    vertices = range(g.n)
+    coloring = make_coloring(
+        [1 << v for v in vertices], [lowest_bit(g.closed(v)) for v in vertices]
+    )
+    return TypeWitness(0, (), {}, coloring)
+
+
+def recognize_type(g: Graph, t: int) -> Optional[TypeWitness]:
+    """Witness that connected ``g`` matches pattern type ``t``, or None.
+
+    Types 1-5 run the deletion matcher with budget 0.
+    """
+    if t not in range(6):
+        raise ValueError(f"unknown type {t}")
+    if not is_connected(g):
+        raise PreconditionError("type recognition works on connected graphs")
+    if t == 0:
+        return _type0(g)
+    sol = _TYPE_SOLVERS[t - 1](g, 0)
+    return None if sol is None else sol.plan[0][1]
+
+
+def _component_upto3(g: Graph) -> Optional[Tuple[int, TypeWitness]]:
+    if g.n == 1:
+        return 1, TypeWitness(0, (), {}, CdColoring(((0,),), (0,)))
+    w = recognize_type(g, 1)
+    if w is not None:
+        return 2, w
+    for t in (0, 2, 3, 4, 5):
+        w = recognize_type(g, t)
+        if w is not None:
+            return 3, w
+    return None
+
+
+def cd_recognize_upto3(g: Graph) -> Optional[RecognitionResult]:
+    """Color count and witnesses when the graph is <= 3 cd-colorable.
+
+    Components are recognized separately: a lone vertex costs one color,
+    a bipartite component with a dominating edge two, any other matched
+    pattern three.  None when the component sum exceeds three.
+    """
+    total = 0
+    out: List[Tuple[int, TypeWitness]] = []
+    for comp in components_within(g, g.full_mask):
+        sub, ids = g.induced(comp)
+        res = _component_upto3(sub)
+        if res is None:
+            return None
+        q_i, witness = res
+        total += q_i
+        if total > 3:
+            return None
+        out.append((comp, witness.relabeled(ids)))
+    return RecognitionResult(total, out)
+
+
 def _small_remainder(g: Graph, k: int, keep_limit: int) -> Optional[DeletionSolution]:
     """Keep the lowest-index vertices when almost everything may go."""
     if g.n - k > keep_limit:
@@ -328,15 +439,6 @@ def _small_remainder(g: Graph, k: int, keep_limit: int) -> Optional[DeletionSolu
         name = "IsolatedVertex" if comp.bit_count() == 1 else f"Type{w.type_id}"
         plan.append((name, w))
     return DeletionSolution(deleted, tuple(plan), rec.coloring().relabeled(ids))
-
-
-_TYPE_SOLVERS = (
-    delete_to_type1,
-    delete_to_type2,
-    delete_to_type3,
-    delete_to_type4,
-    delete_to_type5,
-)
 
 
 def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:

@@ -36,12 +36,12 @@ from cdcolor.generate import (
 )
 from cdcolor.graph import Graph, girth, is_connected, split_partition
 from cdcolor.partize import (
+    cd_recognize_upto3,
     partization2,
     partization3,
     partization_bruteforce,
     validate_deletion,
 )
-from cdcolor.recognize import cd_recognize_upto3
 from cdcolor.split import (
     generate_from_partization,
     generate_from_setcover,

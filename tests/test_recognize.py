@@ -4,7 +4,7 @@ import pytest
 
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.errors import PreconditionError
-from cdcolor.exact import cd_chromatic_bruteforce
+from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -16,11 +16,8 @@ from cdcolor.generate import (
     star_graph,
 )
 from cdcolor.graph import Graph, is_connected
-from cdcolor.recognize import (
-    cd_recognize_upto3,
-    has_dominating_edge,
-    recognize_type,
-)
+from cdcolor.partize import cd_recognize_upto3, recognize_type
+from cdcolor.split import generate_from_partization
 
 
 def connected_corpus(count, n_lo, n_hi, seed):
@@ -32,12 +29,6 @@ def connected_corpus(count, n_lo, n_hi, seed):
         )
         out.append(g)
     return out
-
-
-def test_dominating_edge_examples():
-    assert has_dominating_edge(cycle_graph(4)) == (0, 1)
-    assert has_dominating_edge(cycle_graph(6)) is None
-    assert has_dominating_edge(path_graph(2)) == (0, 1)
 
 
 def test_type0():
@@ -157,3 +148,30 @@ def test_type1_equivalence_with_two_colorability():
         w = recognize_type(g, 1)
         q_true = cd_chromatic_bruteforce(g)[0]
         assert (w is not None) == (q_true <= 2)
+
+
+def test_upto3_matches_exact_beyond_oracle_cap():
+    # past the brute-force oracle's 9 vertices, against the exact engine
+    rng = random.Random(109)
+    graphs = []
+    for i in range(20):
+        # bipartite 8-vertex base (sides 0-3 and 4-7), every other one
+        # with a triangle added; the lift has 15 vertices
+        edges = [(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.5]
+        if i % 2:
+            edges += [(0, 1), (0, 4), (1, 4)]
+        base = Graph.from_edges(8, edges)
+        graphs.append(generate_from_partization(base, 2, 2).graph)
+    graphs += connected_corpus(30, 10, 14, seed=113)
+    answers = set()
+    for g in graphs:
+        rec = cd_recognize_upto3(g)
+        q_true = cd_chromatic_exact(g)[0]
+        answers.add(q_true <= 3)
+        if q_true <= 3:
+            assert rec is not None and rec.q == q_true, (g.adj, q_true)
+            report = validate_cd_coloring(g, rec.coloring())
+            assert report.ok, report.problem
+        else:
+            assert rec is None, (g.adj, q_true)
+    assert answers == {True, False}
