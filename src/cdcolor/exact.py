@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bits import iter_bits, lowest_bit, weight_masks
 from .coloring import CdColoring, make_coloring, solve_per_component
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError
 from .graph import Graph
 
 DEFAULT_EXACT_CAP = 26
@@ -250,10 +250,8 @@ def cd_chromatic_exact(
 
     Solved independently per connected component (the answers add) and
     capped at ``cap`` vertices per component; each table costs ``2**n``
-    bits of memory.
+    bits of memory.  The empty graph has q = 0.
     """
-    if g.n == 0:
-        raise PreconditionError("graph must have at least one vertex")
     return solve_per_component(g, lambda sub: _exact_component(sub, cap))
 
 

@@ -12,6 +12,10 @@ both constrained queries exactly, on the graph itself: a transversal
 avoiding one vertex, and one whose residual bipartition puts two demand
 sets on opposite sides, asked with two undeletable adjacent terminals
 joined to the two sets.
+
+A subproblem is a vertex mask of the input graph: the routines take an
+optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
+vertex ids.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .errors import PreconditionError
 from .graph import Graph, bipartition_within, components_within
 
 
-def vertex_cover(g: Graph, k: int) -> Optional[int]:
-    """Minimum vertex cover as a mask, provided one of size <= k exists."""
+def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int]:
+    """Minimum vertex cover of ``g[active]`` as a mask, provided one of
+    size <= k exists."""
     if k < 0:
         return None
     best_size = k + 1
@@ -73,7 +78,7 @@ def vertex_cover(g: Graph, k: int) -> Optional[int]:
         nbrs = g.adj[v] & active
         rec(active & ~nbrs & ~(1 << v), cover | nbrs, size + nbrs.bit_count())
 
-    rec(g.full_mask, 0, 0)
+    rec(g.full_mask if active is None else active, 0, 0)
     return best_mask
 
 
@@ -201,66 +206,69 @@ def _compress(
     return None
 
 
-def _is_bipartite_without(g: Graph, removed: int) -> bool:
-    return bipartition_within(g, g.full_mask & ~removed) is not None
-
-
-def _minimalize_oct(g: Graph, oct_mask: int) -> int:
-    """Drop removable vertices (ascending) until the OCT is minimal."""
+def _minimalize_oct(g: Graph, oct_mask: int, active: int) -> int:
+    """Drop removable vertices (ascending) until the OCT of ``g[active]``
+    is minimal."""
     changed = True
     while changed:
         changed = False
         for v in iter_bits(oct_mask):
             cand = oct_mask & ~(1 << v)
-            if _is_bipartite_without(g, cand):
+            if bipartition_within(g, active & ~cand) is not None:
                 oct_mask = cand
                 changed = True
                 break
     return oct_mask
 
 
-def _oct_avoiding(g: Graph, undeletable: int, k: int) -> Optional[int]:
-    """Minimal odd cycle transversal of size <= k that avoids
-    ``undeletable``."""
+def _oct_avoiding(g: Graph, undeletable: int, k: int, active: int) -> Optional[int]:
+    """Minimal odd cycle transversal of ``g[active]`` of size <= k that
+    avoids ``undeletable``."""
     if k < 0:
         return None
-    if bipartition_within(g, g.full_mask) is not None:
+    if bipartition_within(g, active) is not None:
         return 0
-    x = 0
-    for i in range(g.n):
-        x |= 1 << i
+    x = prefix = 0
+    for v in iter_bits(active):
+        x |= 1 << v
+        prefix |= 1 << v
         # an undeletable vertex must leave the carried set as soon as it joins
         if x.bit_count() > k or x & undeletable:
-            x = _compress(g, (1 << (i + 1)) - 1, x, undeletable, k)
+            x = _compress(g, prefix, x, undeletable, k)
             if x is None:
                 return None
-    return _minimalize_oct(g, x)
+    return _minimalize_oct(g, x, active)
 
 
-def _vertex_bit(g: Graph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise PreconditionError(f"vertex {v} not in graph")
+def _vertex_bit(g: Graph, v: int, active: int) -> int:
+    if not 0 <= v < g.n or not (active >> v) & 1:
+        raise PreconditionError(f"vertex {v} not among the active vertices")
     return 1 << v
 
 
 def odd_cycle_transversal(g: Graph, k: int) -> Optional[int]:
     """Minimal odd cycle transversal of size <= k as a mask, or None."""
-    return _oct_avoiding(g, 0, k)
+    return _oct_avoiding(g, 0, k, g.full_mask)
 
 
-def oct_excluding(g: Graph, v: int, k: int) -> Optional[int]:
-    """Minimal odd cycle transversal of size <= k that avoids vertex ``v``."""
-    return _oct_avoiding(g, _vertex_bit(g, v), k)
+def oct_excluding(
+    g: Graph, v: int, k: int, active: Optional[int] = None
+) -> Optional[int]:
+    """Minimal odd cycle transversal of ``g[active]`` of size <= k that
+    avoids vertex ``v``."""
+    if active is None:
+        active = g.full_mask
+    return _oct_avoiding(g, _vertex_bit(g, v, active), k, active)
 
 
 def demand_sides(
-    g: Graph, oct_mask: int, p_mask: int, q_mask: int
+    g: Graph, oct_mask: int, p_mask: int, q_mask: int, active: Optional[int] = None
 ) -> Optional[Tuple[int, int]]:
-    """Bipartition of ``g`` minus ``oct_mask`` with surviving ``p`` on the
-    first side and surviving ``q`` on the second, or None."""
-    active = g.full_mask & ~oct_mask
+    """Bipartition of ``g[active]`` minus ``oct_mask`` with surviving ``p``
+    on the first side and surviving ``q`` on the second, or None."""
+    rest = (g.full_mask if active is None else active) & ~oct_mask
     first = second = 0
-    for comp in components_within(g, active):
+    for comp in components_within(g, rest):
         sides = bipartition_within(g, comp)
         if sides is None:
             return None
@@ -282,9 +290,11 @@ def oct_with_forced_sides(
     q_mask: int,
     exclude: Optional[int],
     k: int,
+    active: Optional[int] = None,
 ) -> Optional[Tuple[int, Tuple[int, int]]]:
-    """Minimal OCT of size <= k avoiding ``exclude`` whose residual
-    bipartition keeps surviving ``p`` and ``q`` on opposite fixed sides.
+    """Minimal OCT of ``g[active]`` of size <= k avoiding ``exclude``
+    whose residual bipartition keeps surviving ``p`` and ``q`` on opposite
+    fixed sides.
 
     Returns ``(oct, (p_side, q_side))``.  The transversal is computed on
     ``g`` plus two adjacent undeletable terminals P and Q, with P joined
@@ -294,17 +304,21 @@ def oct_with_forced_sides(
     """
     if p_mask & q_mask:
         raise PreconditionError("forced side sets must be disjoint")
-    undeletable = 0 if exclude is None else _vertex_bit(g, exclude)
+    if active is None:
+        active = g.full_mask
+    undeletable = 0 if exclude is None else _vertex_bit(g, exclude, active)
     P, Q = g.n, g.n + 1
     adj = [
         row | (((p_mask >> u) & 1) << P) | (((q_mask >> u) & 1) << Q)
         for u, row in enumerate(g.adj)
     ]
     adj += [p_mask | (1 << Q), q_mask | (1 << P)]
-    undeletable |= (1 << P) | (1 << Q)
-    found = _oct_avoiding(Graph(g.n + 2, adj), undeletable, k)
+    terminals = (1 << P) | (1 << Q)
+    found = _oct_avoiding(
+        Graph(g.n + 2, adj), undeletable | terminals, k, active | terminals
+    )
     if found is None:
         return None
-    sides = demand_sides(g, found, p_mask, q_mask)
+    sides = demand_sides(g, found, p_mask, q_mask, active)
     assert sides is not None
     return found, sides

@@ -8,7 +8,9 @@ deletions that leave a remainder matching the pattern.  Once the
 dominator tuple is fixed, the pattern's parts are forced, and cleaning
 them reduces to vertex covers plus constrained odd cycle transversals.
 The dominator vertices themselves are always exempted from the
-mandatory deletions.
+mandatory deletions.  Every matcher works on ``g[active]`` for an
+optional vertex mask ``active`` and hands sub-masks, never induced
+copies, to vertex cover and odd cycle transversal.
 
 Recognition is deletion with budget k = 0: ``recognize_type`` returns
 the matcher's witness, and ``cd_recognize_upto3`` sums over components.
@@ -21,10 +23,10 @@ deletion sets, scoring remainders with the partition-search oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from .bits import iter_bits, lowest_bit, mask_of
+from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .coloring import (
     CdColoring,
     ValidationReport,
@@ -35,7 +37,7 @@ from .coloring import (
 from .errors import CapacityError, PreconditionError
 from .exact import cd_chromatic_bruteforce
 from .fpt import oct_excluding, oct_with_forced_sides, vertex_cover
-from .graph import Graph, bipartition_within, components_within, is_connected
+from .graph import Graph, bipartition_within, components_within
 
 BRUTE_N_CAP = 9
 BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
@@ -47,17 +49,7 @@ class TypeWitness:
 
     type_id: int
     dominators: Tuple[int, ...]
-    parts: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    coloring: CdColoring = CdColoring((), ())
-
-    def relabeled(self, mapping: Sequence[int]) -> "TypeWitness":
-        """Apply a vertex renaming (index -> mapping[index])."""
-        return TypeWitness(
-            self.type_id,
-            tuple(mapping[d] for d in self.dominators),
-            {name: tuple(mapping[v] for v in vs) for name, vs in self.parts.items()},
-            self.coloring.relabeled(mapping),
-        )
+    coloring: CdColoring
 
 
 @dataclass
@@ -111,85 +103,72 @@ def validate_deletion(g: Graph, sol: DeletionSolution, q: int) -> ValidationRepo
     return validate_cd_coloring(sub, local)
 
 
-def _vc_on(g: Graph, mask: int, budget: int) -> Optional[int]:
-    """Minimum vertex cover of the induced subgraph, in original ids."""
-    if budget < 0:
-        return None
-    sub, ids = g.induced(mask)
-    found = vertex_cover(sub, budget)
-    if found is None:
-        return None
-    return mask_of(ids[v] for v in iter_bits(found))
-
-
-def delete_to_type1(g: Graph, k: int) -> Optional[DeletionSolution]:
+def delete_to_type1(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[DeletionSolution]:
     """Deletions leaving a bipartite remainder with a dominating edge.
 
     For each edge (x, y): only exclusive neighbors of x and y can stay
     besides the edge itself, and what stays on each side must become
     independent, which is a vertex cover question per side.
     """
-    full = g.full_mask
-    for x, y in g.edges():
-        x_cand = g.adj[x] & ~g.closed(y)
-        y_cand = g.adj[y] & ~g.closed(x)
-        mandatory = full & ~(x_cand | y_cand | (1 << x) | (1 << y))
-        rem = k - mandatory.bit_count()
-        if rem < 0:
-            continue
-        s1 = _vc_on(g, x_cand, rem)
-        if s1 is None:
-            continue
-        s2 = _vc_on(g, y_cand, rem - s1.bit_count())
-        if s2 is None:
-            continue
-        class_a = (y_cand & ~s2) | (1 << x)
-        class_b = (x_cand & ~s1) | (1 << y)
-        witness = TypeWitness(
-            1,
-            (x, y),
-            {"A": tuple(iter_bits(class_a)), "B": tuple(iter_bits(class_b))},
-            make_coloring([class_a, class_b], [y, x]),
-        )
-        return DeletionSolution(
-            mandatory | s1 | s2, (("Type1", witness),), witness.coloring
-        )
+    if active is None:
+        active = g.full_mask
+    for x in iter_bits(active):
+        for y in iter_bits(g.adj[x] & active & ~((2 << x) - 1)):  # y > x
+            x_cand = g.adj[x] & active & ~g.closed(y)
+            y_cand = g.adj[y] & active & ~g.closed(x)
+            mandatory = active & ~(x_cand | y_cand | (1 << x) | (1 << y))
+            rem = k - mandatory.bit_count()
+            if rem < 0:
+                continue
+            s1 = vertex_cover(g, rem, x_cand)
+            if s1 is None:
+                continue
+            s2 = vertex_cover(g, rem - s1.bit_count(), y_cand)
+            if s2 is None:
+                continue
+            coloring = make_coloring(
+                [(y_cand & ~s2) | (1 << x), (x_cand & ~s1) | (1 << y)], [y, x]
+            )
+            witness = TypeWitness(1, (x, y), coloring)
+            return DeletionSolution(
+                mandatory | s1 | s2, (("Type1", witness),), coloring
+            )
     return None
 
 
-def delete_to_type2(g: Graph, k: int) -> Optional[DeletionSolution]:
+def delete_to_type2(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[DeletionSolution]:
     """Deletions leaving one retained vertex plus a Type 1 remainder.
 
     The retained vertex may end up connected to the bipartite part
     (a Type 2 remainder) or isolated beside it; both cost <= 3 colors.
     """
-    for x in range(g.n):
-        sub, ids = g.without(1 << x)
-        inner = delete_to_type1(sub, k)
+    if active is None:
+        active = g.full_mask
+    for x in iter_bits(active):
+        inner = delete_to_type1(g, k, active & ~(1 << x))
         if inner is None:
             continue
-        deleted = mask_of(ids[v] for v in iter_bits(inner.deleted))
-        w1 = inner.plan[0][1].relabeled(ids)
+        w1 = inner.plan[0][1]
         coloring = CdColoring(
             w1.coloring.classes + ((x,),),
             w1.coloring.dominators + (x,),
         )
-        kept_rest = g.full_mask & ~deleted & ~(1 << x)
-        if g.adj[x] & kept_rest:
-            plan = (
-                (
-                    "Type2",
-                    TypeWitness(2, (x,), dict(w1.parts), coloring),
-                ),
-            )
+        if g.adj[x] & active & ~inner.deleted:
+            plan = (("Type2", TypeWitness(2, (x,), coloring)),)
         else:
-            lone = TypeWitness(0, (), {}, CdColoring(((x,),), (x,)))
+            lone = TypeWitness(0, (), CdColoring(((x,),), (x,)))
             plan = (("IsolatedVertex", lone), ("Type1", w1))
-        return DeletionSolution(deleted, plan, coloring)
+        return DeletionSolution(inner.deleted, plan, coloring)
     return None
 
 
-def delete_to_type3(g: Graph, k: int) -> Optional[DeletionSolution]:
+def delete_to_type3(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominating pair (x, y): an
     independent set around x and a non-edgeless bipartite part around y.
 
@@ -197,25 +176,22 @@ def delete_to_type3(g: Graph, k: int) -> Optional[DeletionSolution]:
     cycle transversal cleans the bipartite side, and keeps an edge there
     whenever any transversal within the budget can.
     """
-    full = g.full_mask
-    for x in range(g.n):
-        for y in iter_bits(g.adj[x]):
-            y_cand = g.adj[y] & ~g.closed(x)
-            b_cand = g.adj[x]  # candidate bipartite part, contains y
-            mandatory = full & ~(y_cand | b_cand | (1 << x))
+    if active is None:
+        active = g.full_mask
+    for x in iter_bits(active):
+        b_cand = g.adj[x] & active  # candidate bipartite part, contains y
+        for y in iter_bits(b_cand):
+            y_cand = g.adj[y] & active & ~g.closed(x)
+            mandatory = active & ~(y_cand | b_cand | (1 << x))
             rem = k - mandatory.bit_count()
             if rem < 0:
                 continue
-            s1 = _vc_on(g, y_cand, rem)
+            s1 = vertex_cover(g, rem, y_cand)
             if s1 is None:
                 continue
-            budget = rem - s1.bit_count()
-            sub_b, ids_b = g.induced(b_cand)
-            y_local = ids_b.index(y)
-            found = oct_excluding(sub_b, y_local, budget)
-            if found is None:
+            s2 = oct_excluding(g, y, rem - s1.bit_count(), b_cand)
+            if s2 is None:
                 continue
-            s2 = mask_of(ids_b[v] for v in iter_bits(found))
             rest = b_cand & ~s2
             # a minimal transversal that leaves no edge is empty (putting
             # one vertex back into an edgeless set keeps it bipartite), so
@@ -223,129 +199,100 @@ def delete_to_type3(g: Graph, k: int) -> Optional[DeletionSolution]:
             if not any(g.adj[v] & rest for v in iter_bits(rest)):
                 continue
             sides = bipartition_within(g, rest)
-            class1 = (y_cand & ~s1) | (1 << x)
-            witness = TypeWitness(
-                3,
-                (x, y),
-                {
-                    "X": tuple(iter_bits(rest & ~(1 << y))),
-                    "Y": tuple(iter_bits(y_cand & ~s1)),
-                },
-                make_coloring([class1, sides[0], sides[1]], [y, x, x]),
+            coloring = make_coloring(
+                [(y_cand & ~s1) | (1 << x), sides[0], sides[1]], [y, x, x]
             )
+            witness = TypeWitness(3, (x, y), coloring)
             return DeletionSolution(
-                mandatory | s1 | s2, (("Type3", witness),), witness.coloring
+                mandatory | s1 | s2, (("Type3", witness),), coloring
             )
     return None
 
 
-def delete_to_type4(g: Graph, k: int) -> Optional[DeletionSolution]:
+def delete_to_type4(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominator triangle (x, y, z) with
     three vertex-cover-cleaned independent parts."""
-    full = g.full_mask
-    for x in range(g.n):
-        ax = g.adj[x]
+    if active is None:
+        active = g.full_mask
+    for x in iter_bits(active):
+        ax = g.adj[x] & active
         for y in iter_bits(ax):
-            ay = g.adj[y]
+            ay = g.adj[y] & active
             for z in iter_bits(ax & ay):
                 x_cand = ax & ~g.closed(y)
                 y_cand = ay & ~g.closed(z)
-                z_cand = g.adj[z] & ~g.closed(x)
+                z_cand = g.adj[z] & active & ~g.closed(x)
                 trio = (1 << x) | (1 << y) | (1 << z)
-                mandatory = full & ~(x_cand | y_cand | z_cand | trio)
+                mandatory = active & ~(x_cand | y_cand | z_cand | trio)
                 rem = k - mandatory.bit_count()
                 if rem < 0:
                     continue
-                s1 = _vc_on(g, x_cand, rem)
+                s1 = vertex_cover(g, rem, x_cand)
                 if s1 is None:
                     continue
-                s2 = _vc_on(g, y_cand, rem - s1.bit_count())
+                s2 = vertex_cover(g, rem - s1.bit_count(), y_cand)
                 if s2 is None:
                     continue
-                s3 = _vc_on(g, z_cand, rem - s1.bit_count() - s2.bit_count())
+                s3 = vertex_cover(g, rem - s1.bit_count() - s2.bit_count(), z_cand)
                 if s3 is None:
                     continue
                 xs, ys, zs = x_cand & ~s1, y_cand & ~s2, z_cand & ~s3
-                witness = TypeWitness(
-                    4,
-                    (x, y, z),
-                    {
-                        "X": tuple(iter_bits(xs)),
-                        "Y": tuple(iter_bits(ys)),
-                        "Z": tuple(iter_bits(zs)),
-                    },
-                    make_coloring(
-                        [xs | (1 << y), ys | (1 << z), zs | (1 << x)], [x, y, z]
-                    ),
+                coloring = make_coloring(
+                    [xs | (1 << y), ys | (1 << z), zs | (1 << x)], [x, y, z]
                 )
+                witness = TypeWitness(4, (x, y, z), coloring)
                 return DeletionSolution(
-                    mandatory | s1 | s2 | s3,
-                    (("Type4", witness),),
-                    witness.coloring,
+                    mandatory | s1 | s2 | s3, (("Type4", witness),), coloring
                 )
     return None
 
 
-def delete_to_type5(g: Graph, k: int) -> Optional[DeletionSolution]:
+def delete_to_type5(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[DeletionSolution]:
     """Deletions leaving a non-adjacent dominator pair (x, y) plus a
     shared neighbor z: z's private part becomes independent via a vertex
     cover, and the rest needs a z-avoiding transversal whose residual
     bipartition is pinned (z beside y's side, x-only and z-x-shared
     neighbors opposite)."""
-    full = g.full_mask
-    for x in range(g.n):
-        for y in range(g.n):
+    if active is None:
+        active = g.full_mask
+    for x in iter_bits(active):
+        for y in iter_bits(active):
             if y == x or g.has_edge(x, y):
                 continue
-            ax, ay = g.adj[x], g.adj[y]
+            ax, ay = g.adj[x] & active, g.adj[y] & active
             for z in iter_bits(ax & ay):
-                az = g.adj[z]
+                az = g.adj[z] & active
                 z_cand = az & ~g.closed(x) & ~g.closed(y)
                 knockout = (ay & az) & ~ax  # cannot sit anywhere, must go
                 b_cand = (1 << z) | ((ax | ay) & ~knockout)
-                mandatory = full & ~(z_cand | b_cand | (1 << x) | (1 << y))
+                mandatory = active & ~(z_cand | b_cand | (1 << x) | (1 << y))
                 rem = k - mandatory.bit_count()
                 if rem < 0:
                     continue
-                s1 = _vc_on(g, z_cand, rem)
+                s1 = vertex_cover(g, rem, z_cand)
                 if s1 is None:
                     continue
-                budget = rem - s1.bit_count()
                 p_dem = ((1 << z) | (ay & ~ax & ~az)) & b_cand
                 q_dem = ((ax & ~ay & ~az) | (ax & az & ~ay) | (ax & ay & az)) & b_cand
-                sub_b, ids_b = g.induced(b_cand)
-                pos_b = {old: new for new, old in enumerate(ids_b)}
                 res = oct_with_forced_sides(
-                    sub_b,
-                    mask_of(pos_b[v] for v in iter_bits(p_dem)),
-                    mask_of(pos_b[v] for v in iter_bits(q_dem)),
-                    pos_b[z],
-                    budget,
+                    g, p_dem, q_dem, z, rem - s1.bit_count(), b_cand
                 )
                 if res is None:
                     continue
-                found, (side_p, side_q) = res
-                s2 = mask_of(ids_b[v] for v in iter_bits(found))
-                y_side = mask_of(ids_b[v] for v in iter_bits(side_p))
-                x_side = mask_of(ids_b[v] for v in iter_bits(side_q))
+                s2, (y_side, x_side) = res
                 # demand-free vertices of b_cand lie in ax & ay, and
                 # demand_sides pins the rest
                 assert not (x_side & ~ax or y_side & ~ay)
-                zs = z_cand & ~s1
-                witness = TypeWitness(
-                    5,
-                    (x, y, z),
-                    {
-                        "X": tuple(iter_bits(x_side)),
-                        "Y": tuple(iter_bits(y_side)),
-                        "Z": tuple(iter_bits(zs)),
-                    },
-                    make_coloring(
-                        [x_side, y_side, zs | (1 << x) | (1 << y)], [x, y, z]
-                    ),
+                coloring = make_coloring(
+                    [x_side, y_side, (z_cand & ~s1) | (1 << x) | (1 << y)], [x, y, z]
                 )
+                witness = TypeWitness(5, (x, y, z), coloring)
                 return DeletionSolution(
-                    mandatory | s1 | s2, (("Type5", witness),), witness.coloring
+                    mandatory | s1 | s2, (("Type5", witness),), coloring
                 )
     return None
 
@@ -359,49 +306,58 @@ _TYPE_SOLVERS = (
 )
 
 
-def _type0(g: Graph) -> Optional[TypeWitness]:
+def _type0(g: Graph, active: int) -> Optional[TypeWitness]:
     """At most three vertices: one singleton class per vertex ``v``,
     dominated by the lowest vertex of ``N[v]``.  On K1, K2 and K3 this
     is the partition-search oracle's certificate."""
-    if g.n > 3:
+    if active.bit_count() > 3:
         return None
-    vertices = range(g.n)
+    vertices = bit_list(active)
     coloring = make_coloring(
-        [1 << v for v in vertices], [lowest_bit(g.closed(v)) for v in vertices]
+        [1 << v for v in vertices],
+        [lowest_bit(g.closed(v) & active) for v in vertices],
     )
-    return TypeWitness(0, (), {}, coloring)
+    return TypeWitness(0, (), coloring)
 
 
-def recognize_type(g: Graph, t: int) -> Optional[TypeWitness]:
-    """Witness that connected ``g`` matches pattern type ``t``, or None.
+def recognize_type(
+    g: Graph, t: int, active: Optional[int] = None
+) -> Optional[TypeWitness]:
+    """Witness that connected ``g[active]`` matches pattern type ``t``,
+    or None.
 
     Types 1-5 run the deletion matcher with budget 0.
     """
     if t not in range(6):
         raise ValueError(f"unknown type {t}")
-    if not is_connected(g):
+    if active is None:
+        active = g.full_mask
+    if len(components_within(g, active)) > 1:
         raise PreconditionError("type recognition works on connected graphs")
     if t == 0:
-        return _type0(g)
-    sol = _TYPE_SOLVERS[t - 1](g, 0)
+        return _type0(g, active)
+    sol = _TYPE_SOLVERS[t - 1](g, 0, active)
     return None if sol is None else sol.plan[0][1]
 
 
-def _component_upto3(g: Graph) -> Optional[Tuple[int, TypeWitness]]:
-    if g.n == 1:
-        return 1, TypeWitness(0, (), {}, CdColoring(((0,),), (0,)))
-    w = recognize_type(g, 1)
+def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[int, TypeWitness]]:
+    if comp.bit_count() == 1:
+        v = lowest_bit(comp)
+        return 1, TypeWitness(0, (), CdColoring(((v,),), (v,)))
+    w = recognize_type(g, 1, comp)
     if w is not None:
         return 2, w
     for t in (0, 2, 3, 4, 5):
-        w = recognize_type(g, t)
+        w = recognize_type(g, t, comp)
         if w is not None:
             return 3, w
     return None
 
 
-def cd_recognize_upto3(g: Graph) -> Optional[RecognitionResult]:
-    """Color count and witnesses when the graph is <= 3 cd-colorable.
+def cd_recognize_upto3(
+    g: Graph, active: Optional[int] = None
+) -> Optional[RecognitionResult]:
+    """Color count and witnesses when ``g[active]`` is <= 3 cd-colorable.
 
     Components are recognized separately: a lone vertex costs one color,
     a bipartite component with a dominating edge two, any other matched
@@ -409,16 +365,15 @@ def cd_recognize_upto3(g: Graph) -> Optional[RecognitionResult]:
     """
     total = 0
     out: List[Tuple[int, TypeWitness]] = []
-    for comp in components_within(g, g.full_mask):
-        sub, ids = g.induced(comp)
-        res = _component_upto3(sub)
+    for comp in components_within(g, g.full_mask if active is None else active):
+        res = _component_upto3(g, comp)
         if res is None:
             return None
         q_i, witness = res
         total += q_i
         if total > 3:
             return None
-        out.append((comp, witness.relabeled(ids)))
+        out.append((comp, witness))
     return RecognitionResult(total, out)
 
 
@@ -426,19 +381,14 @@ def _small_remainder(g: Graph, k: int, keep_limit: int) -> Optional[DeletionSolu
     """Keep the lowest-index vertices when almost everything may go."""
     if g.n - k > keep_limit:
         return None
-    kept = min(g.n, keep_limit)
-    kept_mask = (1 << kept) - 1
-    deleted = g.full_mask & ~kept_mask
-    sub, ids = g.induced(kept_mask)
-    if sub.n == 0:
-        return DeletionSolution(deleted, (), CdColoring((), ()))
-    rec = cd_recognize_upto3(sub)
+    kept_mask = (1 << min(g.n, keep_limit)) - 1
+    rec = cd_recognize_upto3(g, kept_mask)
     assert rec is not None and rec.q <= keep_limit
-    plan = []
-    for comp, w in rec.components:
-        name = "IsolatedVertex" if comp.bit_count() == 1 else f"Type{w.type_id}"
-        plan.append((name, w))
-    return DeletionSolution(deleted, tuple(plan), rec.coloring().relabeled(ids))
+    plan = tuple(
+        ("IsolatedVertex" if comp.bit_count() == 1 else f"Type{w.type_id}", w)
+        for comp, w in rec.components
+    )
+    return DeletionSolution(g.full_mask & ~kept_mask, plan, rec.coloring())
 
 
 def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:

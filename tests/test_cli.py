@@ -210,10 +210,15 @@ def test_edgelist_autodetected(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "q=2"
 
 
-def test_empty_graph_is_an_error_for_cdnumber(tmp_path):
+def test_empty_graph_has_cd_number_zero_on_every_route(tmp_path, capsys):
     path = tmp_path / "empty.dimacs"
     path.write_text("p edge 0 0\n")
-    assert main(["cdnumber", str(path)]) == 2
+    cert = tmp_path / "cert.json"
+    for flags in ([], ["--brute"], ["--split"], ["--girth5"]):
+        assert main(["cdnumber", *flags, str(path), "--cert-out", str(cert)]) == 0
+        assert capsys.readouterr().out.strip() == "q=0"
+        assert main(["validate", str(path), str(cert)]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
 
 
 def test_single_vertex_paths(tmp_path, capsys):
