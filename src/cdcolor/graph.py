@@ -130,10 +130,26 @@ class Graph:
 
 # -- parsing / serialization -------------------------------------------------
 
+# Largest vertex count a parsed file may declare or name.  Every solver
+# holds n-bit masks per vertex, so a few bytes naming a huge vertex would
+# otherwise cost time and memory quadratic in that name.
+MAX_VERTICES = 1 << 16
+
+
+def _check_vertex_count(n: int, lineno: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
+        )
+
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS edge format: ``p edge n m`` header, ``e u v`` lines."""
-    n = None
+    """Parse DIMACS edge format: ``p edge n m`` header, ``e u v`` lines.
+
+    The header's ``m`` must equal the number of edge lines; repeated
+    edges among them merge into one.
+    """
+    n = m = header_line = None
     edges: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -146,11 +162,13 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"malformed header {line!r}", lineno)
             try:
-                n, _m = int(parts[2]), int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno) from None
             if n < 0:
                 raise ParseError("negative vertex count", lineno)
+            _check_vertex_count(n, lineno)
+            header_line = lineno
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", lineno)
@@ -169,6 +187,10 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
+    if m != len(edges):
+        raise ParseError(
+            f"header declares m={m} but {len(edges)} edge lines follow", header_line
+        )
     return Graph.from_edges(n, edges, labels=tuple(range(1, n + 1)))
 
 
@@ -191,6 +213,7 @@ def parse_edgelist(text: str) -> Graph:
             raise ParseError(f"vertex names must be positive in {line!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
+        _check_vertex_count(max(u, v), lineno)
         pairs.append((u, v, lineno))
         hi = max(hi, u, v)
     if not pairs:

@@ -3,8 +3,9 @@
 On triangle-free graphs a minimum total dominating set has the same
 size as an optimal cd-coloring, and the coloring can be read off the
 set.  Girth 5 additionally makes neighborhoods independent and pairwise
-near-disjoint, which powers the cubic kernel and the bounded search
-below.
+near-disjoint, which powers the cubic kernel.  One branch and bound
+finds minimum sets: on each whole component for the cd-chromatic
+number, and on each kernel from its forced set for ``tds_solve(g, k)``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit, mask_of
+from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError, PreconditionError
 from .graph import Graph, connected_components, find_triangle, girth, is_connected
@@ -78,6 +79,11 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     if k < 1:
         raise PreconditionError("parameter k must be at least 1")
     _require_girth5(g, "tds kernelization")
+    return _kernelize(g, k)
+
+
+def _kernelize(g: Graph, k: int) -> KernelOutcome:
+    """:func:`tds_kernelize` for a caller that has checked the girth."""
     full = g.full_mask
     h_mask = mask_of(v for v in range(g.n) if g.degree(v) >= k + 1)
     if h_mask.bit_count() > k:
@@ -112,43 +118,86 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     )
 
 
-def _search_min_tds(g: Graph, k: int, forced: int) -> Optional[int]:
-    """Minimum total dominating set of size <= k containing ``forced``.
+def _greedy_tds(g: Graph, sol: int, undom: int) -> Optional[int]:
+    """Grow ``sol`` by the vertex of largest gain until nothing is undominated.
 
-    Branches on the lowest-index undominated vertex, trying each of its
-    neighbors in increasing order; the first minimum found is kept.
+    Gain counts newly dominated vertices; ties go to the lowest index.
+    None when an undominated vertex has no neighbor.
     """
-    full = g.full_mask
-    base_dom = 0
+    while undom:
+        v = max(range(g.n), key=lambda w: (g.adj[w] & undom).bit_count())
+        if not g.adj[v] & undom:
+            return None
+        sol |= 1 << v
+        undom &= ~g.adj[v]
+    return sol
+
+
+def _min_tds(g: Graph, forced: int = 0, cap: Optional[int] = None) -> Optional[int]:
+    """Minimum total dominating set containing ``forced``, or None.
+
+    Only sets of size at most ``cap`` (when given) count.  Branch and
+    bound from a greedy incumbent: a node branches on the undominated
+    vertex with the fewest allowed neighbors and tries those neighbors
+    by falling gain (newly dominated vertices), banning each one from
+    its later siblings once its branch is done.  A node is pruned when
+    its size plus the larger of two lower bounds reaches the incumbent:
+    the fewest gains that add up to the undominated count, and a packing
+    of undominated vertices with pairwise disjoint allowed neighborhoods,
+    each of which needs its own set vertex.
+    """
+    adj = g.adj
+    undom = g.full_mask
     for v in iter_bits(forced):
-        base_dom |= g.adj[v]
-    best_size = k + 1
-    best_mask: Optional[int] = None
+        undom &= ~adj[v]
+    best = _greedy_tds(g, forced, undom)
+    best_size = g.n + 1 if best is None else best.bit_count()
+    if cap is not None and best_size > cap:
+        best, best_size = None, cap + 1
 
-    def rec(sol: int, dom: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        if size >= best_size:
-            return
-        undom = full & ~dom
+    def rec(sol: int, undom: int, allowed: int, size: int) -> None:
+        nonlocal best, best_size
         if not undom:
-            best_size, best_mask = size, sol
+            best, best_size = sol, size
             return
-        u = lowest_bit(undom)
-        if not g.adj[u]:
-            return
-        for v in iter_bits(g.adj[u]):
-            rec(sol | (1 << v), dom | g.adj[v], size + 1)
+        cands = []
+        for u in iter_bits(undom):
+            cand = adj[u] & allowed
+            if not cand:
+                return
+            cands.append((cand.bit_count(), u, cand))
+        cands.sort()
+        reach = used = packing = 0
+        for _, _, cand in cands:
+            reach |= cand
+            if not cand & used:
+                packing += 1
+                used |= cand
+        gains = {v: (adj[v] & undom).bit_count() for v in iter_bits(reach)}
+        need = undom.bit_count()
+        ranked = itertools.accumulate(sorted(gains.values(), reverse=True))
+        cover = next(i for i, total in enumerate(ranked, 1) if total >= need)
+        bound = size + max(cover, packing)
+        pick = cands[0][1]
+        branches = sorted(iter_bits(adj[pick] & allowed), key=lambda w: (-gains[w], w))
+        for v in branches:
+            if bound >= best_size:
+                return
+            rec(sol | 1 << v, undom & ~adj[v], allowed, size + 1)
+            allowed &= ~(1 << v)
 
-    rec(forced, base_dom, forced.bit_count())
-    return best_mask
+    if forced.bit_count() < best_size:
+        rec(forced, undom, g.full_mask, forced.bit_count())
+    return best
 
 
 def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     """Minimum total dominating set of size <= k, or None.
 
-    Kernelize, commit the forced set, then run a bounded search tree on
-    the kernel.  Disconnected graphs are solved per component and the
-    sizes added; an isolated vertex can never be dominated.
+    Each component is kernelized, and the branch and bound of
+    :func:`_min_tds` runs on the kernel from the forced set, capped by
+    what is left of ``k``.  The sizes of the components add up; an
+    isolated vertex can never be dominated.
     """
     _require_girth5(g, "tds solving")
     if k < 1:
@@ -159,21 +208,17 @@ def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     total_size = 0
     for comp in connected_components(g):
         sub, ids = g.induced(comp)
-        outcome = tds_kernelize(sub, k)
+        outcome = _kernelize(sub, k)
         if outcome.verdict == "NO":
             return None
-        kernel = outcome.kernel
         back = outcome.back_map
         to_kernel = {old: new for new, old in enumerate(back)}
         forced_kernel = mask_of(to_kernel[v] for v in iter_bits(outcome.forced))
-        found = _search_min_tds(kernel, k - total_size, forced_kernel)
+        found = _min_tds(outcome.kernel, forced_kernel, k - total_size)
         if found is None:
             return None
-        comp_mask = mask_of(ids[back[v]] for v in iter_bits(found))
-        total_mask |= comp_mask
+        total_mask |= mask_of(ids[back[v]] for v in iter_bits(found))
         total_size += found.bit_count()
-        if total_size > k:
-            return None
     assert is_total_dominating(g, total_mask)
     return TdsCertificate(total_mask, total_size)
 
@@ -224,18 +269,16 @@ def cd_coloring_from_tds(g: Graph, cert: TdsCertificate) -> CdColoring:
 def _girth5_component(g: Graph) -> Tuple[int, CdColoring]:
     """cd-chromatic number of a connected girth >= 5 graph.
 
-    Equals the minimum total dominating set size; the first parameter
-    value the bounded search accepts is the answer.  A lone vertex is
-    its own class.
+    Equals the total domination number, found by one branch and bound;
+    the coloring is read off the minimum set.  A lone vertex is its own
+    class.
     """
     if g.n == 1:
         return 1, CdColoring(((0,),), (0,))
-    for k in range(1, g.n + 1):
-        cert = tds_solve(g, k)
-        if cert is not None:
-            assert cert.size == k
-            return cert.size, cd_coloring_from_tds(g, cert)
-    raise AssertionError("connected graph with >= 2 vertices has a TDS")
+    found = _min_tds(g)
+    assert found is not None, "connected graph with >= 2 vertices has a TDS"
+    cert = TdsCertificate(found, found.bit_count())
+    return cert.size, cd_coloring_from_tds(g, cert)
 
 
 def cd_chromatic_girth5(g: Graph) -> Tuple[int, CdColoring]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -135,6 +136,15 @@ def test_errors_exit_2(tmp_path, capsys):
     assert main(["cdnumber", str(tmp_path / "missing.dimacs")]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["partize", "--q", "3", str(bad)]) == 2  # missing --k
+
+
+def test_huge_vertex_name_exits_2_fast(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 2\n2 5000000\n")
+    start = time.perf_counter()
+    assert main(["cdnumber", str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "vertex count 5000000 exceeds the limit" in capsys.readouterr().err
 
 
 def test_gen_random_deterministic(tmp_path):

@@ -14,6 +14,7 @@ from cdcolor.generate import (
     star_graph,
 )
 from cdcolor.graph import (
+    MAX_VERTICES,
     Graph,
     bipartition,
     connected_components,
@@ -49,6 +50,25 @@ def test_parse_dimacs_isolated():
 def test_parse_dimacs_collapses_duplicates():
     g = parse_graph("p edge 3 3\ne 1 2\ne 2 1\ne 1 2\n", "dimacs")
     assert g.m == 1
+
+
+@pytest.mark.parametrize("m", [0, 2, 4])
+def test_parse_dimacs_rejects_wrong_edge_count(m):
+    text = f"c header on line 2\np edge 3 {m}\ne 1 2\ne 2 3\ne 1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, "dimacs")
+    assert err.value.line == 2
+    assert f"m={m}" in str(err.value) and "3 edge lines" in str(err.value)
+
+
+def test_parse_rejects_vertex_count_over_limit():
+    assert parse_graph(f"p edge {MAX_VERTICES} 0\n", "dimacs").n == MAX_VERTICES
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p edge {MAX_VERTICES + 1} 0\n", "dimacs")
+    assert err.value.line == 1 and "limit" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"1 2\n2 {MAX_VERTICES + 1}\n", "edgelist")
+    assert err.value.line == 2 and "limit" in str(err.value)
 
 
 def test_parse_edgelist_cycle():

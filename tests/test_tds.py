@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
+from cdcolor import tds
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.errors import CapacityError, PreconditionError
-from cdcolor.exact import cd_chromatic_bruteforce
+from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -18,6 +20,7 @@ from cdcolor.generate import (
 from cdcolor.graph import Graph, girth, is_connected
 from cdcolor.tds import (
     TdsCertificate,
+    _min_tds,
     cd_chromatic_girth5,
     cd_coloring_from_tds,
     is_total_dominating,
@@ -223,3 +226,77 @@ def test_girth5_matches_oracle():
         assert report.ok, report.problem
         seen += 1
     assert seen == 60
+
+
+def test_girth_checked_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(1)
+        return girth(g)
+
+    monkeypatch.setattr(tds, "girth", counting)
+    rng = random.Random(89)
+    wide = random_girth5_graph(30, rng, density=0.3, connected=True)
+    split = disjoint_union(cycle_graph(5), petersen_graph(), path_graph(3))
+    for g in (wide, split, petersen_graph()):
+        calls.clear()
+        cd_chromatic_girth5(g)
+        assert len(calls) == 1
+        for k in (1, 4, 12):
+            calls.clear()
+            tds_solve(g, k)
+            assert len(calls) == 1
+
+
+def test_girth5_matches_exact_beyond_oracle_cap():
+    rng = random.Random(97)
+    for i in range(40):
+        g = random_girth5_graph(
+            rng.randint(14, 20), rng, density=rng.choice([0.3, 0.6]),
+            connected=True, hub=i % 3 == 0,
+        )
+        q, wit = cd_chromatic_girth5(g)
+        q_exact, wit_exact = cd_chromatic_exact(g)
+        assert q == q_exact, g.adj
+        for coloring in (wit, wit_exact):
+            report = validate_cd_coloring(g, coloring)
+            assert report.ok, report.problem
+
+
+def test_min_tds_matches_bruteforce():
+    compared = 0
+    for g in girth5_corpus(60, 8, 20, seed=101):
+        if any(not g.adj[v] for v in range(g.n)):
+            assert _min_tds(g) is None
+            continue
+        found = _min_tds(g)
+        assert is_total_dominating(g, found)
+        brute = tds_bruteforce(g, 6)
+        if brute is None:
+            assert found.bit_count() > 6
+        else:
+            assert found.bit_count() == brute.size, g.adj
+            compared += 1
+    assert compared >= 30
+
+
+def test_min_tds_forced_and_cap():
+    # against an exhaustive search over the supersets of the forced set
+    rng = random.Random(103)
+    for g in girth5_corpus(40, 5, 11, seed=107, connected=True):
+        forced = mask_of(rng.sample(range(g.n), rng.randint(0, 2)))
+        free = bit_list(g.full_mask & ~forced)
+        want = None
+        for extra in range(len(free) + 1):
+            for combo in itertools.combinations(free, extra):
+                if is_total_dominating(g, forced | mask_of(combo)):
+                    want = forced.bit_count() + extra
+                    break
+            if want is not None:
+                break
+        found = _min_tds(g, forced)
+        assert found & forced == forced and is_total_dominating(g, found)
+        assert found.bit_count() == want
+        assert _min_tds(g, forced, want).bit_count() == want
+        assert _min_tds(g, forced, want - 1) is None
