@@ -287,14 +287,12 @@ def test_min_tds_forced_and_cap():
     for g in girth5_corpus(40, 5, 11, seed=107, connected=True):
         forced = mask_of(rng.sample(range(g.n), rng.randint(0, 2)))
         free = bit_list(g.full_mask & ~forced)
-        want = None
-        for extra in range(len(free) + 1):
-            for combo in itertools.combinations(free, extra):
-                if is_total_dominating(g, forced | mask_of(combo)):
-                    want = forced.bit_count() + extra
-                    break
-            if want is not None:
-                break
+        want = next(
+            forced.bit_count() + extra
+            for extra in range(len(free) + 1)
+            for combo in itertools.combinations(free, extra)
+            if is_total_dominating(g, forced | mask_of(combo))
+        )
         found = _min_tds(g, forced)
         assert found & forced == forced and is_total_dominating(g, found)
         assert found.bit_count() == want
