@@ -246,13 +246,12 @@ def _cmd_validate(args) -> int:
     if "classes" not in cert or "dominators" not in cert:
         raise CdColorError("unrecognized certificate shape")
     deleted = to_mask(cert.get("deleted", []))
-    sub, ids = g.without(deleted)
     try:
-        coloring = CdColoring.from_payload(cert, sub)
+        coloring = CdColoring.from_payload(cert, g)
     except ValueError as exc:
         print(f"invalid: {exc}")
         return 2
-    report = validate_cd_coloring(sub, coloring)
+    report = validate_cd_coloring(g, coloring, g.full_mask & ~deleted)
     if not report.ok:
         print(f"invalid: {report.problem}")
         return 2

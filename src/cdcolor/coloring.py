@@ -27,9 +27,6 @@ class CdColoring:
     def q(self) -> int:
         return len(self.classes)
 
-    def vertices_mask(self) -> int:
-        return mask_of(v for cls in self.classes for v in cls)
-
     def relabeled(self, mapping: Sequence[int]) -> "CdColoring":
         """Apply a vertex renaming (index -> mapping[index])."""
         return CdColoring(
@@ -104,18 +101,20 @@ class ValidationReport:
     ok: bool
     problem: Optional[str] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
 
+def validate_cd_coloring(
+    g: Graph, coloring: CdColoring, active: Optional[int] = None
+) -> ValidationReport:
+    """Check a coloring of ``g[active]`` against all cd-coloring requirements.
 
-def validate_cd_coloring(g: Graph, coloring: CdColoring) -> ValidationReport:
-    """Check a coloring against all cd-coloring requirements.
-
-    Valid means: the classes partition the whole vertex set, every class
-    is nonempty and independent, and class ``i`` lies inside the closed
-    neighborhood of ``dominators[i]``.  The report names the first
-    offending edge or undominated class on failure.
+    ``active`` is the vertex mask to color, all of ``g`` by default.
+    Valid means: the classes partition ``active``, every class is
+    nonempty and independent, and class ``i`` lies inside the closed
+    neighborhood of ``dominators[i]``, which must be in ``active``.  The
+    report names the first offending vertex, edge or class on failure.
     """
+    if active is None:
+        active = g.full_mask
     if len(coloring.classes) != len(coloring.dominators):
         return ValidationReport(False, "class/dominator count mismatch")
     seen = 0
@@ -125,11 +124,13 @@ def validate_cd_coloring(g: Graph, coloring: CdColoring) -> ValidationReport:
         for v in cls:
             if not (0 <= v < g.n):
                 return ValidationReport(False, f"class {i} references vertex {v}")
+            if not (active >> v) & 1:
+                return ValidationReport(False, f"class {i} colors inactive vertex {v}")
             if (seen >> v) & 1:
                 return ValidationReport(False, f"vertex {v} colored twice")
             seen |= 1 << v
-    if seen != g.full_mask:
-        missing = next(iter_bits(g.full_mask & ~seen))
+    if seen != active:
+        missing = next(iter_bits(active & ~seen))
         return ValidationReport(False, f"vertex {missing} is uncolored")
     for i, cls in enumerate(coloring.classes):
         cmask = mask_of(cls)
@@ -144,6 +145,8 @@ def validate_cd_coloring(g: Graph, coloring: CdColoring) -> ValidationReport:
         d = coloring.dominators[i]
         if not (0 <= d < g.n):
             return ValidationReport(False, f"dominator {d} of class {i} out of range")
+        if not (active >> d) & 1:
+            return ValidationReport(False, f"dominator {d} of class {i} is inactive")
         cmask = mask_of(cls)
         if cmask & ~g.closed(d):
             return ValidationReport(

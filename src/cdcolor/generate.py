@@ -81,23 +81,6 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _dist_within(g_adj: List[int], src: int, dst: int, n: int) -> float:
-    dist = [-1] * n
-    dist[src] = 0
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        if u == dst:
-            return dist[u]
-        for w in iter_bits(g_adj[u]):
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return float("inf")
-
-
 def random_girth5_graph(
     n: int,
     rng: random.Random,
@@ -124,7 +107,10 @@ def random_girth5_graph(
     for u, v in pairs:
         if (adj[u] >> v) & 1 or rng.random() >= density:
             continue
-        if _dist_within(adj, u, v, n) >= 4:
+        ball2 = adj[u] | (1 << u)  # vertices within distance 2 of u
+        for w in iter_bits(adj[u]):
+            ball2 |= adj[w]
+        if not adj[v] & ball2:  # v is at distance >= 4 from u
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     g = Graph(n, adj)

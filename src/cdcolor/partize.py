@@ -82,25 +82,13 @@ class DeletionSolution:
 
 
 def validate_deletion(g: Graph, sol: DeletionSolution, q: int) -> ValidationReport:
-    """Check that the solution's coloring certifies the remainder with <= q."""
+    """Check that the solution's coloring certifies the remainder with <= q
+    colors, in place on the mask of the vertices not deleted."""
     if sol.deleted & ~g.full_mask:
         return ValidationReport(False, "deleted set references unknown vertices")
     if sol.coloring.q > q:
         return ValidationReport(False, f"coloring uses {sol.coloring.q} > {q} colors")
-    if sol.coloring.vertices_mask() & sol.deleted:
-        return ValidationReport(False, "coloring colors a deleted vertex")
-    if mask_of(sol.coloring.dominators) & sol.deleted:
-        return ValidationReport(False, "a dominator was deleted")
-    sub, ids = g.without(sol.deleted)
-    pos = {old: new for new, old in enumerate(ids)}
-    try:
-        local = CdColoring(
-            tuple(tuple(pos[v] for v in cls) for cls in sol.coloring.classes),
-            tuple(pos[d] for d in sol.coloring.dominators),
-        )
-    except KeyError:
-        return ValidationReport(False, "coloring references a deleted vertex")
-    return validate_cd_coloring(sub, local)
+    return validate_cd_coloring(g, sol.coloring, g.full_mask & ~sol.deleted)
 
 
 def delete_to_type1(
@@ -160,8 +148,7 @@ def delete_to_type2(
         if g.adj[x] & active & ~inner.deleted:
             plan = (("Type2", TypeWitness(2, (x,), coloring)),)
         else:
-            lone = TypeWitness(0, (), CdColoring(((x,),), (x,)))
-            plan = (("IsolatedVertex", lone), ("Type1", w1))
+            plan = (("IsolatedVertex", _type0(g, 1 << x)), ("Type1", w1))
         return DeletionSolution(inner.deleted, plan, coloring)
     return None
 
@@ -342,8 +329,7 @@ def recognize_type(
 
 def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[int, TypeWitness]]:
     if comp.bit_count() == 1:
-        v = lowest_bit(comp)
-        return 1, TypeWitness(0, (), CdColoring(((v,),), (v,)))
+        return 1, _type0(g, comp)
     w = recognize_type(g, 1, comp)
     if w is not None:
         return 2, w

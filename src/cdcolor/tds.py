@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -34,9 +34,6 @@ class TdsCertificate:
 
     mask: int
     size: int
-
-    def vertices(self) -> List[int]:
-        return bit_list(self.mask)
 
 
 @dataclass(frozen=True)

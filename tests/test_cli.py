@@ -120,6 +120,20 @@ def test_validate_rejects_tampered_certificate(c5, tmp_path, capsys):
     assert "invalid" in out
 
 
+def test_validate_rejects_coloring_of_deleted_vertex(c5, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["partize", "--q", "2", "--k", "1", c5, "--cert-out", str(cert)]) == 0
+    assert main(["validate", c5, str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    assert payload["deleted"]
+    payload["classes"][0].append(payload["deleted"][0])
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["validate", c5, str(cert)]) == 2
+    out = capsys.readouterr().out
+    assert "invalid" in out and "inactive vertex" in out
+
+
 def test_validate_checks_tds_certificates(c5, tmp_path):
     cert = tmp_path / "tds.json"
     cert.write_text(json.dumps({"size": 2, "set": [1, 2]}))

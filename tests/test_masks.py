@@ -9,7 +9,9 @@ import random
 import pytest
 
 from cdcolor.bits import iter_bits, mask_of
+from cdcolor.coloring import CdColoring, validate_cd_coloring
 from cdcolor.errors import PreconditionError
+from cdcolor.exact import cd_chromatic_exact
 from cdcolor.fpt import oct_excluding, oct_with_forced_sides, vertex_cover
 from cdcolor.generate import disjoint_union, random_connected_graph, random_graph
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
@@ -113,6 +115,39 @@ def test_recognition_on_masks_of_disjoint_unions():
         assert [(c, witness_key(w)) for c, w in got.components] == [
             (back(ids, c), mapped_witness(ids, w)) for c, w in want.components
         ]
+
+
+def tampered(rng, coloring, n):
+    """The coloring, or it with one vertex added, dominator moved or
+    vertex dropped; the changed vertex may lie outside the mask."""
+    classes = [list(cls) for cls in coloring.classes]
+    doms = list(coloring.dominators)
+    i = rng.randrange(len(classes))
+    move = rng.randrange(4)
+    if move == 1:
+        classes[i].append(rng.randrange(n))
+    elif move == 2:
+        doms[i] = rng.randrange(n)
+    elif move == 3:
+        classes[i].pop(rng.randrange(len(classes[i])))
+    return CdColoring(tuple(map(tuple, classes)), tuple(doms))
+
+
+def test_validation_on_masks():
+    valid = 0
+    for rng, g, active in random_instances(300, 76):
+        sub, ids = g.induced(active)
+        coloring = tampered(rng, cd_chromatic_exact(sub)[1].relabeled(ids), g.n)
+        pos = {old: new for new, old in enumerate(ids)}
+        # a vertex outside the mask becomes an out-of-range id of the copy
+        copy = CdColoring(
+            tuple(tuple(pos.get(v, sub.n) for v in cls) for cls in coloring.classes),
+            tuple(pos.get(d, sub.n) for d in coloring.dominators),
+        )
+        got = validate_cd_coloring(g, coloring, active)
+        assert got.ok == validate_cd_coloring(sub, copy).ok
+        valid += got.ok
+    assert 0 < valid < 300
 
 
 def test_excluded_vertex_outside_active_is_rejected():

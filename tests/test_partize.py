@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cdcolor.bits import mask_of
+from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
 from cdcolor.generate import (
     complete_graph,
@@ -15,6 +16,7 @@ from cdcolor.generate import (
 )
 from cdcolor.graph import Graph
 from cdcolor.partize import (
+    DeletionSolution,
     delete_to_type1,
     delete_to_type2,
     delete_to_type3,
@@ -214,3 +216,23 @@ def test_certificates_never_delete_dominators():
             for _, witness in sol.plan:
                 if witness is not None:
                     assert not mask_of(witness.dominators) & sol.deleted
+
+
+# C5 minus vertex 4 is the path 0-1-2-3, which {0, 2} | {1, 3} colors
+@pytest.mark.parametrize(
+    "deleted, classes, dominators, q, problem",
+    [
+        (1 << 4, ((0, 2), (1, 3)), (1, 2), 2, None),
+        (1 << 4, ((0, 2), (1, 3, 4)), (1, 2), 2, "inactive vertex 4"),
+        (1 << 4, ((0, 2), (1, 3)), (1, 4), 2, "dominator 4 of class 1 is inactive"),
+        (1 << 4, ((0, 2), (1,)), (1, 2), 2, "vertex 3 is uncolored"),
+        (1 << 7, ((0, 2), (1, 3)), (1, 2), 2, "deleted set references unknown"),
+        (1 << 4, ((0, 2), (1, 3)), (1, 2), 1, "coloring uses 2 > 1 colors"),
+        (1 << 4, ((0, 1), (2, 3)), (0, 2), 2, "edge (0, 1) inside class 0"),
+    ],
+)
+def test_validate_deletion_names_the_problem(deleted, classes, dominators, q, problem):
+    sol = DeletionSolution(deleted, (), CdColoring(classes, dominators))
+    report = validate_deletion(cycle_graph(5), sol, q)
+    assert report.ok == (problem is None)
+    assert problem is None or problem in report.problem

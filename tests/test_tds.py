@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from cdcolor.generate import (
     random_girth5_graph,
     star_graph,
 )
-from cdcolor.graph import Graph, girth, is_connected
+from cdcolor.graph import Graph, girth, is_connected, to_dimacs
 from cdcolor.tds import (
     TdsCertificate,
     _min_tds,
@@ -298,3 +299,24 @@ def test_min_tds_forced_and_cap():
         assert found.bit_count() == want
         assert _min_tds(g, forced, want).bit_count() == want
         assert _min_tds(g, forced, want - 1) is None
+
+
+# The girth5-tds benchmark draws its graphs from this generator with
+# these settings, so its output must not drift.
+GIRTH5_DIGESTS = {
+    (30, False, 1): "d33f6eab4372bae5f00354ebb66302d052ba26fc1d50de7d33c4a1cde706c4f3",
+    (30, False, 2): "c85b58153332342162513eebe3e54c3e1e0f3387e4dc68d2f0d1214dc2e15f94",
+    (30, False, 3): "da8641d66b7e36362788b6413ef16fac89b2eb9408b19d1fc79033b21a69ae02",
+    (40, True, 1): "9f0155cee377272dc0493aab5cb4c32d650c3587bd7e853af5abadbcc0b11c32",
+    (40, True, 2): "74c009b60c847f5811c9613f031fc6801f7daaea0dd2e20bab17651889d52334",
+    (40, True, 3): "a35c203d76381ce60a1a6d18480a4766848bd199655eff97010f9ea33fd75c17",
+}
+
+
+@pytest.mark.parametrize("n, hub, seed", sorted(GIRTH5_DIGESTS))
+def test_random_girth5_graph_is_pinned(n, hub, seed):
+    g = random_girth5_graph(
+        n, random.Random(seed), density=0.3, connected=True, hub=hub
+    )
+    digest = hashlib.sha256(to_dimacs(g).encode()).hexdigest()
+    assert digest == GIRTH5_DIGESTS[n, hub, seed]
