@@ -111,8 +111,10 @@ def validate_cd_coloring(
     Valid means: the classes partition ``active``, every class is
     nonempty and independent, and class ``i`` lies inside the closed
     neighborhood of ``dominators[i]``, which must be in ``active``.  The
-    report names the first offending vertex, edge or class on failure.
+    report names the first offending vertex, edge or class on failure,
+    by the graph's vertex labels.
     """
+    lab = g.label
     if active is None:
         active = g.full_mask
     if len(coloring.classes) != len(coloring.dominators):
@@ -125,13 +127,15 @@ def validate_cd_coloring(
             if not (0 <= v < g.n):
                 return ValidationReport(False, f"class {i} references vertex {v}")
             if not (active >> v) & 1:
-                return ValidationReport(False, f"class {i} colors inactive vertex {v}")
+                return ValidationReport(
+                    False, f"class {i} colors inactive vertex {lab(v)}"
+                )
             if (seen >> v) & 1:
-                return ValidationReport(False, f"vertex {v} colored twice")
+                return ValidationReport(False, f"vertex {lab(v)} colored twice")
             seen |= 1 << v
     if seen != active:
         missing = next(iter_bits(active & ~seen))
-        return ValidationReport(False, f"vertex {missing} is uncolored")
+        return ValidationReport(False, f"vertex {lab(missing)} is uncolored")
     for i, cls in enumerate(coloring.classes):
         cmask = mask_of(cls)
         for v in cls:
@@ -139,17 +143,19 @@ def validate_cd_coloring(
             if bad:
                 w = next(iter_bits(bad))
                 return ValidationReport(
-                    False, f"edge ({v}, {w}) inside class {i}"
+                    False, f"edge ({lab(v)}, {lab(w)}) inside class {i}"
                 )
     for i, cls in enumerate(coloring.classes):
         d = coloring.dominators[i]
         if not (0 <= d < g.n):
             return ValidationReport(False, f"dominator {d} of class {i} out of range")
         if not (active >> d) & 1:
-            return ValidationReport(False, f"dominator {d} of class {i} is inactive")
+            return ValidationReport(
+                False, f"dominator {lab(d)} of class {i} is inactive"
+            )
         cmask = mask_of(cls)
         if cmask & ~g.closed(d):
             return ValidationReport(
-                False, f"class {i} is not dominated by vertex {d}"
+                False, f"class {i} is not dominated by vertex {lab(d)}"
             )
     return ValidationReport(True)

@@ -5,6 +5,9 @@ reductions.  Odd cycle transversal runs iterative compression: grow the
 graph one vertex at a time, and whenever the carried transversal
 overflows, re-split it into deleted / side-one / side-two vertices and
 finish with a minimum vertex cut between the bipartition conflicts.
+One compression step builds one split-vertex flow network of the
+uncarried vertices; each side labeling only opens its own source and
+sink arcs, and a labeling with nothing to separate needs no flow.
 
 The compression also takes a set of undeletable vertices: they never get
 the "delete" label and their cut arc has infinite capacity.  That answers
@@ -21,9 +24,9 @@ vertex ids.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit
+from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import PreconditionError
 from .graph import Graph, bipartition_within, components_within
 
@@ -88,80 +91,85 @@ def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int
 _INF = 1 << 20
 
 
-def _min_vertex_cut(
-    g: Graph,
-    active: int,
-    sources: int,
-    sinks: int,
-    undeletable: int,
-    budget: int,
-) -> Optional[int]:
-    """Minimum set of ``active`` vertices outside ``undeletable``
-    separating sources from sinks.
+def _split_network(g: Graph, active: int, undeletable: int) -> tuple:
+    """Split-vertex flow network of ``g[active]`` for ``_min_vertex_cut``,
+    shared by every side labeling of one compression step.
+
+    Node 2v is v's in-node, 2v + 1 its out-node, then the virtual source
+    S and sink T.  Arcs sit in flat lists, arc ``e ^ 1`` reversing arc
+    ``e``: in(v) -> out(v) has capacity 1, or infinite when v is
+    undeletable, each edge gives out -> in arcs of infinite capacity,
+    and S -> in(v) and out(v) -> T start closed at capacity 0.
+    """
+    head, cap = [], []  # arc e runs to head[e] with capacity cap[e]
+    arcs = [[] for _ in range(2 * g.n + 2)]  # arc ids leaving each node
+    src, snk = [0] * g.n, [0] * g.n
+
+    def arc(a: int, b: int, c: int) -> int:
+        arcs[a].append(len(head))
+        arcs[b].append(len(head) + 1)
+        head.extend((b, a))
+        cap.extend((c, 0))
+        return len(head) - 2
+
+    for v in iter_bits(active):
+        arc(2 * v, 2 * v + 1, _INF if (undeletable >> v) & 1 else 1)
+        for w in iter_bits(g.adj[v] & active):
+            arc(2 * v + 1, 2 * w, _INF)
+        src[v] = arc(2 * g.n, 2 * v, 0)
+        snk[v] = arc(2 * v + 1, 2 * g.n + 1, 0)
+    return active, head, cap, arcs, src, snk
+
+
+def _min_vertex_cut(net: tuple, sources: int, sinks: int, budget: int) -> Optional[int]:
+    """Minimum set of deletable vertices of a ``_split_network``
+    separating ``sources`` from ``sinks`` (both within its active mask),
+    or None when it exceeds the budget.
 
     Unit capacity per deletable vertex (source and sink vertices
-    included); None when the cut exceeds the budget.
+    included), augmented one unit per path on a copy of the network's
+    capacities.  The cut is the set of vertices whose in-node is
+    reachable in the final residual graph and whose out-node is not:
+    the minimum cut closest to the sources, the same for every maximum
+    flow, so the answer does not depend on the order of the arcs.
     """
+    active, head, cap0, arcs, src, snk = net
     if budget < 0:
         return None
-    # split nodes: 2v = in, 2v+1 = out; plus virtual source S and sink T
-    S, T = 2 * g.n, 2 * g.n + 1
-    cap: Dict[int, Dict[int, int]] = {S: {}, T: {}}
-    for v in iter_bits(active):
-        cap.setdefault(2 * v, {})[2 * v + 1] = _INF if (undeletable >> v) & 1 else 1
-        cap.setdefault(2 * v + 1, {})[2 * v] = 0
-    for v in iter_bits(active):
-        for w in iter_bits(g.adj[v] & active):
-            cap[2 * v + 1][2 * w] = _INF
-            cap[2 * w].setdefault(2 * v + 1, 0)
-    for s in iter_bits(sources & active):
-        cap[S][2 * s] = _INF
-        cap[2 * s].setdefault(S, 0)
-    for t in iter_bits(sinks & active):
-        cap[2 * t + 1][T] = _INF
-        cap[T].setdefault(2 * t + 1, 0)
-
+    cap = cap0.copy()
+    for v in iter_bits(sources):
+        cap[src[v]] = _INF
+    for v in iter_bits(sinks):
+        cap[snk[v]] = _INF
+    S, T = len(arcs) - 2, len(arcs) - 1
     flow = 0
-    while flow <= budget:
-        # BFS augmenting path
-        prev = {S: S}
+    while True:
+        # BFS over the residual graph; parent[b] is the arc that reached b
+        parent = [-1] * len(arcs)
+        parent[S] = 0  # seen; the walk back stops before reading it
         queue = [S]
-        qi = 0
-        while qi < len(queue) and T not in prev:
-            a = queue[qi]
-            qi += 1
-            for b, c in cap.get(a, {}).items():
-                if c > 0 and b not in prev:
-                    prev[b] = a
+        for a in queue:
+            for e in arcs[a]:
+                b = head[e]
+                if cap[e] > 0 and parent[b] < 0:
+                    parent[b] = e
                     queue.append(b)
-        if T not in prev:
+            if parent[T] >= 0:
+                break
+        if parent[T] < 0:
             break
+        flow += 1
+        if flow > budget:
+            return None
         b = T
         while b != S:
-            a = prev[b]
-            cap[a][b] -= 1
-            cap[b][a] = cap[b].get(a, 0) + 1
-            b = a
-        flow += 1
-    if flow > budget:
-        return None
-    # residual reachability gives the cut: vertices whose in-node is
-    # reachable but out-node is not
-    reach = {S}
-    queue = [S]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for b, c in cap.get(a, {}).items():
-            if c > 0 and b not in reach:
-                reach.add(b)
-                queue.append(b)
-    cut = 0
-    for v in iter_bits(active):
-        if 2 * v in reach and 2 * v + 1 not in reach:
-            cut |= 1 << v
-    return cut
+            e = parent[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
+    return mask_of(
+        v for v in iter_bits(active) if parent[2 * v] >= 0 and parent[2 * v + 1] < 0
+    )
 
 
 def _compress(
@@ -174,6 +182,7 @@ def _compress(
     base = bipartition_within(g, rest)
     assert base is not None
     c1, c2 = base
+    net = None  # built when the first labeling needs a flow
     labels = [(1, 2) if (undeletable >> v) & 1 else (0, 1, 2) for v in members]
     for assignment in itertools.product(*labels):
         deleted = side1 = side2 = 0
@@ -200,7 +209,13 @@ def _compress(
         force2 &= rest
         keep0 = (force1 & c1) | (force2 & c2)  # demand: keep base coloring
         keep1 = (force1 & c2) | (force2 & c1)  # demand: flip base coloring
-        cut = _min_vertex_cut(g, rest, keep0, keep1, undeletable, budget)
+        if not keep0 or not keep1:
+            return deleted  # nothing to separate
+        if keep0 & keep1 & undeletable:
+            continue  # an undeletable vertex demanded on both sides
+        if net is None:
+            net = _split_network(g, rest, undeletable)
+        cut = _min_vertex_cut(net, keep0, keep1, budget)
         if cut is not None:
             return deleted | cut
     return None
@@ -246,9 +261,12 @@ def _vertex_bit(g: Graph, v: int, active: int) -> int:
     return 1 << v
 
 
-def odd_cycle_transversal(g: Graph, k: int) -> Optional[int]:
-    """Minimal odd cycle transversal of size <= k as a mask, or None."""
-    return _oct_avoiding(g, 0, k, g.full_mask)
+def odd_cycle_transversal(
+    g: Graph, k: int, active: Optional[int] = None
+) -> Optional[int]:
+    """Minimal odd cycle transversal of ``g[active]`` of size <= k as a
+    mask, or None."""
+    return _oct_avoiding(g, 0, k, g.full_mask if active is None else active)
 
 
 def oct_excluding(

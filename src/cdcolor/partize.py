@@ -36,7 +36,9 @@ from .coloring import (
 )
 from .errors import CapacityError, PreconditionError
 from .exact import cd_chromatic_bruteforce
-from .fpt import oct_excluding, oct_with_forced_sides, vertex_cover
+from .fpt import (
+    oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
+)
 from .graph import Graph, bipartition_within, components_within
 
 BRUTE_N_CAP = 9
@@ -161,12 +163,16 @@ def delete_to_type3(
 
     Vertex cover cleans the independent side; a minimal y-avoiding odd
     cycle transversal cleans the bipartite side, and keeps an edge there
-    whenever any transversal within the budget can.
+    whenever any transversal within the budget can.  A y-avoiding one is
+    an odd cycle transversal of ``g[N(x)]``, so per x the search first asks
+    whether any fits the budget, and remembers the budgets that settled.
     """
     if active is None:
         active = g.full_mask
     for x in iter_bits(active):
         b_cand = g.adj[x] & active  # candidate bipartite part, contains y
+        # g[b_cand] has no OCT of size <= no_oct, and has one of size has_oct
+        no_oct, has_oct = -1, b_cand.bit_count()
         for y in iter_bits(b_cand):
             y_cand = g.adj[y] & active & ~g.closed(x)
             mandatory = active & ~(y_cand | b_cand | (1 << x))
@@ -176,7 +182,16 @@ def delete_to_type3(
             s1 = vertex_cover(g, rem, y_cand)
             if s1 is None:
                 continue
-            s2 = oct_excluding(g, y, rem - s1.bit_count(), b_cand)
+            budget = rem - s1.bit_count()
+            if budget <= no_oct:
+                continue
+            if budget < has_oct:
+                found = odd_cycle_transversal(g, budget, b_cand)
+                if found is None:
+                    no_oct = budget
+                    continue
+                has_oct = found.bit_count()
+            s2 = oct_excluding(g, y, budget, b_cand)
             if s2 is None:
                 continue
             rest = b_cand & ~s2

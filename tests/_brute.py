@@ -183,3 +183,33 @@ def brute_forced_sides(g: Graph, p_mask: int, q_mask: int, exclude, k: int):
                 s0 = mask_of(v for v in active if side[v] == 0)
                 return removed, (s0, mask_of(active) & ~s0)
     return None
+
+
+def _reach(g: Graph, mask: int, start: int) -> int:
+    """Vertices of ``g[mask]`` reachable from ``start & mask``."""
+    seen = frontier = start & mask
+    while frontier:
+        grow = 0
+        for v in iter_bits(frontier):
+            grow |= g.adj[v]
+        frontier = grow & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def brute_min_separators(g: Graph, active: int, sources: int, sinks: int, fixed: int):
+    """Every minimum set of ``active`` vertices outside ``fixed`` whose
+    removal leaves no source joined to a sink (a vertex in both must go),
+    each paired with what the surviving sources still reach; [] when no
+    such set exists."""
+    candidates = bit_list(active & ~fixed)
+    for size in range(len(candidates) + 1):
+        found = []
+        for combo in itertools.combinations(candidates, size):
+            cut = mask_of(combo)
+            reach = _reach(g, active & ~cut, sources)
+            if not reach & sinks:
+                found.append((cut, reach))
+        if found:
+            return found
+    return []

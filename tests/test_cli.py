@@ -134,6 +134,26 @@ def test_validate_rejects_coloring_of_deleted_vertex(c5, tmp_path, capsys):
     assert "invalid" in out and "inactive vertex" in out
 
 
+def test_validate_names_vertices_by_label(tmp_path, capsys):
+    path = str(tmp_path / "g.dimacs")
+    cert = tmp_path / "p.json"
+    assert main(["gen", "random", "--n", "8", "--seed", "1", "--out", path]) == 0
+    assert main(["partize", "--q", "3", "--k", "1", path, "--cert-out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    assert payload["dominators"] == [6, 4, 5] and payload["deleted"] == [7]
+    classes = payload["classes"]
+    swapped = dict(payload, classes=[classes[1], classes[0]] + classes[2:])
+    grown = dict(payload, classes=[classes[0] + [7]] + classes[1:])
+    capsys.readouterr()
+    for tampered, problem in (
+        (swapped, "class 0 is not dominated by vertex 6"),
+        (grown, "class 0 colors inactive vertex 7"),
+    ):
+        cert.write_text(json.dumps(tampered))
+        assert main(["validate", path, str(cert)]) == 2
+        assert capsys.readouterr().out == f"invalid: {problem}\n"
+
+
 def test_validate_checks_tds_certificates(c5, tmp_path):
     cert = tmp_path / "tds.json"
     cert.write_text(json.dumps({"size": 2, "set": [1, 2]}))

@@ -5,6 +5,8 @@ import pytest
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
+    _min_vertex_cut,
+    _split_network,
     demand_sides,
     oct_excluding,
     oct_with_forced_sides,
@@ -19,7 +21,12 @@ from cdcolor.generate import (
 )
 from cdcolor.graph import Graph, bipartition_within
 
-from _brute import brute_forced_sides, brute_oct_min, brute_vertex_cover_min
+from _brute import (
+    brute_forced_sides,
+    brute_min_separators,
+    brute_oct_min,
+    brute_vertex_cover_min,
+)
 
 
 def is_vertex_cover(g, mask):
@@ -83,6 +90,37 @@ def test_oct_is_minimal():
             continue
         for v in bit_list(got):
             assert not is_oct(g, got & ~(1 << v))
+
+
+def test_min_vertex_cut_matches_bruteforce():
+    """One network answers every query with the minimum separator
+    closest to the sources: what the sources still reach is contained in
+    what they reach past any other minimum separator."""
+    rng = random.Random(151)
+
+    def some(active):
+        vs = bit_list(active)
+        return mask_of(rng.sample(vs, min(len(vs), rng.choice((0, 1, 2, 2, 3, 3)))))
+
+    closest_mattered = 0
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 10), rng.choice([0.4, 0.6, 0.8]), rng)
+        active = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        fixed = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        net = _split_network(g, active, fixed)
+        for _ in range(3):
+            sources, sinks = some(active), some(active)
+            seps = dict(brute_min_separators(g, active, sources, sinks, fixed))
+            size = min((cut.bit_count() for cut in seps), default=None)
+            closest_mattered += len(set(seps.values())) > 1
+            for budget in range(-1, 5):
+                cut = _min_vertex_cut(net, sources, sinks, budget)
+                if size is None or size > budget:
+                    assert cut is None, (g.adj, active, fixed, sources, sinks)
+                    continue
+                assert cut in seps, (g.adj, active, fixed, sources, sinks)
+                assert all(not seps[cut] & ~reach for reach in seps.values())
+    assert closest_mattered > 40
 
 
 def test_oct_excluding_examples():

@@ -12,7 +12,12 @@ from cdcolor.bits import iter_bits, mask_of
 from cdcolor.coloring import CdColoring, validate_cd_coloring
 from cdcolor.errors import PreconditionError
 from cdcolor.exact import cd_chromatic_exact
-from cdcolor.fpt import oct_excluding, oct_with_forced_sides, vertex_cover
+from cdcolor.fpt import (
+    oct_excluding,
+    oct_with_forced_sides,
+    odd_cycle_transversal,
+    vertex_cover,
+)
 from cdcolor.generate import disjoint_union, random_connected_graph, random_graph
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
 
@@ -57,6 +62,10 @@ def test_vertex_cover_and_oct_on_masks():
         k = rng.randint(0, 4)
         vc = vertex_cover(sub, k)
         assert vertex_cover(g, k, active) == (None if vc is None else back(ids, vc))
+        found = odd_cycle_transversal(sub, k)
+        assert odd_cycle_transversal(g, k, active) == (
+            None if found is None else back(ids, found)
+        )
         v = rng.choice(ids)
         found = oct_excluding(sub, ids.index(v), k)
         assert oct_excluding(g, v, k, active) == (

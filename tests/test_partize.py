@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from cdcolor import partize
 from cdcolor.bits import mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
@@ -22,11 +24,13 @@ from cdcolor.partize import (
     delete_to_type3,
     delete_to_type4,
     delete_to_type5,
+    oct_excluding,
     partization2,
     partization3,
     partization_bruteforce,
     validate_deletion,
 )
+from cdcolor.split import generate_from_partization
 
 
 def check_yes(g, sol, k, q):
@@ -104,6 +108,23 @@ def test_type3_positive_with_deletion():
 
 def test_type3_k2_rejected_for_missing_edge():
     assert delete_to_type3(path_graph(2), 0) is None
+
+
+def test_type3_skips_oct_excluding_when_no_transversal_fits(monkeypatch):
+    """On the lift of K7 at k = 2 every candidate bipartite part that
+    passes the vertex cover step holds a K7, which has no odd cycle
+    transversal of size 2, so no y-avoiding one is ever asked for."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return oct_excluding(*args)
+
+    monkeypatch.setattr(partize, "oct_excluding", counted)
+    inst = generate_from_partization(complete_graph(7), 2, 2)
+    assert inst.expected is False
+    assert partization3(inst.graph, 2) is None
+    assert calls == []
 
 
 def test_type4_k3_and_net():
@@ -236,3 +257,28 @@ def test_validate_deletion_names_the_problem(deleted, classes, dominators, q, pr
     report = validate_deletion(cycle_graph(5), sol, q)
     assert report.ok == (problem is None)
     assert problem is None or problem in report.problem
+
+
+# SHA-256 of repr(answer) on seeded lifts, (q_base, base n, p, k, seed) ->
+# digest, taken from a Type 3 search that tried every y: skipping a y
+# must never change an answer.  partization3 answers q_base 2 (its YES
+# answers are Type 3), partization2 answers q_base 1.
+NONE_DIGEST = hashlib.sha256(b"None").hexdigest()
+LIFT_DIGESTS = {
+    (1, 10, 0.15, 3, 1): NONE_DIGEST,
+    (1, 10, 0.15, 3, 2): "1da6248f3ec1bc96e1ae67c719ab01cbb72d82eb2bb8d1a51b4f3f288644d25d",
+    (2, 12, 0.25, 2, 1): NONE_DIGEST,
+    (2, 12, 0.25, 2, 2): "aa6c31ba535b4cd9a7b61eedb3335d4efaac27e52ab8a4c245b2ecfe93104a62",
+    (2, 12, 0.25, 2, 3): "2275eaf00fa5187ad7172df639dd42d1551dd9ac24ac1a012de401e531c45d27",
+    (2, 14, 0.25, 3, 1): "69e9a00e28a76ed6b97666d80274380e37746b3cd111afa186e76d22ed39f7c2",
+    (2, 14, 0.25, 3, 5): NONE_DIGEST,
+}
+
+
+@pytest.mark.parametrize("q_base, n, p, k, seed", sorted(LIFT_DIGESTS))
+def test_lift_answers_are_pinned(q_base, n, p, k, seed):
+    inst = generate_from_partization(random_graph(n, p, random.Random(seed)), k, q_base)
+    sol = (partization3 if q_base == 2 else partization2)(inst.graph, k)
+    assert (sol is not None) == inst.expected
+    digest = hashlib.sha256(repr(sol).encode()).hexdigest()
+    assert digest == LIFT_DIGESTS[q_base, n, p, k, seed]
