@@ -29,6 +29,7 @@ from .partize import (
     BRUTE_K_CAP,
     BRUTE_N_CAP,
     DeletionSolution,
+    _small_remainder,
     cd_recognize_upto3,
     partization2,
     partization3,
@@ -146,6 +147,8 @@ def _cmd_partize(args) -> int:
         sub, ids = g.without(mask)
         q, coloring = cd_chromatic_split(sub)
         sol = DeletionSolution(mask, (("Split", None),), coloring.relabeled(ids))
+    elif args.q <= 1:
+        sol = _small_remainder(g, args.k, args.q) if args.q >= 0 else None
     elif args.q == 2:
         sol = partization2(g, args.k)
     elif args.q == 3:
@@ -225,32 +228,27 @@ def _cmd_validate(args) -> int:
     cert = json.loads(Path(args.cert).read_text())
     if not isinstance(cert, dict):
         raise CdColorError("certificate must be a JSON object")
-    label_to_index = {g.label(v): v for v in range(g.n)}
-
-    def to_mask(labels) -> int:
-        try:
-            return mask_of(label_to_index[x] for x in labels)
-        except KeyError as exc:
-            raise CdColorError(f"certificate references unknown vertex {exc}") from None
-
+    index = {g.label(v): v for v in range(g.n)}
+    try:
+        tds = mask_of(index[x] for x in cert.get("set", []))
+        deleted = mask_of(index[x] for x in cert.get("deleted", []))
+        classes = tuple(tuple(index[x] for x in cls) for cls in cert.get("classes", []))
+        dominators = tuple(index[x] for x in cert.get("dominators", []))
+    except KeyError as exc:
+        print(f"invalid: certificate references unknown vertex {exc}")
+        return 2
     if "set" in cert and "size" in cert:
-        mask = to_mask(cert["set"])
-        if mask.bit_count() != cert["size"]:
+        if tds.bit_count() != cert["size"]:
             print("invalid: size field does not match the set")
             return 2
-        if not is_total_dominating(g, mask):
+        if not is_total_dominating(g, tds):
             print("invalid: set is not total dominating")
             return 2
         print("valid")
         return 0
     if "classes" not in cert or "dominators" not in cert:
         raise CdColorError("unrecognized certificate shape")
-    deleted = to_mask(cert.get("deleted", []))
-    try:
-        coloring = CdColoring.from_payload(cert, g)
-    except ValueError as exc:
-        print(f"invalid: {exc}")
-        return 2
+    coloring = CdColoring(classes, dominators)
     report = validate_cd_coloring(g, coloring, g.full_mask & ~deleted)
     if not report.ok:
         print(f"invalid: {report.problem}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .bits import iter_bits, mask_of
+from .bits import iter_bits, lowest_bit, mask_of
 from .graph import Graph, connected_components
 
 
@@ -77,22 +77,26 @@ def merge_colorings(parts: Sequence[CdColoring]) -> CdColoring:
 
 
 def solve_per_component(
-    g: Graph, solve: Callable[[Graph], Tuple[int, CdColoring]]
+    g: Graph, solve: Callable[[Graph, int], Tuple[int, CdColoring]]
 ) -> Tuple[int, CdColoring]:
-    """Run ``solve`` on each connected component and add the answers.
+    """Run ``solve(g, comp)`` on each connected component mask and add the answers.
 
-    The cd-chromatic number is additive over components.  Each
-    component's coloring is renamed back to ``g``'s vertex ids and the
-    colorings are concatenated in component order (by lowest vertex).
-    The empty graph has the empty coloring.
+    The cd-chromatic number is additive over components.  ``solve``
+    answers in ``g``'s vertex ids; the colorings are concatenated in
+    component order (by lowest vertex).  A one-vertex component is its
+    own class without a call to ``solve``.  The empty graph has the
+    empty coloring.
     """
     total = 0
     parts: List[CdColoring] = []
     for comp in connected_components(g):
-        sub, ids = g.induced(comp)
-        q, coloring = solve(sub)
+        if comp & (comp - 1):
+            q, coloring = solve(g, comp)
+        else:
+            v = lowest_bit(comp)
+            q, coloring = 1, CdColoring(((v,),), (v,))
         total += q
-        parts.append(coloring.relabeled(ids))
+        parts.append(coloring)
     return total, merge_colorings(parts)
 
 

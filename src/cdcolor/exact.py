@@ -220,10 +220,12 @@ def _peel(
     return class_masks
 
 
-def _exact_component(g: Graph, cap: int) -> Tuple[int, CdColoring]:
-    family = build_color_class_family(g, cap=cap)
-    full = g.full_mask
-    powers = [CoefficientTable(g.n, 1), family]  # powers[a] is power a
+def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
+    """Solve ``comp`` on a compact copy, whose subsets the tables index."""
+    sub, ids = g.induced(comp)
+    family = build_color_class_family(sub, cap=cap)
+    full = sub.full_mask
+    powers = [CoefficientTable(sub.n, 1), family]  # powers[a] is power a
     prev_comp = 1 << full  # complement of power 0 = {empty set}
     while True:
         a = len(powers) - 1
@@ -234,13 +236,14 @@ def _exact_component(g: Graph, cap: int) -> Tuple[int, CdColoring]:
             b, meet = a, cur & prev_comp  # k = 2a
         if meet:
             break
-        if 2 * a >= g.n:
+        if 2 * a >= sub.n:
             raise AssertionError("no family partition covers the component")
         powers.append(star_product(powers[a], family))
     s = lowest_bit(meet)
     members = family.members()
     class_masks = _peel(members, powers, s, a) + _peel(members, powers, full ^ s, b)
-    return a + b, make_coloring(class_masks, [_dominator_of(g, c) for c in class_masks])
+    coloring = make_coloring(class_masks, [_dominator_of(sub, c) for c in class_masks])
+    return a + b, coloring.relabeled(ids)
 
 
 def cd_chromatic_exact(
@@ -249,24 +252,25 @@ def cd_chromatic_exact(
     """Exact cd-chromatic number with a certifying coloring.
 
     Solved independently per connected component (the answers add) and
-    capped at ``cap`` vertices per component; each table costs ``2**n``
-    bits of memory.  The empty graph has q = 0.
+    capped at ``cap`` vertices per component with more than one vertex;
+    each table costs ``2**n`` bits of memory.  The empty graph has q = 0.
     """
-    return solve_per_component(g, lambda sub: _exact_component(sub, cap))
+    return solve_per_component(g, lambda g, comp: _exact_component(g, comp, cap))
 
 
 # -- brute-force oracle -------------------------------------------------------
 
 
-def _bruteforce_component(g: Graph) -> Tuple[int, CdColoring]:
-    """Minimum partition into dominated independent sets, by direct search.
+def _bruteforce_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
+    """Minimum partition of ``comp`` into dominated independent sets, on a copy.
 
     Vertices are assigned in index order to an existing block or a fresh
     one; a block tracks the mask of vertices whose closed neighborhood
     still covers it, so dead branches prune early.
     """
-    n = g.n
-    closed = [g.closed(v) for v in range(n)]
+    sub, ids = g.induced(comp)
+    n = sub.n
+    closed = [sub.closed(v) for v in range(n)]
     best_count = n + 1
     best: List[Tuple[int, int]] = []
     blocks: List[Tuple[int, int]] = []  # (member mask, candidate dominator mask)
@@ -281,7 +285,7 @@ def _bruteforce_component(g: Graph) -> Tuple[int, CdColoring]:
             return
         bit = 1 << v
         for idx, (members, cands) in enumerate(blocks):
-            if g.adj[v] & members:
+            if sub.adj[v] & members:
                 continue
             new_cands = cands & closed[v]
             if not new_cands:
@@ -296,7 +300,7 @@ def _bruteforce_component(g: Graph) -> Tuple[int, CdColoring]:
     assign(0)
     class_masks = [members for members, _ in best]
     dominators = [lowest_bit(cands) for _, cands in best]
-    return best_count, make_coloring(class_masks, dominators)
+    return best_count, make_coloring(class_masks, dominators).relabeled(ids)
 
 
 def cd_chromatic_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> Tuple[int, CdColoring]:

@@ -289,31 +289,28 @@ def is_connected(g: Graph) -> bool:
 def girth(g: Graph):
     """Length of a shortest cycle, or ``float('inf')`` for forests.
 
-    One BFS per start vertex; a non-tree edge seen at depths ``d(u)``
-    and ``d(w)`` witnesses a closed walk of length ``d(u) + d(w) + 1``,
-    and the minimum over all starts is exact.
+    One breadth-first search per start vertex, a layer mask at a time
+    (Itai and Rodeh, SIAM J. Comput. 1978).  An edge inside layer ``d``
+    closes a walk of length ``2d + 1``, and a vertex with two neighbors
+    in layer ``d`` closes one of length ``2d + 2``.  Each such walk
+    holds a cycle no longer than itself, and every start on a shortest
+    cycle finds its length, so the minimum over all starts is exact.
     """
     best = float("inf")
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            if dist[u] * 2 >= best:
-                break
-            for w in iter_bits(g.adj[u]):
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+        seen = layer = 1 << s
+        d = 0
+        while layer and 2 * d + 1 < best:
+            nxt = 0
+            for u in iter_bits(layer):
+                if g.adj[u] & layer:
+                    best = 2 * d + 1
+                    break
+                new = g.adj[u] & ~seen
+                if new & nxt:
+                    best = 2 * d + 2
+                nxt |= new
+            seen, layer, d = seen | nxt, nxt, d + 1
     return best
 
 

@@ -25,7 +25,17 @@ from .graph import Graph, components_within, is_connected, split_partition
 
 
 def split_cd_coloring(g: Graph) -> Tuple[int, CdColoring]:
-    """Optimal cd-coloring of a connected split graph; q is its clique number.
+    """Optimal cd-coloring of a connected split graph; q is its clique number."""
+    parts = split_partition(g)
+    if parts is None:
+        raise NotSplitError("graph is not a split graph")
+    if not is_connected(g):
+        raise PreconditionError("split coloring needs a connected graph")
+    return _split_component(g, g.full_mask, parts[0])
+
+
+def _split_component(g: Graph, comp: int, clique: int) -> Tuple[int, CdColoring]:
+    """Color the split-graph component ``comp`` around its maximum clique.
 
     Clique vertices seed the classes.  Class ``i`` is dominated by the
     cyclically next clique vertex, and an independent vertex joins the
@@ -33,19 +43,11 @@ def split_cd_coloring(g: Graph) -> Tuple[int, CdColoring]:
     clique vertex ``i + 1``; such a spot always exists because its
     clique neighborhood is a proper, nonempty subset.
     """
-    parts = split_partition(g)
-    if parts is None:
-        raise NotSplitError("graph is not a split graph")
-    if not is_connected(g):
-        raise PreconditionError("split coloring needs a connected graph")
-    if g.n == 1:
-        return 1, CdColoring(((0,),), (0,))
-    clique, indep = parts
     cl = bit_list(clique)
     omega = len(cl)
     class_masks = [1 << c for c in cl]
     dominators = [cl[(i + 1) % omega] for i in range(omega)]
-    for v in iter_bits(indep):
+    for v in iter_bits(comp & ~clique):
         nv = g.adj[v]
         for i in range(omega):
             if not (nv >> cl[i]) & 1 and (nv >> cl[(i + 1) % omega]) & 1:
@@ -54,16 +56,18 @@ def split_cd_coloring(g: Graph) -> Tuple[int, CdColoring]:
         else:
             raise AssertionError("independent vertex with full or empty clique view")
     coloring = make_coloring(class_masks, dominators)
-    report = validate_cd_coloring(g, coloring)
+    report = validate_cd_coloring(g, coloring, comp)
     assert report.ok, report.problem
     return omega, coloring
 
 
 def cd_chromatic_split(g: Graph) -> Tuple[int, CdColoring]:
-    """Split-graph cd-chromatic number, components solved separately."""
-    if split_partition(g) is None:
+    """Split-graph cd-chromatic number; the one component with edges
+    holds the whole graph's maximum clique."""
+    parts = split_partition(g)
+    if parts is None:
         raise NotSplitError("graph is not a split graph")
-    return solve_per_component(g, split_cd_coloring)
+    return solve_per_component(g, lambda g, c: _split_component(g, c, parts[0] & c))
 
 
 def _split_chi_parts(g: Graph, active: int) -> Tuple[int, int, List[int]]:

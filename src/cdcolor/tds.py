@@ -4,15 +4,15 @@ On triangle-free graphs a minimum total dominating set has the same
 size as an optimal cd-coloring, and the coloring can be read off the
 set.  Girth 5 additionally makes neighborhoods independent and pairwise
 near-disjoint, which powers the cubic kernel.  One branch and bound
-finds minimum sets: on each whole component for the cd-chromatic
-number, and on each kernel from its forced set for ``tds_solve(g, k)``.
+finds minimum sets in place: on each component mask for the cd-chromatic
+number, and on each kept kernel mask from its forced set for ``tds_solve``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -76,27 +76,32 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     if k < 1:
         raise PreconditionError("parameter k must be at least 1")
     _require_girth5(g, "tds kernelization")
-    return _kernelize(g, k)
+    reduced = _kernelize(g, k, g.full_mask)
+    if isinstance(reduced, str):
+        return KernelOutcome("NO", reason=reduced)
+    keep, forced = reduced
+    kernel, ids = g.induced(keep)
+    return KernelOutcome("REDUCED", kernel=kernel, back_map=tuple(ids), forced=forced)
 
 
-def _kernelize(g: Graph, k: int) -> KernelOutcome:
-    """:func:`tds_kernelize` for a caller that has checked the girth."""
-    full = g.full_mask
-    h_mask = mask_of(v for v in range(g.n) if g.degree(v) >= k + 1)
+def _kernelize(g: Graph, k: int, active: int) -> Union[str, Tuple[int, int]]:
+    """Rules of :func:`tds_kernelize` on ``g[active]`` for a caller that has
+    checked the girth: the kept and forced masks, or the reason for NO."""
+    h_mask = mask_of(v for v in iter_bits(active) if (g.adj[v] & active).bit_count() > k)
     if h_mask.bit_count() > k:
-        return KernelOutcome("NO", reason=f"more than k={k} vertices of degree > k")
+        return f"more than k={k} vertices of degree > k"
     j_mask = 0
     for h in iter_bits(h_mask):
         j_mask |= g.adj[h]
-    j_mask &= ~h_mask
-    r_mask = full & ~(h_mask | j_mask)
+    j_mask &= active & ~h_mask
+    r_mask = active & ~(h_mask | j_mask)
     if r_mask.bit_count() > k * k:
-        return KernelOutcome("NO", reason=f"undominatable remainder: |R| > k^2")
+        return "undominatable remainder: |R| > k^2"
     nr_mask = 0
     for v in iter_bits(r_mask):
         nr_mask |= g.adj[v]
     if (j_mask & nr_mask).bit_count() > k**3:
-        return KernelOutcome("NO", reason="|J ∩ N(R)| exceeds k^3")
+        return "|J ∩ N(R)| exceeds k^3"
     j_star = bit_list(j_mask & ~nr_mask)
     deleted = 0
     for u in j_star:
@@ -107,22 +112,19 @@ def _kernelize(g: Graph, k: int) -> KernelOutcome:
             if not hu & ~(g.adj[v] & h_mask):
                 deleted |= 1 << u
                 break
-    keep = full & ~deleted
-    kernel, ids = g.induced(keep)
-    assert kernel.n <= kernel_size_bound(k)
-    return KernelOutcome(
-        "REDUCED", kernel=kernel, back_map=tuple(ids), forced=h_mask
-    )
+    keep = active & ~deleted
+    assert keep.bit_count() <= kernel_size_bound(k)
+    return keep, h_mask
 
 
-def _greedy_tds(g: Graph, sol: int, undom: int) -> Optional[int]:
-    """Grow ``sol`` by the vertex of largest gain until nothing is undominated.
+def _greedy_tds(g: Graph, sol: int, undom: int, active: int) -> Optional[int]:
+    """Grow ``sol`` by the active vertex of largest gain until none is undominated.
 
     Gain counts newly dominated vertices; ties go to the lowest index.
-    None when an undominated vertex has no neighbor.
+    None when an undominated vertex has no active neighbor.
     """
     while undom:
-        v = max(range(g.n), key=lambda w: (g.adj[w] & undom).bit_count())
+        v = max(iter_bits(active), key=lambda w: (g.adj[w] & undom).bit_count())
         if not g.adj[v] & undom:
             return None
         sol |= 1 << v
@@ -130,8 +132,11 @@ def _greedy_tds(g: Graph, sol: int, undom: int) -> Optional[int]:
     return sol
 
 
-def _min_tds(g: Graph, forced: int = 0, cap: Optional[int] = None) -> Optional[int]:
-    """Minimum total dominating set containing ``forced``, or None.
+def _min_tds(
+    g: Graph, forced: int = 0, cap: Optional[int] = None, active: Optional[int] = None
+) -> Optional[int]:
+    """Minimum total dominating set of ``g[active]`` (default: all of ``g``)
+    containing ``forced``, or None.
 
     Only sets of size at most ``cap`` (when given) count.  Branch and
     bound from a greedy incumbent: a node branches on the undominated
@@ -144,10 +149,10 @@ def _min_tds(g: Graph, forced: int = 0, cap: Optional[int] = None) -> Optional[i
     each of which needs its own set vertex.
     """
     adj = g.adj
-    undom = g.full_mask
+    undom = active = g.full_mask if active is None else active
     for v in iter_bits(forced):
         undom &= ~adj[v]
-    best = _greedy_tds(g, forced, undom)
+    best = _greedy_tds(g, forced, undom, active)
     best_size = g.n + 1 if best is None else best.bit_count()
     if cap is not None and best_size > cap:
         best, best_size = None, cap + 1
@@ -184,40 +189,33 @@ def _min_tds(g: Graph, forced: int = 0, cap: Optional[int] = None) -> Optional[i
             allowed &= ~(1 << v)
 
     if forced.bit_count() < best_size:
-        rec(forced, undom, g.full_mask, forced.bit_count())
+        rec(forced, undom, active, forced.bit_count())
     return best
 
 
 def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     """Minimum total dominating set of size <= k, or None.
 
-    Each component is kernelized, and the branch and bound of
-    :func:`_min_tds` runs on the kernel from the forced set, capped by
-    what is left of ``k``.  The sizes of the components add up; an
-    isolated vertex can never be dominated.
+    Each component mask is kernelized in place, and the branch and bound
+    of :func:`_min_tds` runs on the kept vertices from the forced set,
+    capped by what is left of ``k``.  The sizes of the components add
+    up; a lone vertex has no total dominating set.
     """
     _require_girth5(g, "tds solving")
     if k < 1:
         return None
-    if any(not g.adj[v] for v in range(g.n)):
-        return None
-    total_mask = 0
-    total_size = 0
+    total = 0
     for comp in connected_components(g):
-        sub, ids = g.induced(comp)
-        outcome = _kernelize(sub, k)
-        if outcome.verdict == "NO":
+        reduced = _kernelize(g, k, comp)
+        if isinstance(reduced, str):
             return None
-        back = outcome.back_map
-        to_kernel = {old: new for new, old in enumerate(back)}
-        forced_kernel = mask_of(to_kernel[v] for v in iter_bits(outcome.forced))
-        found = _min_tds(outcome.kernel, forced_kernel, k - total_size)
+        keep, forced = reduced
+        found = _min_tds(g, forced, k - total.bit_count(), keep)
         if found is None:
             return None
-        total_mask |= mask_of(ids[back[v]] for v in iter_bits(found))
-        total_size += found.bit_count()
-    assert is_total_dominating(g, total_mask)
-    return TdsCertificate(total_mask, total_size)
+        total |= found
+    assert is_total_dominating(g, total)
+    return TdsCertificate(total, total.bit_count())
 
 
 def tds_bruteforce(g: Graph, k: int) -> Optional[TdsCertificate]:
@@ -237,12 +235,7 @@ def tds_bruteforce(g: Graph, k: int) -> Optional[TdsCertificate]:
 
 
 def cd_coloring_from_tds(g: Graph, cert: TdsCertificate) -> CdColoring:
-    """Coloring whose classes are the fresh neighborhoods of the set.
-
-    Processing the set's vertices in increasing order, class ``i`` is
-    what ``N(v_i)`` adds beyond the earlier classes.  Triangle-freeness
-    keeps every neighborhood independent; empty classes are dropped.
-    """
+    """Coloring of a connected triangle-free graph read off a total dominating set."""
     tri = find_triangle(g)
     if tri is not None:
         raise PreconditionError(
@@ -252,30 +245,30 @@ def cd_coloring_from_tds(g: Graph, cert: TdsCertificate) -> CdColoring:
         raise PreconditionError("construction needs a connected graph")
     if not is_total_dominating(g, cert.mask):
         raise PreconditionError("given set is not total dominating")
+    return _coloring_from_set(g, cert.mask)
+
+
+def _coloring_from_set(g: Graph, tds: int) -> CdColoring:
+    """Coloring whose classes are the fresh neighborhoods of the set.
+
+    Processing the set's vertices in increasing order, class ``i`` is
+    what ``N(v_i)`` adds beyond the earlier classes.  Triangle-freeness
+    keeps every neighborhood independent; empty classes are dropped.
+    """
     covered = 0
     class_masks = []
-    dominators = []
-    for v in bit_list(cert.mask):
-        fresh = g.adj[v] & ~covered
-        class_masks.append(fresh)
-        dominators.append(v)
-        covered |= fresh
-    return make_coloring(class_masks, dominators)
+    for v in iter_bits(tds):
+        class_masks.append(g.adj[v] & ~covered)
+        covered |= g.adj[v]
+    return make_coloring(class_masks, bit_list(tds))
 
 
-def _girth5_component(g: Graph) -> Tuple[int, CdColoring]:
-    """cd-chromatic number of a connected girth >= 5 graph.
-
-    Equals the total domination number, found by one branch and bound;
-    the coloring is read off the minimum set.  A lone vertex is its own
-    class.
-    """
-    if g.n == 1:
-        return 1, CdColoring(((0,),), (0,))
-    found = _min_tds(g)
+def _girth5_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
+    """cd-chromatic number of a component mask of a girth >= 5 graph: its
+    total domination number, with the coloring read off a minimum set."""
+    found = _min_tds(g, active=comp)
     assert found is not None, "connected graph with >= 2 vertices has a TDS"
-    cert = TdsCertificate(found, found.bit_count())
-    return cert.size, cd_coloring_from_tds(g, cert)
+    return found.bit_count(), _coloring_from_set(g, found)
 
 
 def cd_chromatic_girth5(g: Graph) -> Tuple[int, CdColoring]:

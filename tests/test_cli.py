@@ -99,11 +99,49 @@ def test_partize_exit_codes(c5, k5, tmp_path, capsys):
 def test_partize_split_and_brute_routes(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.dimacs", complete_graph(4))
     assert main(["partize", "--q", "3", "--k", "1", "--split", path]) == 0
-    # q outside {2,3} falls back to the oracle with a warning
+    # q >= 4 falls back to the oracle with a warning
     assert main(["partize", "--q", "4", "--k", "0", path]) == 0
     err = capsys.readouterr().err
     assert "brute-force" in err
     assert f"n <= {BRUTE_N_CAP}" in err and f"k <= {BRUTE_K_CAP}" in err
+
+
+def test_partize_q_at_most_1_is_a_closed_form(tmp_path, capsys):
+    # 14 vertices: beyond the brute-force oracle's cap
+    path = str(tmp_path / "b.dimacs")
+    cert = tmp_path / "one.json"
+    gen = ["gen", "random", "--n", "14", "--p", "0.3", "--seed", "2", "--out", path]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main(["partize", "--q", "1", "--k", "13", path, "--cert-out", str(cert)]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"YES deleted={list(range(2, 15))} pattern=IsolatedVertex q=1\n"
+    assert err == ""
+    assert main(["validate", path, str(cert)]) == 0
+    assert main(["partize", "--q", "0", "--k", "14", path]) == 0
+    for q, k in ((1, 12), (0, 13), (-1, 14)):
+        assert main(["partize", "--q", str(q), "--k", str(k), path]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_validate_reports_unknown_labels_as_invalid(tmp_path, capsys):
+    path = str(tmp_path / "g.dimacs")
+    cert = tmp_path / "p.json"
+    assert main(["gen", "random", "--n", "8", "--seed", "1", "--out", path]) == 0
+    assert main(["partize", "--q", "3", "--k", "1", path, "--cert-out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    capsys.readouterr()
+    for tampered in (
+        dict(payload, deleted=payload["deleted"] + [99]),
+        dict(payload, classes=[payload["classes"][0] + [99]] + payload["classes"][1:]),
+        {"size": 2, "set": [1, 99]},
+    ):
+        cert.write_text(json.dumps(tampered))
+        assert main(["validate", path, str(cert)]) == 2
+        assert capsys.readouterr() == (
+            "invalid: certificate references unknown vertex 99\n",
+            "",
+        )
 
 
 def test_validate_rejects_tampered_certificate(c5, tmp_path, capsys):

@@ -137,6 +137,34 @@ def test_girth_named():
     assert girth(path_graph(4)) == float("inf")
     assert girth(petersen_graph()) == 5
     assert girth(complete_graph(4)) == 3
+    for n in range(3, 10):
+        assert girth(cycle_graph(n)) == n
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert girth(k33) == 4
+    # Heawood graph: a 14-cycle plus chords i -- i + 5 from every even i
+    heawood = Graph.from_edges(
+        14, [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    )
+    assert girth(heawood) == 6
+
+
+def relabeled(g, rng):
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def sparse_graph(rng):
+    """A random cycle of length 3-9 plus a few chords or pendant edges, or a
+    random forest; vertices renamed at random."""
+    n = rng.randint(3, 9)
+    if rng.random() < 0.2:
+        edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]
+    else:
+        length = rng.randint(3, n)
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        edges += [(v, rng.randrange(v)) for v in range(length, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 1))]
+    return relabeled(Graph.from_edges(n, edges), rng)
 
 
 def test_girth_matches_bruteforce():
@@ -144,6 +172,19 @@ def test_girth_matches_bruteforce():
     for _ in range(120):
         g = random_graph(rng.randint(3, 8), rng.choice([0.2, 0.4, 0.6]), rng)
         assert girth(g) == brute_girth(g)
+    seen = set()
+    for _ in range(400):
+        g = sparse_graph(rng)
+        seen.add(girth(g))
+        assert girth(g) == brute_girth(g), g.adj
+    assert seen == {3, 4, 5, 6, 7, 8, 9, float("inf")}
+    # vertex 0 lies on a longer cycle than the shortest one
+    for _ in range(40):
+        a = rng.randint(4, 7)
+        b = rng.randint(3, a - 1)
+        other = disjoint_union(cycle_graph(b), path_graph(rng.randint(1, 3)))
+        g = disjoint_union(cycle_graph(a), relabeled(other, rng))
+        assert girth(g) == brute_girth(g) == b
 
 
 def test_bipartition_named():

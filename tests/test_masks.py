@@ -2,14 +2,17 @@
 
 Every mask-taking routine is run twice: on ``g`` with an ``active`` mask,
 and on ``g.induced(active)`` with its answer mapped back to ``g``'s ids.
+The per-component routes are pinned to the answers they gave when each
+component was solved on a relabeled copy.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from cdcolor.bits import iter_bits, mask_of
-from cdcolor.coloring import CdColoring, validate_cd_coloring
+from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import PreconditionError
 from cdcolor.exact import cd_chromatic_exact
 from cdcolor.fpt import (
@@ -18,8 +21,19 @@ from cdcolor.fpt import (
     odd_cycle_transversal,
     vertex_cover,
 )
-from cdcolor.generate import disjoint_union, random_connected_graph, random_graph
+from cdcolor.generate import (
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    random_connected_graph,
+    random_girth5_graph,
+    random_graph,
+    random_split_graph,
+)
+from cdcolor.graph import Graph, components_within
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
+from cdcolor.split import cd_chromatic_split
+from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
 
 
 def random_instances(count, seed):
@@ -168,3 +182,106 @@ def test_excluded_vertex_outside_active_is_rejected():
             oct_excluding(g, v, 2, active)
         with pytest.raises(PreconditionError):
             oct_with_forced_sides(g, 0, 0, v, 2, active)
+
+
+def test_min_tds_on_masks():
+    found = 0
+    for rng, g, active in random_instances(200, 77):
+        sub, ids = g.induced(active)
+        forced = mask_of(rng.sample(ids, rng.randint(0, min(2, len(ids)))))
+        cap = rng.choice([None, rng.randint(0, 5)])
+        want = _min_tds(sub, local(ids, forced), cap)
+        got = _min_tds(g, forced, cap, active)
+        assert got == (None if want is None else back(ids, want))
+        found += got is not None
+    assert 20 < found < 180
+
+
+def girth5_unions(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [
+            random_girth5_graph(rng.randint(1, 12), rng, density=0.5, hub=rng.random() < 0.5)
+            for _ in range(rng.randint(1, 3))
+        ]
+        yield rng, disjoint_union(*parts)
+
+
+def test_kernelize_on_component_masks():
+    reduced = 0
+    for rng, g in girth5_unions(60, 78):
+        active = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        for comp in components_within(g, active):
+            sub, ids = g.induced(comp)
+            for k in range(1, 5):
+                want = _kernelize(sub, k, sub.full_mask)
+                if not isinstance(want, str):
+                    want = tuple(back(ids, mask) for mask in want)
+                    reduced += 1
+                assert _kernelize(g, k, comp) == want
+    assert reduced > 100
+
+
+def test_driver_never_hands_out_one_vertex_components():
+    seen = []
+
+    def recording(g, comp):
+        seen.append(comp)
+        return 0, CdColoring((), ())
+
+    g = disjoint_union(Graph(1, [0]), path_graph(3), Graph(2, [0, 0]), cycle_graph(4))
+    q, coloring = solve_per_component(g, recording)
+    assert seen == [0b1110, 0b1111000000]
+    assert (q, coloring) == (3, CdColoring(((0,), (4,), (5,)), (0, 4, 5)))
+
+
+def with_isolated(g, count, rng):
+    """``g`` plus ``count`` isolated vertices, every vertex renamed at random."""
+    g = disjoint_union(g, *[Graph(1, [0])] * count)
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def pinned_answers(route, seed):
+    rng = random.Random(seed)
+    if route == "exact":
+        parts = (random_connected_graph(rng.randint(3, 9), 0.35, rng) for _ in range(2))
+        g = disjoint_union(*parts)
+        return cd_chromatic_exact(with_isolated(g, seed % 3, rng))
+    if route == "split":
+        g = random_split_graph(rng.randint(4, 12), rng, p=0.5)
+        return cd_chromatic_split(with_isolated(g, seed % 3, rng))
+    parts = (
+        random_girth5_graph(rng.randint(5, 14), rng, density=0.4, connected=True, hub=hub)
+        for hub in (False, True)
+    )
+    g = with_isolated(disjoint_union(*parts), seed % 3, rng)
+    q, coloring = cd_chromatic_girth5(g)
+    ks = (q - 1, q, q + 2)
+    return q, coloring, [tds_solve(g, k) for k in ks], [tds_kernelize(g, k) for k in ks]
+
+
+# SHA-256 of repr(pinned_answers(route, seed)), taken from routes that
+# solved each component on a relabeled copy: solving in place on
+# component masks must not change an answer.  Seed % 3 isolated
+# vertices are added.
+ANSWER_DIGESTS = {
+    ("exact", 1): "17a7384ba2c111848bbad86952aa4087a306cb2208416c560ed9176972974bfe",
+    ("exact", 2): "5e7db88030c20351cceff657312f82ad3a86be1d99c8ea58ef9440dc041dcf96",
+    ("exact", 3): "261cb329323cf096a422964b32cc70d327cc4fe4434aec51cfacf217f0de2f95",
+    ("exact", 6): "42242acca785d54572cfe9446d1c3aa7ea12f324f97796d4c990a9b4ac2e0cca",
+    ("split", 1): "31483677dfb16de10a9a56fe0d29d7cfae48c6759a3f510736a9694abc098d8e",
+    ("split", 2): "353907afdcb27a9ad9224a4a2f70dac2c491b507b214c409fde7f425497b5427",
+    ("split", 3): "dc2f8f2e49e8017d848291f0bcd92e9e66640b0018e1b9b018c9639fab509d07",
+    ("split", 6): "91329151ae0a99824a01999dcac56eb485e3e3d2726ff20e87eefe633ce4c2bf",
+    ("girth5", 1): "2b1c29961f1d6de36769152821c7c026f065445a6f2005a4d75060e34d5c61a4",
+    ("girth5", 2): "f76ee42eb389c77ebf30b25e560e7a5c0328442173f0faa189023912a77f512d",
+    ("girth5", 3): "0f645353a6cbfcdcbac54f78cb6dbc9845d49272381126d3bf9d0a2b272a2d73",
+    ("girth5", 6): "f6bec86c99c0a94d980e095a59e49b3813b2ebbb0f88f135065cb46cacaf4506",
+}
+
+
+@pytest.mark.parametrize("route, seed", sorted(ANSWER_DIGESTS))
+def test_component_answers_are_pinned(route, seed):
+    digest = hashlib.sha256(repr(pinned_answers(route, seed)).encode()).hexdigest()
+    assert digest == ANSWER_DIGESTS[route, seed]

@@ -216,6 +216,19 @@ def test_partization2_matches_oracle():
                 check_yes(g, sol, k, 2)
 
 
+def test_small_remainder_answers_q_at_most_1():
+    # a class is independent and holds its dominator, so q <= 1 colors
+    # fit exactly when at most q vertices remain
+    for g in corpus(30, seed=159):
+        for q in (0, 1):
+            want = brute_table(g, g.n, q)
+            for k in range(g.n + 1):
+                sol = partize._small_remainder(g, k, q)
+                assert (sol is not None) == want[k] == (g.n - k <= q), (g.adj, k, q)
+                if sol is not None:
+                    check_yes(g, sol, k, q)
+
+
 def test_monotone_in_budget():
     for g in corpus(25, seed=163):
         prev3 = prev2 = False
