@@ -20,7 +20,6 @@ from .exact import (
     build_color_class_family,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
-    star_power,
     star_product,
 )
 from .fpt import (
@@ -31,7 +30,6 @@ from .fpt import (
 )
 from .graph import (
     Graph,
-    bipartition,
     connected_components,
     girth,
     parse_graph,

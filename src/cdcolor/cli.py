@@ -139,14 +139,7 @@ def _cmd_partize(args) -> int:
     if args.k < 0:
         raise CdColorError("--k must be non-negative")
     if args.split:
-        mask = split_partization(g, args.k, args.q)
-        if mask is None:
-            if not args.json:
-                print("NO")
-            return 1
-        sub, ids = g.without(mask)
-        q, coloring = cd_chromatic_split(sub)
-        sol = DeletionSolution(mask, (("Split", None),), coloring.relabeled(ids))
+        sol = split_partization(g, args.k, args.q)
     elif args.q <= 1:
         sol = _small_remainder(g, args.k, args.q) if args.q >= 0 else None
     elif args.q == 2:
@@ -236,6 +229,12 @@ def _cmd_validate(args) -> int:
         dominators = tuple(index[x] for x in cert.get("dominators", []))
     except KeyError as exc:
         print(f"invalid: certificate references unknown vertex {exc}")
+        return 2
+    except TypeError:
+        print(
+            "invalid: certificate has the wrong shape: set, deleted, dominators "
+            "and each class must be lists of vertex labels"
+        )
         return 2
     if "set" in cert and "size" in cert:
         if tds.bit_count() != cert["size"]:

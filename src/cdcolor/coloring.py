@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bits import iter_bits, lowest_bit, mask_of
-from .graph import Graph, connected_components
+from .graph import Graph, components_within
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,24 @@ def merge_colorings(parts: Sequence[CdColoring]) -> CdColoring:
 
 
 def solve_per_component(
-    g: Graph, solve: Callable[[Graph, int], Tuple[int, CdColoring]]
+    g: Graph,
+    solve: Callable[[Graph, int], Tuple[int, CdColoring]],
+    active: Optional[int] = None,
 ) -> Tuple[int, CdColoring]:
-    """Run ``solve(g, comp)`` on each connected component mask and add the answers.
+    """Run ``solve(g, comp)`` on each connected component of ``g[active]``
+    and add the answers.
 
-    The cd-chromatic number is additive over components.  ``solve``
-    answers in ``g``'s vertex ids; the colorings are concatenated in
-    component order (by lowest vertex).  A one-vertex component is its
-    own class without a call to ``solve``.  The empty graph has the
-    empty coloring.
+    ``active`` defaults to all of ``g``.  The cd-chromatic number is
+    additive over components.  ``solve`` answers in ``g``'s vertex ids;
+    the colorings are concatenated in component order (by lowest
+    vertex).  A one-vertex component is its own class without a call to
+    ``solve``.  An empty vertex set has the empty coloring.
     """
+    if active is None:
+        active = g.full_mask
     total = 0
     parts: List[CdColoring] = []
-    for comp in connected_components(g):
+    for comp in components_within(g, active):
         if comp & (comp - 1):
             q, coloring = solve(g, comp)
         else:

@@ -181,16 +181,6 @@ def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     return CoefficientTable(n, out)
 
 
-def star_power(p: CoefficientTable, ell: int) -> CoefficientTable:
-    """``ell``-fold product of ``p`` with itself; ``ell = 1`` is ``p``."""
-    if ell < 1:
-        raise ValueError("power must be at least 1")
-    cur = p
-    for _ in range(ell - 1):
-        cur = star_product(cur, p)
-    return cur
-
-
 def _dominator_of(g: Graph, class_mask: int) -> int:
     for y in range(g.n):
         if not class_mask & ~g.closed(y):

@@ -126,7 +126,12 @@ def random_girth5_graph(
 def random_split_graph(
     n: int, rng: random.Random, p: float = 0.5, connected: bool = False
 ) -> Graph:
-    """Random split graph: clique on a prefix, independent rest."""
+    """Random split graph: clique on a prefix, independent rest.
+
+    ``n = 0`` gives the empty graph without drawing from ``rng``.
+    """
+    if n == 0:
+        return Graph(0, [])
     c = rng.randint(1, n)
     edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
     for w in range(c, n):
@@ -134,8 +139,7 @@ def random_split_graph(
         if connected and not nbrs:
             nbrs = [rng.randrange(c)]
         edges.extend((u, w) for u in nbrs)
-    g = Graph.from_edges(n, edges)
-    return g
+    return Graph.from_edges(n, edges)
 
 
 def random_family_masks(

@@ -76,9 +76,6 @@ class Graph:
         """Closed neighborhood mask of ``u`` (neighbors plus ``u``)."""
         return self.adj[u] | (1 << u)
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -350,11 +347,6 @@ def bipartition_within(g: Graph, active: int) -> Optional[Tuple[int, int]]:
     return side_a, side_b
 
 
-def bipartition(g: Graph) -> Optional[Tuple[int, int]]:
-    """Bipartition masks ``(A, B)`` if ``g`` is bipartite, else None."""
-    return bipartition_within(g, g.full_mask)
-
-
 def find_triangle(g: Graph) -> Optional[Tuple[int, int, int]]:
     """Lexicographically first triangle ``(u, v, w)``, ``u < v < w``, or None."""
     for u in range(g.n):
@@ -370,22 +362,29 @@ def find_triangle(g: Graph) -> Optional[Tuple[int, int, int]]:
 # -- split graphs ------------------------------------------------------------
 
 
-def split_partition(g: Graph) -> Optional[Tuple[int, int]]:
-    """Partition into (clique, independent set) masks, or None.
+def split_partition(
+    g: Graph, active: Optional[int] = None
+) -> Optional[Tuple[int, int]]:
+    """Partition ``g[active]`` into (clique, independent set) masks, or None.
 
-    Uses the degree-sequence characterization of split graphs, then
-    greedily moves independent vertices that are complete to the clique
-    so the clique side is a maximum clique.
+    ``active`` defaults to all of ``g``.  Uses the degree-sequence
+    characterization of split graphs (Hammer and Simeone, Combinatorica
+    1981) on degrees inside ``active``, then greedily moves independent
+    vertices that are complete to the clique so the clique side is a
+    maximum clique.
     """
-    if g.n == 0:
+    if active is None:
+        active = g.full_mask
+    if not active:
         return (0, 0)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    deg = [g.degree(v) for v in order]
-    m = max(i + 1 for i in range(g.n) if deg[i] >= i)
+    ranked = sorted((-(g.adj[v] & active).bit_count(), v) for v in iter_bits(active))
+    order = [v for _, v in ranked]
+    deg = [-d for d, _ in ranked]
+    m = max(i + 1 for i in range(len(order)) if deg[i] >= i)
     if sum(deg[:m]) != m * (m - 1) + sum(deg[m:]):
         return None
     clique = mask_of(order[:m])
-    indep = g.full_mask & ~clique
+    indep = active & ~clique
     for u in iter_bits(clique):
         if g.adj[u] & clique != clique & ~(1 << u):
             return None
@@ -402,4 +401,3 @@ def split_partition(g: Graph) -> Optional[Tuple[int, int]]:
         else:
             break
     return clique, indep
-

@@ -15,23 +15,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit, mask_of
+from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component, validate_cd_coloring
 from .errors import NotSplitError, PreconditionError
 from .fpt import odd_cycle_transversal, vertex_cover
-from .graph import Graph, components_within, is_connected, split_partition
+from .graph import Graph, is_connected, split_partition
+from .partize import DeletionSolution
 
 
 def split_cd_coloring(g: Graph) -> Tuple[int, CdColoring]:
     """Optimal cd-coloring of a connected split graph; q is its clique number."""
-    parts = split_partition(g)
-    if parts is None:
-        raise NotSplitError("graph is not a split graph")
+    answer = cd_chromatic_split(g)
     if not is_connected(g):
         raise PreconditionError("split coloring needs a connected graph")
-    return _split_component(g, g.full_mask, parts[0])
+    return answer
 
 
 def _split_component(g: Graph, comp: int, clique: int) -> Tuple[int, CdColoring]:
@@ -70,35 +69,25 @@ def cd_chromatic_split(g: Graph) -> Tuple[int, CdColoring]:
     return solve_per_component(g, lambda g, c: _split_component(g, c, parts[0] & c))
 
 
-def _split_chi_parts(g: Graph, active: int) -> Tuple[int, int, List[int]]:
+def _split_chi_parts(g: Graph, active: int) -> Tuple[int, int, int]:
     """Color count of the active part: clique number of the one edged
     component plus the isolated vertices; returns (chi, max clique mask,
-    isolated vertex list)."""
-    chi = 0
-    best_clique = 0
-    singles: List[int] = []
-    for comp in components_within(g, active):
-        if comp.bit_count() == 1:
-            singles.append(lowest_bit(comp))
-            chi += 1
-            continue
-        sub, ids = g.induced(comp)
-        parts = split_partition(sub)
-        assert parts is not None, "induced subgraph of a split graph is split"
-        clique = mask_of(ids[v] for v in iter_bits(parts[0]))
-        if clique.bit_count() > best_clique.bit_count():
-            best_clique = clique
-        chi += parts[0].bit_count()
-    return chi, best_clique, singles
+    isolated vertex mask).  An edgeless part has clique mask 0."""
+    parts = split_partition(g, active)
+    assert parts is not None, "induced subgraph of a split graph is split"
+    clique = parts[0] if parts[0] & (parts[0] - 1) else 0
+    singles = mask_of(v for v in iter_bits(active) if not g.adj[v] & active)
+    return clique.bit_count() + singles.bit_count(), clique, singles
 
 
-def split_partization(g: Graph, k: int, q: int) -> Optional[int]:
+def split_partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     """Delete at most k vertices of a split graph to reach q colors.
 
     While some clique exceeds q, every solution hits any q + 1 of its
     vertices, so branch on deleting each.  Afterwards only isolated
     vertices inflate the count; they are interchangeable and each
     deletion lowers the count by exactly one, which no deletion beats.
+    The remainder is colored in place with the split closed form.
     """
     if split_partition(g) is None:
         raise NotSplitError("graph is not a split graph")
@@ -118,11 +107,19 @@ def split_partization(g: Graph, k: int, q: int) -> Optional[int]:
                     return res
             return None
         need = chi - q  # only isolated vertices are left to shed
-        if need <= budget and need <= len(singles):
-            return deleted | mask_of(singles[:need])
+        if need <= budget and need <= singles.bit_count():
+            return deleted | mask_of(bit_list(singles)[:need])
         return None
 
-    return rec(g.full_mask, k, 0)
+    deleted = rec(g.full_mask, k, 0)
+    if deleted is None:
+        return None
+    rest = g.full_mask & ~deleted
+    clique = split_partition(g, rest)[0]
+    _, coloring = solve_per_component(
+        g, lambda g, c: _split_component(g, c, clique & c), rest
+    )
+    return DeletionSolution(deleted, (("Split", None),), coloring)
 
 
 # -- instance generators -------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -144,6 +146,80 @@ def test_validate_reports_unknown_labels_as_invalid(tmp_path, capsys):
         )
 
 
+WRONG_SHAPE = (
+    "invalid: certificate has the wrong shape: set, deleted, dominators "
+    "and each class must be lists of vertex labels\n"
+)
+
+
+def test_validate_reports_wrong_shapes_as_invalid(tmp_path, capsys):
+    path = str(tmp_path / "g.dimacs")
+    cert = tmp_path / "bad.json"
+    assert main(["gen", "random", "--n", "8", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    for bad in (
+        {"size": 1, "set": [[1]]},
+        {"q": 1, "classes": 5, "dominators": [1]},
+        {"q": 1, "classes": [[1]], "dominators": 3},
+    ):
+        cert.write_text(json.dumps(bad))
+        assert main(["validate", path, str(cert)]) == 2
+        assert capsys.readouterr() == (WRONG_SHAPE, "")
+
+
+def random_json(rng, depth=0):
+    kind = rng.randrange(8 if depth < 2 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.randint(-2, 10)
+    if kind == 3:
+        return rng.uniform(0, 9)
+    if kind == 4:
+        return rng.choice(["", "1", "x", "classes"])
+    if kind == 5:
+        return rng.randint(1, 8)
+    if kind == 6:
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    keys = ("q", "size", "set", "classes", "dominators", "deleted")
+    return {rng.choice(keys): random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def test_validate_survives_malformed_shapes(tmp_path, capsys):
+    path = str(tmp_path / "g.dimacs")
+    cert = tmp_path / "c.json"
+    assert main(["gen", "random", "--n", "8", "--seed", "1", "--out", path]) == 0
+    bases = [{"size": 8, "set": list(range(1, 9))}]
+    for cmd in (["cdnumber"], ["partize", "--q", "3", "--k", "1"]):
+        assert main(cmd + [path, "--cert-out", str(cert)]) == 0
+        bases.append(json.loads(cert.read_text()))
+    capsys.readouterr()
+    rng = random.Random(83)
+    codes = set()
+    for _ in range(400):
+        payload = dict(rng.choice(bases))
+        for _ in range(rng.randint(1, 2)):
+            key = rng.choice(sorted(payload) + ["classes", "deleted", "set"])
+            if rng.random() < 0.2:
+                payload.pop(key, None)
+            elif isinstance(payload.get(key), list) and payload[key] and rng.random() < 0.5:
+                items = list(payload[key])
+                items[rng.randrange(len(items))] = random_json(rng, 1)
+                payload[key] = items
+            else:
+                payload[key] = random_json(rng)
+        cert.write_text(json.dumps(payload))
+        code = main(["validate", path, str(cert)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), payload
+        if code == 2:
+            assert out.startswith("invalid: ") or err.startswith("error: "), payload
+        codes.add(code)
+    assert codes == {0, 2}
+
+
 def test_validate_rejects_tampered_certificate(c5, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["cdnumber", c5, "--cert-out", str(cert)]) == 0
@@ -241,6 +317,15 @@ def test_gen_variants_parse(tmp_path):
         parse_graph(out.read_text(), "dimacs")
 
 
+def test_gen_random_split_empty_graph(tmp_path, capsys):
+    out = tmp_path / "e.dimacs"
+    assert main(["gen", "random", "--split", "--n", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "c seed 0\np edge 0 0\n"
+    capsys.readouterr()
+    assert main(["cdnumber", "--split", str(out)]) == 0
+    assert capsys.readouterr().out == "q=0\n"
+
+
 def test_gen_setcover_and_lift(tmp_path, c5):
     out = tmp_path / "sc.dimacs"
     side = tmp_path / "sc.json"
@@ -261,6 +346,34 @@ def test_gen_setcover_and_lift(tmp_path, c5):
     ) == 0
     payload = json.loads((tmp_path / "lift.dimacs.json").read_text())
     assert payload["expected_yes"] is True and payload["q"] == 3
+
+
+# SHA-256 of "<exit code>\n<stdout>" of `partize --split --json` over
+# q = 0..4 and k in (0, 1, 2, 3, 5) on `gen random --split --p 0.4`
+# graphs, keyed by (n, seed); taken when the remainder was colored on a
+# relabeled copy.
+SPLIT_PARTIZE_DIGESTS = {
+    (6, 1): "9e918d1f683f8f4c430775f4190506c6d3421318b6ce1fabe315ca34a90c4d6b",
+    (9, 2): "cc909e886c55fd5baf652befae4857e30f1e4c41d1cb96f65dd075374e10d8b7",
+    (12, 3): "f73158101a5fcd2f0e55456469c5121d6e91dafb14b93e890d14d842f16d8f7d",
+    (14, 4): "8987c9ce4e6d552308308fcb909d75670fe9c2224700efa251762fed0a2115cf",
+    (16, 5): "4a27ffc0bcc5711820f1c2a69f4dd095887513f04aea11583d0d57625ec0e3cd",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(SPLIT_PARTIZE_DIGESTS))
+def test_partize_split_json_is_pinned(n, seed, tmp_path, capsys):
+    path = str(tmp_path / "s.dimacs")
+    gen = ["gen", "random", "--split", "--n", str(n), "--p", "0.4", "--seed", str(seed)]
+    assert main(gen + ["--out", path]) == 0
+    capsys.readouterr()
+    runs = []
+    for q in range(5):
+        for k in (0, 1, 2, 3, 5):
+            code = main(["partize", "--split", "--json", "--q", str(q), "--k", str(k), path])
+            runs.append(f"{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("".join(runs).encode()).hexdigest()
+    assert digest == SPLIT_PARTIZE_DIGESTS[n, seed]
 
 
 def test_certificates_byte_identical_across_runs(c5, k5, tmp_path):

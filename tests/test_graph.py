@@ -16,7 +16,7 @@ from cdcolor.generate import (
 from cdcolor.graph import (
     MAX_VERTICES,
     Graph,
-    bipartition,
+    bipartition_within,
     connected_components,
     detect_format,
     find_triangle,
@@ -188,17 +188,18 @@ def test_girth_matches_bruteforce():
 
 
 def test_bipartition_named():
-    a, b = bipartition(cycle_graph(4))
+    c4, c5, empty3 = cycle_graph(4), cycle_graph(5), Graph(3, [0, 0, 0])
+    a, b = bipartition_within(c4, c4.full_mask)
     assert (a, b) == (0b0101, 0b1010)
-    assert bipartition(cycle_graph(5)) is None
-    assert bipartition(Graph(3, [0, 0, 0])) == (0b111, 0)
+    assert bipartition_within(c5, c5.full_mask) is None
+    assert bipartition_within(empty3, empty3.full_mask) == (0b111, 0)
 
 
 def test_bipartition_matches_bruteforce():
     rng = random.Random(13)
     for _ in range(120):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5]), rng)
-        sides = bipartition(g)
+        sides = bipartition_within(g, g.full_mask)
         assert (sides is not None) == brute_is_bipartite(g)
         if sides is not None:
             a, b = sides

@@ -30,7 +30,7 @@ from cdcolor.generate import (
     random_graph,
     random_split_graph,
 )
-from cdcolor.graph import Graph, components_within
+from cdcolor.graph import Graph, components_within, split_partition
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
 from cdcolor.split import cd_chromatic_split
 from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
@@ -220,6 +220,24 @@ def test_kernelize_on_component_masks():
                     reduced += 1
                 assert _kernelize(g, k, comp) == want
     assert reduced > 100
+
+
+def test_split_partition_on_masks():
+    rng = random.Random(79)
+    split = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        if rng.random() < 0.5:
+            g = random_split_graph(n, rng, p=rng.random())
+        else:
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        active = rng.getrandbits(n)
+        sub, ids = g.induced(active)
+        want = split_partition(sub)
+        got = split_partition(g, active)
+        assert got == (None if want is None else tuple(back(ids, m) for m in want))
+        split += got is not None
+    assert 150 < split < 300
 
 
 def test_driver_never_hands_out_one_vertex_components():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,8 +14,13 @@ from cdcolor.generate import (
     random_split_graph,
     star_graph,
 )
-from cdcolor.graph import Graph, is_connected, split_partition
-from cdcolor.partize import partization2, partization3, partization_bruteforce
+from cdcolor.graph import Graph, is_connected, split_partition, to_dimacs
+from cdcolor.partize import (
+    partization2,
+    partization3,
+    partization_bruteforce,
+    validate_deletion,
+)
 from cdcolor.split import (
     cd_chromatic_split,
     generate_from_partization,
@@ -66,6 +72,31 @@ def test_split_chromatic_components():
     assert validate_cd_coloring(g, col).ok
 
 
+# SHA-256 of to_dimacs(random_split_graph(n, Random(seed), p, connected)),
+# keyed by (n, p, connected, seed): the generator's draws stay fixed.
+SPLIT_GRAPH_DIGESTS = {
+    (1, 0.5, False, 1): "8d8fcdfafbd591f3b2b1a1ad6b6570c756c07b7a276fc8b08032bdc8152048e0",
+    (7, 0.5, False, 2): "d217999b620a330d2c10116edef62b1de12f54a43fd1358757377157e8f18a07",
+    (12, 0.3, True, 3): "3860e3d958002aaf60a5803fe1dc157e5a44ab80914a870a9a9140fc9420557c",
+    (16, 0.8, False, 4): "d10396108d4dcab0cb61413cf85607ae0a00fb15cc1a0aeb571a2aba9669c5cd",
+    (16, 0.5, True, 5): "42f48f9eb52348da83872be2f4a4b544ab88dfcb2864c493e73b670c7c003742",
+}
+
+
+@pytest.mark.parametrize("n, p, connected, seed", sorted(SPLIT_GRAPH_DIGESTS))
+def test_random_split_graph_is_pinned(n, p, connected, seed):
+    g = random_split_graph(n, random.Random(seed), p=p, connected=connected)
+    digest = hashlib.sha256(to_dimacs(g).encode()).hexdigest()
+    assert digest == SPLIT_GRAPH_DIGESTS[n, p, connected, seed]
+
+
+def test_random_split_graph_empty_draws_nothing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert random_split_graph(0, rng) == Graph(0, [])
+    assert rng.getstate() == state
+
+
 def test_omega_equals_chi_on_split_corpus():
     rng = random.Random(173)
     count = 0
@@ -83,9 +114,9 @@ def test_omega_equals_chi_on_split_corpus():
 
 def test_split_partization_named():
     assert split_partization(complete_graph(4), 1, 3) is not None
-    assert split_partization(complete_graph(4), 1, 3).bit_count() == 1
+    assert split_partization(complete_graph(4), 1, 3).size == 1
     assert split_partization(complete_graph(4), 0, 3) is None
-    assert split_partization(star_graph(3), 0, 2) == 0
+    assert split_partization(star_graph(3), 0, 2).deleted == 0
     with pytest.raises(NotSplitError):
         split_partization(cycle_graph(4), 1, 2)
 
@@ -107,9 +138,10 @@ def test_split_partization_matches_oracle():
                 want = partization_bruteforce(g, k, q)
                 assert (got is None) == (want is None), (g.adj, k, q)
                 if got is not None:
-                    assert got.bit_count() <= k
-                    sub, _ = g.without(got)
+                    assert got.size <= k
+                    sub, _ = g.without(got.deleted)
                     assert cd_chromatic_split(sub)[0] <= q
+                    assert validate_deletion(g, got, q).ok
 
 
 def test_setcover_generator_examples():
