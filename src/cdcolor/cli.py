@@ -24,7 +24,7 @@ from .generate import (
     random_graph,
     random_split_graph,
 )
-from .graph import Graph, detect_format, parse_graph, to_dimacs
+from .graph import Graph, detect_format, label_lookup, parse_graph, to_dimacs
 from .partize import (
     BRUTE_K_CAP,
     BRUTE_N_CAP,
@@ -221,12 +221,12 @@ def _cmd_validate(args) -> int:
     cert = json.loads(Path(args.cert).read_text())
     if not isinstance(cert, dict):
         raise CdColorError("certificate must be a JSON object")
-    index = {g.label(v): v for v in range(g.n)}
+    vertex = label_lookup(g)
     try:
-        tds = mask_of(index[x] for x in cert.get("set", []))
-        deleted = mask_of(index[x] for x in cert.get("deleted", []))
-        classes = tuple(tuple(index[x] for x in cls) for cls in cert.get("classes", []))
-        dominators = tuple(index[x] for x in cert.get("dominators", []))
+        tds = mask_of(vertex(x) for x in cert.get("set", []))
+        deleted = mask_of(vertex(x) for x in cert.get("deleted", []))
+        classes = tuple(tuple(vertex(x) for x in cls) for cls in cert.get("classes", []))
+        dominators = tuple(vertex(x) for x in cert.get("dominators", []))
     except KeyError as exc:
         print(f"invalid: certificate references unknown vertex {exc}")
         return 2

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .bits import iter_bits, lowest_bit, mask_of
-from .graph import Graph, components_within
+from .bits import iter_bits, mask_of
+from .graph import Graph, iter_components, label_lookup
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,10 @@ class CdColoring:
 
     @staticmethod
     def from_payload(payload: dict, g: Graph) -> "CdColoring":
-        label_to_index = {g.label(v): v for v in range(g.n)}
+        vertex = label_lookup(g)
         try:
-            classes = tuple(
-                tuple(label_to_index[x] for x in cls) for cls in payload["classes"]
-            )
-            dominators = tuple(label_to_index[x] for x in payload["dominators"])
+            classes = tuple(tuple(vertex(x) for x in cls) for cls in payload["classes"])
+            dominators = tuple(vertex(x) for x in payload["dominators"])
         except KeyError as exc:
             raise ValueError(f"certificate references unknown vertex {exc}") from None
         return CdColoring(classes, dominators)
@@ -93,16 +91,20 @@ def solve_per_component(
     if active is None:
         active = g.full_mask
     total = 0
-    parts: List[CdColoring] = []
-    for comp in components_within(g, active):
+    classes: List[Tuple[int, ...]] = []
+    doms: List[int] = []
+    for comp in iter_components(g, active):
         if comp & (comp - 1):
             q, coloring = solve(g, comp)
+            total += q
+            classes.extend(coloring.classes)
+            doms.extend(coloring.dominators)
         else:
-            v = lowest_bit(comp)
-            q, coloring = 1, CdColoring(((v,),), (v,))
-        total += q
-        parts.append(coloring)
-    return total, merge_colorings(parts)
+            v = comp.bit_length() - 1
+            total += 1
+            classes.append((v,))
+            doms.append(v)
+    return total, CdColoring(tuple(classes), tuple(doms))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,18 @@ set is the cd-chromatic number.
 The product is computed per Hamming-weight layer: multiplying the
 weight-``i`` slice of one table by a single monomial ``z**s`` is a left
 shift by ``s``, and masking the result to weight ``i + j`` keeps exactly
-the carry-free sums, which are the unions of disjoint pairs.  Iterating
-the monomials of the lighter slice keeps each layer product linear in
-the table size.
+the carry-free sums, which are the unions of disjoint pairs.
+
+Powers are built with the top-vertex rule of set partitioning
+(Björklund, Husfeldt and Koivisto): a member ``T`` of power ``a + 1`` is
+a union of ``a + 1`` disjoint family members, and the one holding
+``max(T)`` is some ``F`` whose rest ``S`` is a member of power ``a``
+lying wholly below ``max(F)``.  Conversely every such pair is disjoint
+and its union is in power ``a + 1``.  So ``power(a) * family`` only
+needs the pairs with ``max(F) > max(S)``: for each ``F`` the power's
+slice is cut to its low ``2**max(F)`` bits before the shift, and most
+shifts are far narrower than the ``2**n``-bit table.  The tables come
+out the same bit for bit.
 
 The search meets in the middle: the full set lies in power ``a + b``
 exactly when some member ``S`` of power ``a`` has its complement in
@@ -59,17 +68,25 @@ def _set_positions(bits: int) -> List[int]:
 
 
 class CoefficientTable:
-    """Boolean table over the subsets of an ``n``-element universe."""
+    """Boolean table over the subsets of an ``n``-element universe.
 
-    __slots__ = ("n", "bits", "_slices", "_members")
+    ``power_of`` is set to ``r`` on a table that :func:`star_product`
+    built as a power of ``r``.  Like the slice cache, it assumes that a
+    table's bits never change after construction.
+    """
 
-    def __init__(self, n: int, bits: int = 0):
+    __slots__ = ("n", "bits", "power_of", "_slices", "_members")
+
+    def __init__(
+        self, n: int, bits: int = 0, power_of: Optional["CoefficientTable"] = None
+    ):
         if n < 0:
             raise ValueError("universe size must be non-negative")
         if bits >> (1 << n):
             raise ValueError("table has entries beyond 2**n")
         self.n = n
         self.bits = bits
+        self.power_of = power_of
         self._slices: Optional[List[int]] = None
         self._members: Dict[int, List[int]] = {}
 
@@ -89,9 +106,6 @@ class CoefficientTable:
             masks = weight_masks(self.n)
             self._slices = [self.bits & masks[i] for i in range(self.n + 1)]
         return self._slices[weight]
-
-    def slice_count(self, weight: int) -> int:
-        return self.slice(weight).bit_count()
 
     def slice_members(self, weight: int) -> List[int]:
         if weight not in self._members:
@@ -146,39 +160,74 @@ def build_color_class_family(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> Coeffici
     return CoefficientTable(g.n, table)
 
 
+def _top_product(p: CoefficientTable, r: CoefficientTable) -> int:
+    """Bits of the unions ``S | F`` of a ``p``-member ``S`` and a disjoint
+    ``r``-member ``F`` with ``max(F) > max(S)``, where ``max`` of the
+    empty set is -1; the empty set is kept when both tables hold it.
+
+    For weights ``(i, j)`` one of two loops runs.  The narrow loop walks
+    ``r``'s members ``F`` in ascending order and shifts ``p``'s slice cut
+    to its low ``2**max(F)`` bits, so the accumulator stays under
+    ``2**(max(F) + 2)`` bits; it touches about ``2**(max(F) + 1)`` bits
+    per ``F``.  The wide loop walks ``p``'s members ``S`` and shifts
+    ``r``'s slice with its low ``2**(max(S) + 1)`` bits cleared, about
+    ``2**n`` bits per ``S``.  The cheaper one is taken.
+    """
+    n = p.n
+    masks = weight_masks(n)
+    out = p.bits & r.bits & 1
+    # narrow[j]: bits the narrow loop touches for r's weight-j members
+    narrow = [
+        sum(1 << f.bit_length() for f in r.slice_members(j)) for j in range(n + 1)
+    ]
+    for i in range(n + 1):
+        ps = p.bits & masks[i]  # not cached: a power is multiplied once
+        ci = ps.bit_count()
+        if not ci:
+            continue
+        members = None
+        cuts: Dict[int, int] = {}  # max vertex m -> p's slice below bit 2**m
+        for j in range(1, n + 1 - i):
+            if not narrow[j]:
+                continue
+            acc = 0
+            if narrow[j] <= ci << n:
+                for f in r.slice_members(j):
+                    m = f.bit_length() - 1
+                    cut = cuts.get(m)
+                    if cut is None:
+                        cut = cuts[m] = ps & ((1 << (1 << m)) - 1)
+                    acc |= cut << f
+            else:
+                if members is None:
+                    members = _set_positions(ps)
+                other = r.slice(j)
+                top = -1
+                for s in members:
+                    if s.bit_length() != top:
+                        top = s.bit_length()  # max(S) + 1
+                        high = other >> (1 << top) << (1 << top)
+                    acc |= high << s
+            out |= acc & masks[i + j]
+    return out
+
+
 def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     """Table of all unions of a ``p``-member and a disjoint ``r``-member.
 
-    Layer by layer: for weights ``(i, j)`` the product accumulates, for
-    every member ``s`` of the lighter slice, the other slice shifted by
-    ``s``; keeping only weight ``i + j`` discards every overlapping pair
-    because a carry always lowers the popcount of a sum.
+    Two disjoint members differ in their top vertex unless both are
+    empty, so the product is ``_top_product(p, r) | _top_product(r, p)``.
+    When ``p`` is ``r`` or a power of ``r``, the first term alone is the
+    product: a union of disjoint ``r``-members is also the union of the
+    member holding its top vertex and a lower union of the others.  Such
+    a result is marked as a power of ``r``, so folding ``star_product``
+    over copies of one table takes the one-direction path throughout.
     """
     if p.n != r.n:
         raise ValueError(f"universe size mismatch: {p.n} != {r.n}")
-    n = p.n
-    masks = weight_masks(n)
-    out = 0
-    for i in range(n + 1):
-        ci = p.slice_count(i)
-        if not ci:
-            continue
-        for j in range(n + 1 - i):
-            cj = r.slice_count(j)
-            if not cj:
-                continue
-            target = masks[i + j]
-            acc = 0
-            if ci <= cj:
-                other = r.slice(j)
-                for s in p.slice_members(i):
-                    acc |= other << s
-            else:
-                other = p.slice(i)
-                for s in r.slice_members(j):
-                    acc |= other << s
-            out |= acc & target
-    return CoefficientTable(n, out)
+    if r is p or p.power_of is r:
+        return CoefficientTable(p.n, _top_product(p, r), power_of=r)
+    return CoefficientTable(p.n, _top_product(p, r) | _top_product(r, p))
 
 
 def _dominator_of(g: Graph, class_mask: int) -> int:

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import PreconditionError
-from .graph import Graph, bipartition_within, components_within
+from .graph import Graph, bipartition_within, iter_components
 
 
 def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int]:
@@ -286,7 +286,7 @@ def demand_sides(
     on the first side and surviving ``q`` on the second, or None."""
     rest = (g.full_mask if active is None else active) & ~oct_mask
     first = second = 0
-    for comp in components_within(g, rest):
+    for comp in iter_components(g, rest):
         sides = bipartition_within(g, comp)
         if sides is None:
             return None

@@ -9,7 +9,7 @@ predicates here are pure functions, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import ParseError
@@ -123,6 +123,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def label_lookup(g: Graph) -> Callable[[object], int]:
+    """Map a label value, as read from JSON, to its vertex id.
+
+    The returned function raises ``KeyError`` for a value that is no
+    label of ``g``, including one that equals a label but has another
+    type: ``True`` and ``8.0`` hash like the labels ``1`` and ``8``.
+    """
+    index = {g.label(v): v for v in range(g.n)}
+
+    def lookup(value) -> int:
+        v = index[value]
+        if type(value) is not type(g.label(v)):
+            raise KeyError(value)
+        return v
+
+    return lookup
 
 
 # -- parsing / serialization -------------------------------------------------
@@ -252,23 +270,34 @@ def to_dimacs(g: Graph, comments: Sequence[str] = ()) -> str:
 # -- connectivity ------------------------------------------------------------
 
 
-def components_within(g: Graph, active: int) -> List[int]:
-    """Connected components of ``g`` restricted to the ``active`` mask."""
-    out = []
-    rest = active
-    while rest:
-        comp = rest & -rest
-        frontier = comp
+def iter_components(g: Graph, active: int) -> Iterator[int]:
+    """Connected components of ``g[active]``, by lowest vertex, one at a time.
+
+    Start vertices come from one forward scan over the binary digits of
+    ``active``, in which each vertex a component claims is cleared.  No
+    shrinking remainder is kept and only the current component is held,
+    so a graph with many small components costs memory for one component
+    at a time.
+    """
+    unclaimed = bytearray(bin(active)[:1:-1], "ascii")  # b"1" at each vertex
+    start = unclaimed.find(49)
+    while start >= 0:
+        comp = frontier = 1 << start
         while frontier:
             grow = 0
             for v in iter_bits(frontier):
+                unclaimed[v] = 48
                 grow |= g.adj[v]
             grow &= active & ~comp
             comp |= grow
             frontier = grow
-        out.append(comp)
-        rest &= ~comp
-    return out
+        yield comp
+        start = unclaimed.find(49, start + 1)
+
+
+def components_within(g: Graph, active: int) -> List[int]:
+    """Connected components of ``g`` restricted to the ``active`` mask."""
+    return list(iter_components(g, active))
 
 
 def connected_components(g: Graph) -> List[int]:

@@ -39,7 +39,7 @@ from .exact import cd_chromatic_bruteforce
 from .fpt import (
     oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
 )
-from .graph import Graph, bipartition_within, components_within
+from .graph import Graph, bipartition_within, components_within, iter_components
 
 BRUTE_N_CAP = 9
 BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
@@ -366,7 +366,7 @@ def cd_recognize_upto3(
     """
     total = 0
     out: List[Tuple[int, TypeWitness]] = []
-    for comp in components_within(g, g.full_mask if active is None else active):
+    for comp in iter_components(g, g.full_mask if active is None else active):
         res = _component_upto3(g, comp)
         if res is None:
             return None

@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError, PreconditionError
-from .graph import Graph, connected_components, find_triangle, girth, is_connected
+from .graph import Graph, find_triangle, girth, is_connected, iter_components
 
 BRUTE_N_CAP = 20
 BRUTE_K_CAP = 6
@@ -205,7 +205,7 @@ def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     if k < 1:
         return None
     total = 0
-    for comp in connected_components(g):
+    for comp in iter_components(g, g.full_mask):
         reduced = _kernelize(g, k, comp)
         if isinstance(reduced, str):
             return None

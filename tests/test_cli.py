@@ -146,6 +146,25 @@ def test_validate_reports_unknown_labels_as_invalid(tmp_path, capsys):
         )
 
 
+def test_validate_matches_labels_by_type(tmp_path, capsys):
+    path = str(tmp_path / "g.dimacs")
+    cert = tmp_path / "t.json"
+    assert main(["gen", "random", "--n", "8", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    labels = list(range(1, 9))
+    for i, value, shown in ((0, True, "True"), (7, 8.0, "8.0"), (0, "1", "'1'")):
+        tampered = labels[:i] + [value] + labels[i + 1 :]
+        cert.write_text(json.dumps({"size": 8, "set": tampered}))
+        assert main(["validate", path, str(cert)]) == 2
+        assert capsys.readouterr() == (
+            f"invalid: certificate references unknown vertex {shown}\n",
+            "",
+        )
+    cert.write_text(json.dumps({"size": 8, "set": labels}))
+    assert main(["validate", path, str(cert)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 WRONG_SHAPE = (
     "invalid: certificate has the wrong shape: set, deleted, dominators "
     "and each class must be lists of vertex labels\n"

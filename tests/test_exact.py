@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import reduce
 
@@ -20,6 +21,7 @@ from cdcolor.generate import (
     disjoint_union,
     path_graph,
     petersen_graph,
+    random_connected_graph,
     random_family_masks,
     random_graph,
     star_graph,
@@ -152,6 +154,46 @@ def test_power_bit_iff_partition_exists():
                 ), (n, fam, ell, w)
 
 
+def random_table(n, rng):
+    """Random table over an n-universe, about a third holding the empty set,
+    with its member list."""
+    fam = random_family_masks(n, rng.randint(1, 16), rng)
+    fam += [0] * (rng.random() < 0.3)
+    return table_from_masks(n, fam), fam
+
+
+def test_powers_take_the_top_vertex_path_and_match_the_general_product():
+    rng = random.Random(53)
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        table, fam = random_table(n, rng)
+        power = general = table
+        for ell in (2, 3, 4):
+            power = star_product(power, table)
+            general = star_product(general, CoefficientTable(n, table.bits))
+            assert power.power_of is table and general.power_of is None
+            assert power == general, (n, fam, ell)
+        assert reduce(star_product, [table] * 4) == power
+        for w in range(1 << n):
+            assert power.contains(w) == brute_partition_into_family(w, fam, 4)
+
+
+def test_table_equal_to_but_not_r_takes_the_general_path():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p, fam_p = random_table(n, rng)
+        r, fam_r = random_table(n, rng)
+        got = star_product(CoefficientTable(n, p.bits), p)
+        assert got.power_of is None
+        assert set(got.members()) == brute_disjoint_union_masks(fam_p, fam_p)
+        square = star_product(p, p)
+        mixed = star_product(square, r)
+        assert mixed.power_of is None
+        want = brute_disjoint_union_masks(square.members(), fam_r)
+        assert set(mixed.members()) == want
+
+
 KNOWN_VALUES = [
     (cycle_graph(4), 2),
     (cycle_graph(5), 3),
@@ -276,3 +318,22 @@ def test_validate_rejects_bad_colorings():
 def test_validate_c4_example():
     c4 = cycle_graph(4)
     assert validate_cd_coloring(c4, CdColoring(((0, 2), (1, 3)), (1, 0))).ok
+
+
+# SHA-256 of repr([cd_chromatic_exact(g) for p in (0.2, 0.5)]) on
+# random_connected_graph(n, p, Random(n)), taken from the engine that
+# multiplied every weight pair over the full table width.
+EXACT_DIGESTS = {
+    16: "6c627bc630dfe8b01be4da685a1537a0cf0004c2352fe688169592f6ae50d78c",
+    17: "8d724f51718ad1beb7d48b3af07b5aef77285dc95ec6e33147aaa3970fb300b9",
+    18: "53c576a071b014065596243a75fbd75d3ed927a595bd89b7ac0005091a1fd066",
+    19: "037b53b4a0e677b6a378d4bd4e36775f7144cff413503f57963ec018dc65d4e0",
+    20: "69bfd89b0f4e7c4e28d12df486355a370b4f6a30d8506f8728831dae01398aeb",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_DIGESTS))
+def test_exact_answers_are_pinned(n):
+    rng = random.Random(n)
+    answers = [cd_chromatic_exact(random_connected_graph(n, p, rng)) for p in (0.2, 0.5)]
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == EXACT_DIGESTS[n]

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.errors import ParseError
+from cdcolor.exact import cd_chromatic_exact
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -17,6 +19,7 @@ from cdcolor.graph import (
     MAX_VERTICES,
     Graph,
     bipartition_within,
+    components_within,
     connected_components,
     detect_format,
     find_triangle,
@@ -130,6 +133,38 @@ def test_components():
     two = disjoint_union(cycle_graph(4), Graph(1, [0]))
     comps = connected_components(two)
     assert sorted(c.bit_count() for c in comps) == [1, 4]
+
+
+def test_components_within_matches_search():
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_graph(rng.randint(0, 14), rng.choice([0.05, 0.15, 0.4]), rng)
+        active = rng.getrandbits(g.n)
+        want, seen = [], 0
+        for v in bit_list(active):
+            if (seen >> v) & 1:
+                continue
+            comp, stack = 1 << v, [v]
+            while stack:
+                for w in bit_list(g.adj[stack.pop()] & active & ~comp):
+                    comp |= 1 << w
+                    stack.append(w)
+            want.append(comp)
+            seen |= comp
+        assert components_within(g, active) == want
+
+
+def test_many_singleton_components_are_walked_one_at_a_time():
+    g = parse_graph("1 2\n2 65536\n", "edgelist")
+    tracemalloc.start()
+    try:
+        q, coloring = cd_chromatic_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == coloring.q == 65535
+    assert sorted(coloring.classes[0] + coloring.classes[1]) == [0, 1, 65535]
+    assert peak < 32 << 20
 
 
 def test_girth_named():
