@@ -10,7 +10,7 @@ open-neighborhood reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bits import iter_bits, mask_of
 from .graph import Graph, iter_components, label_lookup
@@ -64,7 +64,7 @@ def make_coloring(class_masks: Sequence[int], dominators: Sequence[int]) -> CdCo
     return CdColoring(tuple(classes), tuple(doms))
 
 
-def merge_colorings(parts: Sequence[CdColoring]) -> CdColoring:
+def merge_colorings(parts: Iterable[CdColoring]) -> CdColoring:
     """Concatenate colorings of vertex-disjoint subgraphs."""
     classes: List[Tuple[int, ...]] = []
     doms: List[int] = []
@@ -86,25 +86,26 @@ def solve_per_component(
     additive over components.  ``solve`` answers in ``g``'s vertex ids;
     the colorings are concatenated in component order (by lowest
     vertex).  A one-vertex component is its own class without a call to
-    ``solve``.  An empty vertex set has the empty coloring.
+    ``solve``.  An empty vertex set has the empty coloring.  Components
+    are solved one at a time as the merge consumes them.
     """
     if active is None:
         active = g.full_mask
     total = 0
-    classes: List[Tuple[int, ...]] = []
-    doms: List[int] = []
-    for comp in iter_components(g, active):
-        if comp & (comp - 1):
-            q, coloring = solve(g, comp)
+
+    def parts() -> Iterator[CdColoring]:
+        nonlocal total
+        for comp in iter_components(g, active):
+            if comp & (comp - 1):
+                q, coloring = solve(g, comp)
+            else:
+                v = comp.bit_length() - 1
+                q, coloring = 1, CdColoring(((v,),), (v,))
             total += q
-            classes.extend(coloring.classes)
-            doms.extend(coloring.dominators)
-        else:
-            v = comp.bit_length() - 1
-            total += 1
-            classes.append((v,))
-            doms.append(v)
-    return total, CdColoring(tuple(classes), tuple(doms))
+            yield coloring
+
+    merged = merge_colorings(parts())
+    return total, merged
 
 
 @dataclass(frozen=True)

@@ -70,23 +70,21 @@ def _set_positions(bits: int) -> List[int]:
 class CoefficientTable:
     """Boolean table over the subsets of an ``n``-element universe.
 
-    ``power_of`` is set to ``r`` on a table that :func:`star_product`
-    built as a power of ``r``.  Like the slice cache, it assumes that a
-    table's bits never change after construction.
+    ``_power_of`` is set to ``r`` only by :func:`star_product`, on a
+    table it built as a power of ``r``.  Like the slice cache, it assumes
+    that a table's bits never change after construction.
     """
 
-    __slots__ = ("n", "bits", "power_of", "_slices", "_members")
+    __slots__ = ("n", "bits", "_power_of", "_slices", "_members")
 
-    def __init__(
-        self, n: int, bits: int = 0, power_of: Optional["CoefficientTable"] = None
-    ):
+    def __init__(self, n: int, bits: int = 0):
         if n < 0:
             raise ValueError("universe size must be non-negative")
         if bits >> (1 << n):
             raise ValueError("table has entries beyond 2**n")
         self.n = n
         self.bits = bits
-        self.power_of = power_of
+        self._power_of: Optional["CoefficientTable"] = None
         self._slices: Optional[List[int]] = None
         self._members: Dict[int, List[int]] = {}
 
@@ -225,8 +223,10 @@ def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     """
     if p.n != r.n:
         raise ValueError(f"universe size mismatch: {p.n} != {r.n}")
-    if r is p or p.power_of is r:
-        return CoefficientTable(p.n, _top_product(p, r), power_of=r)
+    if r is p or p._power_of is r:
+        out = CoefficientTable(p.n, _top_product(p, r))
+        out._power_of = r
+        return out
     return CoefficientTable(p.n, _top_product(p, r) | _top_product(r, p))
 
 
