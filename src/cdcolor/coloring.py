@@ -96,10 +96,10 @@ def solve_per_component(
     def parts() -> Iterator[CdColoring]:
         nonlocal total
         for comp in iter_components(g, active):
-            if comp & (comp - 1):
+            v = comp.bit_length() - 1
+            if g.adj[v] & active:
                 q, coloring = solve(g, comp)
             else:
-                v = comp.bit_length() - 1
                 q, coloring = 1, CdColoring(((v,),), (v,))
             total += q
             yield coloring

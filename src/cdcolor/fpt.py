@@ -18,7 +18,9 @@ joined to the two sets.
 
 A subproblem is a vertex mask of the input graph: the routines take an
 optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
-vertex ids.
+vertex ids.  Bipartiteness tests and side demands read the two-colorings
+that ``graph.component_sides`` finds in one breadth-first walk per
+component.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import PreconditionError
-from .graph import Graph, bipartition_within, iter_components
+from .graph import Graph, bipartition_within, component_sides
 
 
 def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int]:
@@ -222,17 +224,13 @@ def _compress(
 
 
 def _minimalize_oct(g: Graph, oct_mask: int, active: int) -> int:
-    """Drop removable vertices (ascending) until the OCT of ``g[active]``
-    is minimal."""
-    changed = True
-    while changed:
-        changed = False
-        for v in iter_bits(oct_mask):
-            cand = oct_mask & ~(1 << v)
-            if bipartition_within(g, active & ~cand) is not None:
-                oct_mask = cand
-                changed = True
-                break
+    """Drop removable vertices, ascending, so the OCT of ``g[active]`` is
+    minimal.  One pass suffices: a vertex that cannot leave the
+    transversal cannot leave a smaller one, whose remainder is larger."""
+    for v in iter_bits(oct_mask):
+        cand = oct_mask & ~(1 << v)
+        if bipartition_within(g, active & ~cand) is not None:
+            oct_mask = cand
     return oct_mask
 
 
@@ -286,19 +284,16 @@ def demand_sides(
     on the first side and surviving ``q`` on the second, or None."""
     rest = (g.full_mask if active is None else active) & ~oct_mask
     first = second = 0
-    for comp in iter_components(g, rest):
-        sides = bipartition_within(g, comp)
+    for _, sides in component_sides(g, rest):
         if sides is None:
             return None
         a, b = sides
-        if not (p_mask & b) and not (q_mask & a):
-            first |= a
-            second |= b
-        elif not (p_mask & a) and not (q_mask & b):
-            first |= b
-            second |= a
-        else:
-            return None
+        if p_mask & b or q_mask & a:
+            a, b = b, a
+            if p_mask & b or q_mask & a:
+                return None
+        first |= a
+        second |= b
     return first, second
 
 

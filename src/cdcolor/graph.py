@@ -9,6 +9,7 @@ predicates here are pure functions, so concurrent readers are safe.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
@@ -270,43 +271,62 @@ def to_dimacs(g: Graph, comments: Sequence[str] = ()) -> str:
 # -- connectivity ------------------------------------------------------------
 
 
-def iter_components(g: Graph, active: int) -> Iterator[int]:
-    """Connected components of ``g[active]``, by lowest vertex, one at a time.
+def component_sides(
+    g: Graph, active: int
+) -> Iterator[Tuple[int, Optional[Tuple[int, int]]]]:
+    """Connected components of ``g[active]``, by lowest vertex, one
+    breadth-first search each, with their two-colorings.
 
-    Start vertices come from one forward scan over the binary digits of
-    ``active``, in which each vertex a component claims is cleared.  No
-    shrinking remainder is kept and only the current component is held,
-    so a graph with many small components costs memory for one component
-    at a time.
+    Yields ``(comp, sides)``: ``sides`` holds the vertices at even and at
+    odd distance from the component's lowest vertex, or is None when an
+    edge joins two vertices of one layer (an odd cycle).  Start vertices
+    come from one forward scan over the binary digits of ``active``, in
+    which each claimed vertex is cleared, so only the current component
+    is held, and a vertex with no active neighbor costs no search.
     """
     unclaimed = bytearray(bin(active)[:1:-1], "ascii")  # b"1" at each vertex
     start = unclaimed.find(49)
     while start >= 0:
         comp = frontier = 1 << start
+        sides = [comp, 0]  # vertices at even and at odd distance
+        parity = 0
+        odd_cycle = False
+        if not g.adj[start] & active:
+            frontier = 0  # a lone vertex needs no search
         while frontier:
             grow = 0
             for v in iter_bits(frontier):
                 unclaimed[v] = 48
                 grow |= g.adj[v]
+            if grow & frontier:
+                odd_cycle = True
             grow &= active & ~comp
             comp |= grow
+            parity ^= 1
+            sides[parity] |= grow
             frontier = grow
-        yield comp
+        yield comp, None if odd_cycle else (sides[0], sides[1])
         start = unclaimed.find(49, start + 1)
 
 
-def components_within(g: Graph, active: int) -> List[int]:
-    """Connected components of ``g`` restricted to the ``active`` mask."""
-    return list(iter_components(g, active))
+def iter_components(g: Graph, active: int) -> Iterator[int]:
+    """Connected components of ``g[active]``, by lowest vertex, one at a time."""
+    return (comp for comp, _ in component_sides(g, active))
 
 
 def connected_components(g: Graph) -> List[int]:
     """Vertex-set masks of the connected components, by lowest vertex."""
-    return components_within(g, g.full_mask)
+    return list(iter_components(g, g.full_mask))
+
+
+def more_components_than(g: Graph, active: int, count: int) -> bool:
+    """Whether ``g[active]`` has more than ``count`` components; stops
+    after walking ``count + 1`` of them."""
+    return next(islice(iter_components(g, active), count, None), None) is not None
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return not more_components_than(g, g.full_mask, 1)
 
 
 # -- cycles and colorings ----------------------------------------------------
@@ -347,32 +367,11 @@ def bipartition_within(g: Graph, active: int) -> Optional[Tuple[int, int]]:
     component goes on side A.
     """
     side_a = side_b = 0
-    seen = 0
-    rest = active
-    while rest:
-        s = lowest_bit(rest)
-        seen |= 1 << s
-        side_a |= 1 << s
-        frontier = 1 << s
-        cur_side = 0  # 0: frontier is on side A
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            grow &= active & ~seen
-            # conflicts: a frontier vertex adjacent to its own side
-            for v in iter_bits(frontier):
-                same = side_a if cur_side == 0 else side_b
-                if g.adj[v] & same & active:
-                    return None
-            seen |= grow
-            if cur_side == 0:
-                side_b |= grow
-            else:
-                side_a |= grow
-            frontier = grow
-            cur_side ^= 1
-        rest = active & ~seen
+    for _, sides in component_sides(g, active):
+        if sides is None:
+            return None
+        side_a |= sides[0]
+        side_b |= sides[1]
     return side_a, side_b
 
 
@@ -420,13 +419,9 @@ def split_partition(
     for u in iter_bits(indep):
         if g.adj[u] & indep:
             return None
-    # absorb independent vertices complete to the clique (keeps it maximum)
-    while True:
-        for v in iter_bits(indep):
-            if g.adj[v] & clique == clique:
-                clique |= 1 << v
-                indep &= ~(1 << v)
-                break
-        else:
-            break
+    # absorb an independent vertex complete to the clique (keeps it
+    # maximum); a second one would have to be adjacent to the first
+    for v in iter_bits(indep):
+        if g.adj[v] & clique == clique:
+            return clique | (1 << v), indep & ~(1 << v)
     return clique, indep

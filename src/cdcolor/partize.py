@@ -39,7 +39,7 @@ from .exact import cd_chromatic_bruteforce
 from .fpt import (
     oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
 )
-from .graph import Graph, bipartition_within, components_within, iter_components
+from .graph import Graph, bipartition_within, iter_components, more_components_than
 
 BRUTE_N_CAP = 9
 BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
@@ -220,9 +220,11 @@ def delete_to_type4(
         active = g.full_mask
     for x in iter_bits(active):
         ax = g.adj[x] & active
-        for y in iter_bits(ax):
+        # a triangle's rotations have the same parts, so x is its lowest vertex
+        above = ax & ~((2 << x) - 1)
+        for y in iter_bits(above):
             ay = g.adj[y] & active
-            for z in iter_bits(ax & ay):
+            for z in iter_bits(above & ay):
                 x_cand = ax & ~g.closed(y)
                 y_cand = ay & ~g.closed(z)
                 z_cand = g.adj[z] & active & ~g.closed(x)
@@ -334,7 +336,7 @@ def recognize_type(
         raise ValueError(f"unknown type {t}")
     if active is None:
         active = g.full_mask
-    if len(components_within(g, active)) > 1:
+    if more_components_than(g, active, 1):
         raise PreconditionError("type recognition works on connected graphs")
     if t == 0:
         return _type0(g, active)
@@ -345,13 +347,16 @@ def recognize_type(
 def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[int, TypeWitness]]:
     if comp.bit_count() == 1:
         return 1, _type0(g, comp)
-    w = recognize_type(g, 1, comp)
+    sol = _TYPE_SOLVERS[0](g, 0, comp)
+    if sol is not None:
+        return 2, sol.plan[0][1]
+    w = _type0(g, comp)
     if w is not None:
-        return 2, w
-    for t in (0, 2, 3, 4, 5):
-        w = recognize_type(g, t, comp)
-        if w is not None:
-            return 3, w
+        return 3, w
+    for solver in _TYPE_SOLVERS[1:]:
+        sol = solver(g, 0, comp)
+        if sol is not None:
+            return 3, sol.plan[0][1]
     return None
 
 
@@ -399,11 +404,13 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
     a single connected remainder of each type in order.  A lone vertex
     beside a Type 1 component is already covered by the Type 2 pass,
     whose inner search may delete the retained vertex's neighborhood.
+    With more than 3 + k components the answer is NO at once: k deletions
+    empty at most k of them, and every other one needs a class of its own.
     """
     if k < 0:
         return None
     small = _small_remainder(g, k, 3)
-    if small is not None:
+    if small is not None or more_components_than(g, g.full_mask, 3 + k):
         return small
     for solver in _TYPE_SOLVERS:
         sol = solver(g, k)
@@ -413,11 +420,12 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
 
 
 def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
-    """Delete at most k vertices so the rest is 2-cd-colorable."""
+    """Delete at most k vertices so the rest is 2-cd-colorable (NO at once
+    with more than 2 + k components, as in ``partization3``)."""
     if k < 0:
         return None
     small = _small_remainder(g, k, 2)
-    if small is not None:
+    if small is not None or more_components_than(g, g.full_mask, 2 + k):
         return small
     return delete_to_type1(g, k)
 

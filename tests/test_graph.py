@@ -19,11 +19,11 @@ from cdcolor.graph import (
     MAX_VERTICES,
     Graph,
     bipartition_within,
-    components_within,
     connected_components,
     detect_format,
     find_triangle,
     girth,
+    iter_components,
     parse_graph,
     split_partition,
     to_dimacs,
@@ -151,7 +151,7 @@ def test_components_within_matches_search():
                     stack.append(w)
             want.append(comp)
             seen |= comp
-        assert components_within(g, active) == want
+        assert list(iter_components(g, active)) == want
 
 
 def test_many_singleton_components_are_walked_one_at_a_time():
@@ -159,11 +159,13 @@ def test_many_singleton_components_are_walked_one_at_a_time():
     tracemalloc.start()
     try:
         q, coloring = cd_chromatic_exact(g)
+        sides = bipartition_within(g, g.full_mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert q == coloring.q == 65535
     assert sorted(coloring.classes[0] + coloring.classes[1]) == [0, 1, 65535]
+    assert sides == (g.full_mask & ~0b10, 0b10)
     assert peak < 32 << 20
 
 

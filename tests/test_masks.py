@@ -30,10 +30,18 @@ from cdcolor.generate import (
     random_graph,
     random_split_graph,
 )
-from cdcolor.graph import Graph, components_within, split_partition
+from cdcolor.graph import (
+    Graph,
+    bipartition_within,
+    component_sides,
+    iter_components,
+    split_partition,
+)
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
 from cdcolor.split import cd_chromatic_split
 from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
+
+from _brute import brute_is_bipartite
 
 
 def random_instances(count, seed):
@@ -87,6 +95,33 @@ def test_vertex_cover_and_oct_on_masks():
         )
 
 
+def test_two_colorings_on_masks():
+    rng = random.Random(80)
+    odd = 0
+    for _ in range(300):
+        g = random_graph(rng.randint(0, 14), rng.choice([0.1, 0.2, 0.35]), rng)
+        active = rng.getrandbits(g.n)
+        sub, ids = g.induced(active)
+        want = [
+            (back(ids, comp), sides and (back(ids, sides[0]), back(ids, sides[1])))
+            for comp, sides in component_sides(sub, sub.full_mask)
+        ]
+        got = list(component_sides(g, active))
+        assert got == want
+        assert [comp for comp, _ in got] == list(iter_components(g, active))
+        for comp, sides in got:
+            assert (sides is not None) == brute_is_bipartite(g.induced(comp)[0])
+            if sides is not None:
+                a, b = sides
+                assert a | b == comp and not a & b and a & -a == comp & -comp
+        whole = bipartition_within(sub, sub.full_mask)
+        assert bipartition_within(g, active) == (
+            None if whole is None else (back(ids, whole[0]), back(ids, whole[1]))
+        )
+        odd += whole is None
+    assert 30 < odd < 270
+
+
 def test_oct_with_forced_sides_on_masks():
     for rng, g, active in random_instances(150, 72):
         sub, ids = g.induced(active)
@@ -138,6 +173,29 @@ def test_recognition_on_masks_of_disjoint_unions():
         assert [(c, witness_key(w)) for c, w in got.components] == [
             (back(ids, c), mapped_witness(ids, w)) for c, w in want.components
         ]
+
+
+# SHA-256 of the Type t matcher's answers below, taken from matchers that
+# tried every rotation of a Type 4 triangle and walked components and
+# two-colorings separately: neither change may alter an answer.
+MATCHER_DIGESTS = {
+    1: "bce95c190bc350452e4ca3dac83e2341ff7fc14caf39001fd748a767c90787b7",
+    2: "011b27172822150a127b362770d6b69ca01a9d93cff83a4410e5390445c6624c",
+    3: "5bd3198f8f8cb61618a1f1b1a0797c9b8245e794aca202e5c63ee1813c366663",
+    4: "a542ed1cb74b2a0e9ad4d11cfcc4bea95fee28bb9d8675106188e5560c93a781",
+    5: "14930f780ee013bdf99fc7df2c4c1c1f68f76fe9ad1b780cc987219cae2a0e82",
+}
+
+
+@pytest.mark.parametrize("t", sorted(MATCHER_DIGESTS))
+def test_matcher_answers_are_pinned(t):
+    solver = _TYPE_SOLVERS[t - 1]
+    answers = [
+        solver(g, k, active) for _, g, active in random_instances(120, 80 + t) for k in range(4)
+    ]
+    assert 100 <= sum(a is not None for a in answers) <= 300
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == MATCHER_DIGESTS[t]
 
 
 def tampered(rng, coloring, n):
@@ -211,7 +269,7 @@ def test_kernelize_on_component_masks():
     reduced = 0
     for rng, g in girth5_unions(60, 78):
         active = rng.getrandbits(g.n) | rng.getrandbits(g.n)
-        for comp in components_within(g, active):
+        for comp in iter_components(g, active):
             sub, ids = g.induced(comp)
             for k in range(1, 5):
                 want = _kernelize(sub, k, sub.full_mask)

@@ -16,7 +16,7 @@ from cdcolor.generate import (
     random_graph,
     star_graph,
 )
-from cdcolor.graph import Graph
+from cdcolor.graph import Graph, parse_graph
 from cdcolor.partize import (
     DeletionSolution,
     delete_to_type1,
@@ -214,6 +214,36 @@ def test_partization2_matches_oracle():
             assert (sol is not None) == want[k], (g.adj, k)
             if sol is not None:
                 check_yes(g, sol, k, 2)
+
+
+def test_many_components_answer_no_without_a_matcher(monkeypatch):
+    # a 4-cycle, an edge to a far vertex and 1,994 isolated vertices
+    g = parse_graph("1 2\n2 3\n3 4\n4 1\n5 6\n5 2000\n", "edgelist")
+
+    def matcher(g, k, active=None):
+        raise AssertionError("a Type matcher ran")
+
+    monkeypatch.setattr(partize, "delete_to_type1", matcher)
+    monkeypatch.setattr(partize, "_TYPE_SOLVERS", (matcher,) * 5)
+    for k in range(3):
+        assert partization3(g, k) is None
+        assert partization2(g, k) is None
+
+
+def test_component_bound_matches_oracle_on_unions():
+    rng = random.Random(173)
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
+        while sum(sizes) > partize.BRUTE_N_CAP:
+            sizes.pop()
+        g = disjoint_union(*[random_graph(n, 0.6, rng) for n in sizes])
+        for q, solver in ((3, partization3), (2, partization2)):
+            want = brute_table(g, 3, q)
+            for k in range(4):
+                sol = solver(g, k)
+                assert (sol is not None) == want[k], (g.adj, k, q)
+                if sol is not None:
+                    check_yes(g, sol, k, q)
 
 
 def test_small_remainder_answers_q_at_most_1():
