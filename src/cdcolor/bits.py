@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List
 
 _WEIGHT_MASK_CACHE: dict[int, List[int]] = {}
+_LACK_MASK_CACHE: dict[int, List[int]] = {}
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -63,3 +64,39 @@ def weight_masks(n: int) -> List[int]:
             masks[i] = lo | hi
     _WEIGHT_MASK_CACHE[n] = masks
     return masks
+
+
+def lack_masks(n: int) -> List[int]:
+    """Vertex-absence masks for a size-``n`` universe.
+
+    Entry ``i`` is a ``2**n``-bit integer whose bit ``d`` is set exactly
+    when bit ``i`` of ``d`` is clear: runs of ``2**i`` ones and zeros,
+    built by doubling one period.  Results are cached per ``n``.
+    """
+    if n in _LACK_MASK_CACHE:
+        return _LACK_MASK_CACHE[n]
+    size = 1 << n
+    masks = []
+    for i in range(n):
+        pattern, width = (1 << (1 << i)) - 1, 2 << i
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        masks.append(pattern)
+    _LACK_MASK_CACHE[n] = masks
+    return masks
+
+
+def fewer_than(n: int, a: int) -> int:
+    """``2**n``-bit table of the subsets of a size-``n`` universe with
+    fewer than ``a`` elements.
+
+    Built by the doubling of :func:`weight_masks`, keeping only the
+    rows that the last ones need instead of ``n + 1`` cached masks.
+    """
+    rows = {b: int(b > 0) for b in range(max(0, a - n), a + 1)}
+    for m in range(n):
+        half = 1 << m
+        lo = max(0, a - (n - m - 1))
+        rows = {b: rows[b] | rows.get(b - 1, 0) << half for b in range(lo, a + 1)}
+    return rows[a]

@@ -1,35 +1,39 @@
-"""Exact cd-chromatic number via set-family polynomial powers.
+"""Exact cd-chromatic number via set-family table powers.
 
 The engine represents a family of vertex subsets as one ``2**n``-bit
 integer (:class:`CoefficientTable`): bit ``d`` is set when the subset
-with characteristic value ``d`` belongs to the family.  The product of
-two tables keeps exactly the disjoint unions of their members, and the
-smallest power of the color-class family that contains the full vertex
-set is the cd-chromatic number.
+with characteristic value ``d`` belongs to the family.  Power ``a`` of
+the color-class family holds the sets that split into exactly ``a``
+color classes, and the smallest power that contains the full vertex set
+is the cd-chromatic number.
 
-The product is computed per Hamming-weight layer: multiplying the
-weight-``i`` slice of one table by a single monomial ``z**s`` is a left
-shift by ``s``, and masking the result to weight ``i + j`` keeps exactly
-the carry-free sums, which are the unions of disjoint pairs.
-
-Powers are built with the top-vertex rule of set partitioning
-(Björklund, Husfeldt and Koivisto): a member ``T`` of power ``a + 1`` is
-a union of ``a + 1`` disjoint family members, and the one holding
-``max(T)`` is some ``F`` whose rest ``S`` is a member of power ``a``
-lying wholly below ``max(F)``.  Conversely every such pair is disjoint
-and its union is in power ``a + 1``.  So ``power(a) * family`` only
-needs the pairs with ``max(F) > max(S)``: for each ``F`` the power's
-slice is cut to its low ``2**max(F)`` bits before the shift, and most
-shifts are far narrower than the ``2**n``-bit table.  The tables come
-out the same bit for bit.
+Powers are cover tables.  The family is closed under nonempty subsets (a
+subset of an independent set inside ``N[y]`` is one too) and holds every
+singleton, so a set of at least ``a`` vertices splits into exactly ``a``
+classes when at most ``a`` classes cover it: the cover/partition
+equivalence of Björklund, Husfeldt and Koivisto ("Set partitioning via
+inclusion-exclusion", SIAM J. Comput. 2009).  The sets that at most
+``a`` classes cover form a down-closed table ``D_a``, and ``D_{a+1}`` is
+the union, over the maximal classes ``M``, of ``D_a`` closed upward
+inside ``M``: ``x |= (x & lack[i]) << 2**i`` for each vertex ``i`` of
+``M``, where ``lack[i]`` is the table of the sets without ``i``
+(:func:`cover_power`).  That is a few full-width operations per vertex
+of a maximal class, and classes that share vertices share the work.
+Power ``a`` is ``D_a`` without the sets of fewer than ``a`` vertices, the
+same table that folding the disjoint-union product :func:`star_product`
+gives, bit for bit; only the power is kept.
 
 The search meets in the middle: the full set lies in power ``a + b``
 exactly when some member ``S`` of power ``a`` has its complement in
 power ``b``, i.e. when power ``a`` meets the complemented table of power
 ``b`` (bit ``d`` moved to bit ``full ^ d``, a reversal of all ``2**n``
 bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
-built finds ``q`` with only ``ceil(q/2) - 1`` products, the cheap early
-ones.  The witness is peeled separately inside each half.
+built finds ``q`` with only ``ceil(q/2) - 1`` powers past the family.
+The witness is peeled separately inside each half.
+
+:func:`star_product` stays as the general product of two tables: it
+keeps the disjoint unions of their members, one Hamming-weight layer
+pair at a time.  No solver calls it.
 
 :func:`cd_chromatic_bruteforce` is the independent validation oracle: a
 direct search over vertex partitions that never touches the tables.
@@ -37,9 +41,10 @@ direct search over vertex partitions that never touches the tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .bits import iter_bits, lowest_bit, weight_masks
+from .bits import bit_list, fewer_than, iter_bits, lack_masks, lowest_bit, weight_masks
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError
 from .graph import Graph
@@ -51,19 +56,29 @@ BRUTEFORCE_CAP = 9
 # byte value -> the same byte with its 8 bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+_SCAN_BYTES = 1 << 12
+
 
 def _set_positions(bits: int) -> List[int]:
     """Set bit positions of a table, ascending, in time linear in its width.
 
     Unlike :func:`bits.bit_list`, which copies the whole integer per
-    member, this scans one string; it pays off on ``2**n``-bit tables.
+    member, this scans strings; it pays off on ``2**n``-bit tables.  The
+    table is read in chunks of ``8 * _SCAN_BYTES`` bits, so the strings
+    stay small next to the table.
     """
-    digits = bin(bits)[:1:-1]
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
     out: List[int] = []
-    pos = digits.find("1")
-    while pos >= 0:
-        out.append(pos)
-        pos = digits.find("1", pos + 1)
+    for start in range(0, len(raw), _SCAN_BYTES):
+        chunk = int.from_bytes(raw[start:start + _SCAN_BYTES], "little")
+        if not chunk:
+            continue
+        digits = bin(chunk)[:1:-1]
+        base = 8 * start
+        pos = digits.find("1")
+        while pos >= 0:
+            out.append(base + pos)
+            pos = digits.find("1", pos + 1)
     return out
 
 
@@ -140,22 +155,22 @@ def build_color_class_family(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> Coeffici
     A nonempty set qualifies when it is independent and fits inside the
     closed neighborhood of some vertex.  Built per vertex ``y`` by
     growing the independent subsets of ``N[y]`` one element at a time;
-    duplicates collapse in the table.
+    duplicates collapse in the table.  The bits are set in a byte
+    buffer, so each set costs one byte update, not a full-width OR.
     """
     if g.n > cap:
         raise CapacityError(
             f"exact solver capacity is {cap} vertices, got {g.n}; raise the cap"
         )
-    table = 0
+    table = bytearray(((1 << g.n) + 7) // 8)
     for y in range(g.n):
         sets = [0]
         for v in iter_bits(g.closed(y)):
             av = g.adj[v]
             sets += [s | (1 << v) for s in sets if not (av & s)]
-        for s in sets:
-            if s:
-                table |= 1 << s
-    return CoefficientTable(g.n, table)
+        for s in sets[1:]:  # sets[0] is the empty set
+            table[s >> 3] |= 1 << (s & 7)
+    return CoefficientTable(g.n, int.from_bytes(table, "little"))
 
 
 def _top_product(p: CoefficientTable, r: CoefficientTable) -> int:
@@ -230,6 +245,81 @@ def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     return CoefficientTable(p.n, _top_product(p, r) | _top_product(r, p))
 
 
+def maximal_members(family: CoefficientTable) -> List[int]:
+    """Members of a family closed under nonempty subsets that no other
+    member contains, ascending.
+
+    In such a family a member is maximal when adding any one vertex
+    leaves the family, and ``(bits & ~lack[i]) >> 2**i`` marks exactly
+    the sets one vertex ``i`` short of a member.
+    """
+    bits = family.bits
+    short = 0
+    for i, lack in enumerate(lack_masks(family.n)):
+        short |= (bits & ~lack) >> (1 << i)
+    return _set_positions(bits & ~short)
+
+
+def cover_chains(maximal: List[int]) -> List[List[int]]:
+    """Vertex lists of the maximal members, in the order
+    :func:`cover_power` walks them.
+
+    Each list puts the vertices that more maximal members hold first
+    (ties by index), and the lists are sorted, so members that share
+    their most common vertices sit next to each other with a shared
+    prefix.
+    """
+    lists = [bit_list(m) for m in maximal]
+    count = Counter(v for vs in lists for v in vs)
+    return sorted(sorted(vs, key=lambda v: (-count[v], v)) for vs in lists)
+
+
+def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
+    """Union over ``chains`` of ``down`` closed upward inside each chain.
+
+    Closing over vertex ``i`` is ``x |= (x & lack[i]) << 2**i``.  A
+    chain starts from the stacked table of the prefix it shares with the
+    one before; no chain is a prefix of another, since the members they
+    list contain none of the others.
+    """
+    out = 0
+    stack = [down]  # stack[j]: down closed over the current chain's first j vertices
+    prev: List[int] = []
+    for chain in chains:
+        k = 0
+        while k < len(prev) and prev[k] == chain[k]:
+            k += 1
+        del stack[k + 1:]
+        x = stack[k]
+        for j in range(k, len(chain)):
+            if j > k:
+                stack.append(x)
+            x |= (x & lack[chain[j]]) << (1 << chain[j])
+        out |= x
+        prev = chain
+    return out
+
+
+def cover_power(
+    power: CoefficientTable, a: int, chains: List[List[int]]
+) -> CoefficientTable:
+    """Power ``a + 1`` of a family from its power ``a``.
+
+    The family must be closed under nonempty subsets and hold every
+    singleton; ``chains`` is :func:`cover_chains` of its maximal members.
+    The sets that at most ``a`` members cover form the down-closed table
+    ``D_a = power | W_{<a}``, where ``W_{<a}`` holds the sets of fewer
+    than ``a`` vertices.  ``D_{a+1}`` is the union over the maximal
+    members ``M`` of ``D_a`` closed upward inside ``M``.  A set of at
+    least ``a + 1`` vertices that ``a + 1`` members cover splits into
+    exactly ``a + 1`` members, so the power is ``D_{a+1}`` without the
+    sets of at most ``a`` vertices.
+    """
+    n = power.n
+    down = _close_up(power.bits | fewer_than(n, a), chains, lack_masks(n))
+    return CoefficientTable(n, down & ~fewer_than(n, a + 1))
+
+
 def _dominator_of(g: Graph, class_mask: int) -> int:
     for y in range(g.n):
         if not class_mask & ~g.closed(y):
@@ -264,6 +354,7 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     sub, ids = g.induced(comp)
     family = build_color_class_family(sub, cap=cap)
     full = sub.full_mask
+    chains: Optional[List[List[int]]] = None  # built on the first power past the family
     powers = [CoefficientTable(sub.n, 1), family]  # powers[a] is power a
     prev_comp = 1 << full  # complement of power 0 = {empty set}
     while True:
@@ -277,7 +368,9 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
             break
         if 2 * a >= sub.n:
             raise AssertionError("no family partition covers the component")
-        powers.append(star_product(powers[a], family))
+        if chains is None:
+            chains = cover_chains(maximal_members(family))
+        powers.append(cover_power(powers[a], a, chains))
     s = lowest_bit(meet)
     members = family.members()
     class_masks = _peel(members, powers, s, a) + _peel(members, powers, full ^ s, b)

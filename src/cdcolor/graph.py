@@ -31,9 +31,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(adj) != n:
             raise ValueError("adjacency list length must equal vertex count")
-        full = (1 << n) - 1
         for u, row in enumerate(adj):
-            if row & ~full:
+            if row >> n:
                 raise ValueError(f"adjacency row {u} references vertices >= {n}")
             if (row >> u) & 1:
                 raise ValueError(f"vertex {u} has a self-loop")

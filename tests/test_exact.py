@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from cdcolor import exact
-from cdcolor.bits import bit_list, mask_of
+from cdcolor.bits import bit_list, fewer_than, lack_masks, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
@@ -13,6 +13,9 @@ from cdcolor.exact import (
     build_color_class_family,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
+    cover_chains,
+    cover_power,
+    maximal_members,
     star_product,
 )
 from cdcolor.generate import (
@@ -27,6 +30,7 @@ from cdcolor.generate import (
     star_graph,
 )
 from cdcolor.graph import Graph
+from cdcolor.split import generate_from_partization
 
 from _brute import (
     brute_disjoint_union_masks,
@@ -194,6 +198,70 @@ def test_table_equal_to_but_not_r_takes_the_general_path():
         assert set(mixed.members()) == want
 
 
+def test_lack_masks_and_fewer_than_match_their_definitions():
+    for n in range(9):
+        lack = lack_masks(n)
+        assert len(lack) == n
+        for i in range(n):
+            assert lack[i] == mask_of(d for d in range(1 << n) if not d >> i & 1)
+        for a in range(n + 3):
+            want = mask_of(d for d in range(1 << n) if d.bit_count() < a)
+            assert fewer_than(n, a) == want, (n, a)
+
+
+def down_closure(n, masks):
+    """Table of every nonempty subset of the given masks."""
+    bits = 0
+    for m in masks:
+        sub = m
+        while sub:
+            bits |= 1 << sub
+            sub = (sub - 1) & m
+    return CoefficientTable(n, bits)
+
+
+def test_maximal_members_match_bruteforce():
+    rng = random.Random(61)
+    for _ in range(80):
+        n = rng.randint(0, 9)
+        if rng.random() < 0.5:
+            table = build_color_class_family(random_graph(n, rng.random(), rng))
+        else:
+            table = down_closure(n, random_family_masks(n, rng.randint(1, 6), rng) if n else [])
+        members = table.members()
+        want = [m for m in members if not any(o != m and not m & ~o for o in members)]
+        assert maximal_members(table) == want
+    assert maximal_members(CoefficientTable(0, 1)) == [0]
+
+
+def test_cover_powers_equal_the_star_powers():
+    rng = random.Random(67)
+    checked = 0
+    for n in range(1, 12):
+        for _ in range(12 if n < 9 else 4):
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+            family = build_color_class_family(g)
+            chains = cover_chains(maximal_members(family))
+            cover = star = family
+            for a in range(1, n):
+                cover = cover_power(cover, a, chains)
+                star = star_product(star, family)
+                assert cover == star, (n, g.adj, a + 1)
+                checked += 1
+            assert star == reduce(star_product, [family] * n)
+    assert checked > 400
+
+
+def test_cover_chains_share_prefixes_and_list_every_member():
+    rng = random.Random(71)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 12), rng.random(), rng)
+        maximal = maximal_members(build_color_class_family(g))
+        chains = cover_chains(maximal)
+        assert chains == sorted(chains)
+        assert sorted(mask_of(c) for c in chains) == maximal
+
+
 KNOWN_VALUES = [
     (cycle_graph(4), 2),
     (cycle_graph(5), 3),
@@ -234,11 +302,11 @@ def test_named_values(g, expected):
 def test_meet_in_the_middle_product_count(monkeypatch, g, q):
     calls = []
 
-    def counting(p, r):
+    def counting(power, a, chains):
         calls.append(1)
-        return star_product(p, r)
+        return cover_power(power, a, chains)
 
-    monkeypatch.setattr(exact, "star_product", counting)
+    monkeypatch.setattr(exact, "cover_power", counting)
     assert cd_chromatic_exact(g)[0] == q
     assert len(calls) == (q + 1) // 2 - 1
 
@@ -337,3 +405,25 @@ def test_exact_answers_are_pinned(n):
     rng = random.Random(n)
     answers = [cd_chromatic_exact(random_connected_graph(n, p, rng)) for p in (0.2, 0.5)]
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == EXACT_DIGESTS[n]
+
+
+# SHA-256 of repr([cd_chromatic_exact(lift) for p in (0.3, 0.6)]), where
+# lift is generate_from_partization(random_graph(n, p, Random(n)), 2, 2)
+# (one hub, n + 7 vertices), taken from the engine that built each power
+# by disjoint-union products.
+HUB_LIFT_DIGESTS = {
+    9: "33b52b457ce342b773635778273598c0233f7eacde58bee49e8f0811b006f8b5",
+    10: "ce5cd6097c7654afff93be09aec9c7fa928d7dd1bfb2eb97b1dd857fb968075b",
+    11: "2d2a55957680f8c29ae68dd19fdffad2dce6c162f01745b6875d5dcfb98f7550",
+    12: "e89df0338f640e023fcf1f7acba2a6cb1512f509751e995565067b07d008c721",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HUB_LIFT_DIGESTS))
+def test_hub_lift_answers_are_pinned(n):
+    rng = random.Random(n)
+    answers = [
+        cd_chromatic_exact(generate_from_partization(random_graph(n, p, rng), 2, 2).graph)
+        for p in (0.3, 0.6)
+    ]
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == HUB_LIFT_DIGESTS[n]

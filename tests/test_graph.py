@@ -127,6 +127,12 @@ def test_constructor_rejects_bad_graphs():
         Graph.from_edges(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("row", [0b100, 1 << 70, -1, -4])
+def test_constructor_rejects_rows_out_of_range(row):
+    with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
+        Graph(2, [row, 0])
+
+
 def test_components():
     assert connected_components(complete_graph(3)) == [0b111]
     assert connected_components(Graph(2, [0, 0])) == [1, 2]
