@@ -24,7 +24,9 @@ from .generate import (
     random_graph,
     random_split_graph,
 )
-from .graph import Graph, detect_format, label_lookup, parse_graph, to_dimacs
+from .graph import (
+    MAX_VERTICES, Graph, detect_format, label_lookup, parse_graph, to_dimacs
+)
 from .partize import (
     BRUTE_K_CAP,
     BRUTE_N_CAP,
@@ -184,6 +186,8 @@ def _cmd_gen(args) -> int:
         g = _load_graph(args.file)
         inst = generate_from_partization(g, args.k, 1 if args.base == "vc" else 2)
     else:  # random
+        if args.n > MAX_VERTICES:
+            raise CdColorError(f"--n {args.n} exceeds the limit of {MAX_VERTICES}")
         rng = random.Random(args.seed)
         if args.girth5:
             g = random_girth5_graph(args.n, rng, density=args.p, connected=args.connected)

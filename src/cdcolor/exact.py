@@ -19,9 +19,8 @@ inside ``M``: ``x |= (x & lack[i]) << 2**i`` for each vertex ``i`` of
 ``M``, where ``lack[i]`` is the table of the sets without ``i``
 (:func:`cover_power`).  That is a few full-width operations per vertex
 of a maximal class, and classes that share vertices share the work.
-Power ``a`` is ``D_a`` without the sets of fewer than ``a`` vertices, the
-same table that folding the disjoint-union product :func:`star_product`
-gives, bit for bit; only the power is kept.
+Power ``a`` is ``D_a`` without the sets of fewer than ``a`` vertices;
+only the power is kept.
 
 The search meets in the middle: the full set lies in power ``a + b``
 exactly when some member ``S`` of power ``a`` has its complement in
@@ -31,9 +30,10 @@ bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
 built finds ``q`` with only ``ceil(q/2) - 1`` powers past the family.
 The witness is peeled separately inside each half.
 
-:func:`star_product` stays as the general product of two tables: it
-keeps the disjoint unions of their members, one Hamming-weight layer
-pair at a time.  No solver calls it.
+:func:`star_product` is the plain disjoint-union product of two tables,
+one shifted copy per member of the first.  No solver calls it: it is the
+reference that the tests check :func:`cover_power` against, since
+folding it over copies of the family gives the same powers bit for bit.
 
 :func:`cd_chromatic_bruteforce` is the independent validation oracle: a
 direct search over vertex partitions that never touches the tables.
@@ -42,9 +42,9 @@ direct search over vertex partitions that never touches the tables.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .bits import bit_list, fewer_than, iter_bits, lack_masks, lowest_bit, weight_masks
+from .bits import bit_list, fewer_than, iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError
 from .graph import Graph
@@ -83,14 +83,9 @@ def _set_positions(bits: int) -> List[int]:
 
 
 class CoefficientTable:
-    """Boolean table over the subsets of an ``n``-element universe.
+    """Boolean table over the subsets of an ``n``-element universe."""
 
-    ``_power_of`` is set to ``r`` only by :func:`star_product`, on a
-    table it built as a power of ``r``.  Like the slice cache, it assumes
-    that a table's bits never change after construction.
-    """
-
-    __slots__ = ("n", "bits", "_power_of", "_slices", "_members")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
@@ -99,9 +94,6 @@ class CoefficientTable:
             raise ValueError("table has entries beyond 2**n")
         self.n = n
         self.bits = bits
-        self._power_of: Optional["CoefficientTable"] = None
-        self._slices: Optional[List[int]] = None
-        self._members: Dict[int, List[int]] = {}
 
     def contains(self, subset_mask: int) -> bool:
         return bool((self.bits >> subset_mask) & 1)
@@ -112,18 +104,6 @@ class CoefficientTable:
     def members(self) -> List[int]:
         """All present subset masks, ascending."""
         return _set_positions(self.bits)
-
-    def slice(self, weight: int) -> int:
-        """Bits of the table restricted to subsets of the given size."""
-        if self._slices is None:
-            masks = weight_masks(self.n)
-            self._slices = [self.bits & masks[i] for i in range(self.n + 1)]
-        return self._slices[weight]
-
-    def slice_members(self, weight: int) -> List[int]:
-        if weight not in self._members:
-            self._members[weight] = _set_positions(self.slice(weight))
-        return self._members[weight]
 
     def complement(self) -> "CoefficientTable":
         """Table of the complements: bit ``d`` moves to bit ``full ^ d``.
@@ -173,76 +153,23 @@ def build_color_class_family(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> Coeffici
     return CoefficientTable(g.n, int.from_bytes(table, "little"))
 
 
-def _top_product(p: CoefficientTable, r: CoefficientTable) -> int:
-    """Bits of the unions ``S | F`` of a ``p``-member ``S`` and a disjoint
-    ``r``-member ``F`` with ``max(F) > max(S)``, where ``max`` of the
-    empty set is -1; the empty set is kept when both tables hold it.
-
-    For weights ``(i, j)`` one of two loops runs.  The narrow loop walks
-    ``r``'s members ``F`` in ascending order and shifts ``p``'s slice cut
-    to its low ``2**max(F)`` bits, so the accumulator stays under
-    ``2**(max(F) + 2)`` bits; it touches about ``2**(max(F) + 1)`` bits
-    per ``F``.  The wide loop walks ``p``'s members ``S`` and shifts
-    ``r``'s slice with its low ``2**(max(S) + 1)`` bits cleared, about
-    ``2**n`` bits per ``S``.  The cheaper one is taken.
-    """
-    n = p.n
-    masks = weight_masks(n)
-    out = p.bits & r.bits & 1
-    # narrow[j]: bits the narrow loop touches for r's weight-j members
-    narrow = [
-        sum(1 << f.bit_length() for f in r.slice_members(j)) for j in range(n + 1)
-    ]
-    for i in range(n + 1):
-        ps = p.bits & masks[i]  # not cached: a power is multiplied once
-        ci = ps.bit_count()
-        if not ci:
-            continue
-        members = None
-        cuts: Dict[int, int] = {}  # max vertex m -> p's slice below bit 2**m
-        for j in range(1, n + 1 - i):
-            if not narrow[j]:
-                continue
-            acc = 0
-            if narrow[j] <= ci << n:
-                for f in r.slice_members(j):
-                    m = f.bit_length() - 1
-                    cut = cuts.get(m)
-                    if cut is None:
-                        cut = cuts[m] = ps & ((1 << (1 << m)) - 1)
-                    acc |= cut << f
-            else:
-                if members is None:
-                    members = _set_positions(ps)
-                other = r.slice(j)
-                top = -1
-                for s in members:
-                    if s.bit_length() != top:
-                        top = s.bit_length()  # max(S) + 1
-                        high = other >> (1 << top) << (1 << top)
-                    acc |= high << s
-            out |= acc & masks[i + j]
-    return out
-
-
 def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     """Table of all unions of a ``p``-member and a disjoint ``r``-member.
 
-    Two disjoint members differ in their top vertex unless both are
-    empty, so the product is ``_top_product(p, r) | _top_product(r, p)``.
-    When ``p`` is ``r`` or a power of ``r``, the first term alone is the
-    product: a union of disjoint ``r``-members is also the union of the
-    member holding its top vertex and a lower union of the others.  Such
-    a result is marked as a power of ``r``, so folding ``star_product``
-    over copies of one table takes the one-direction path throughout.
+    For each member ``S`` of ``p``, the ``r``-members disjoint from ``S``
+    are ``r`` cut by ``lack[i]`` for every vertex ``i`` of ``S``; shifting
+    them left by ``S`` adds ``S`` to each.
     """
     if p.n != r.n:
         raise ValueError(f"universe size mismatch: {p.n} != {r.n}")
-    if r is p or p._power_of is r:
-        out = CoefficientTable(p.n, _top_product(p, r))
-        out._power_of = r
-        return out
-    return CoefficientTable(p.n, _top_product(p, r) | _top_product(r, p))
+    lack = lack_masks(p.n)
+    out = 0
+    for s in p.members():
+        disjoint = r.bits
+        for i in iter_bits(s):
+            disjoint &= lack[i]
+        out |= disjoint << s
+    return CoefficientTable(p.n, out)
 
 
 def maximal_members(family: CoefficientTable) -> List[int]:

@@ -164,8 +164,8 @@ def generate_from_setcover(
         raise PreconditionError("sets must be nonempty")
     if any(not (1 <= x <= universe_size) for s in fams for x in s):
         raise PreconditionError("set elements must lie in the universe")
-    if k > m:
-        raise PreconditionError("k cannot exceed the number of sets")
+    if not 0 <= k <= m:
+        raise PreconditionError("k must lie between 0 and the number of sets")
     k2 = m - k
     q = k + 1
     pendants = k + k2 + 2
@@ -204,6 +204,8 @@ def generate_from_partization(g: Graph, k: int, q_base: int) -> GeneratedInstanc
     """
     if q_base not in (1, 2):
         raise PreconditionError("q_base must be 1 or 2")
+    if k < 0:
+        raise PreconditionError("k must be non-negative")
     pendants = k + q_base + 2
     base_labels = [str(g.label(v)) for v in range(g.n)]
     labels = base_labels + ["u"] + [f"p{t + 1}" for t in range(pendants)]

@@ -199,10 +199,11 @@ def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     Each component mask is kernelized in place, and the branch and bound
     of :func:`_min_tds` runs on the kept vertices from the forced set,
     capped by what is left of ``k``.  The sizes of the components add
-    up; a lone vertex has no total dominating set.
+    up; a lone vertex has no total dominating set, and the empty graph
+    has the empty one, of size 0.
     """
     _require_girth5(g, "tds solving")
-    if k < 1:
+    if k < 0:
         return None
     total = 0
     for comp in iter_components(g, g.full_mask):
@@ -226,7 +227,7 @@ def tds_bruteforce(g: Graph, k: int) -> Optional[TdsCertificate]:
         )
     if any(not g.adj[v] for v in range(g.n)):
         return None
-    for size in range(1, min(k, g.n) + 1):
+    for size in range(0, min(k, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             mask = mask_of(combo)
             if is_total_dominating(g, mask):

@@ -367,6 +367,25 @@ def test_gen_setcover_and_lift(tmp_path, c5):
     assert payload["expected_yes"] is True and payload["q"] == 3
 
 
+def test_gen_rejects_negative_k(tmp_path, c5, capsys):
+    out = tmp_path / "n.dimacs"
+    setcover = ["setcover", "--universe", "3", "--sets", "1,2;2,3", "--k", "-1"]
+    lift = ["lift", c5, "--base", "oct", "--k", "-2"]
+    for args in (setcover, lift):
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert "k must" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "n.dimacs.json").exists()
+
+
+def test_gen_random_rejects_n_above_the_vertex_limit(tmp_path, capsys):
+    out = tmp_path / "big.dimacs"
+    start = time.perf_counter()
+    assert main(["gen", "random", "--n", "70000", "--p", "0", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "exceeds the limit of 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of "<exit code>\n<stdout>" of `partize --split --json` over
 # q = 0..4 and k in (0, 1, 2, 3, 5) on `gen random --split --p 0.4`
 # graphs, keyed by (n, seed); taken when the remainder was colored on a
@@ -433,6 +452,14 @@ def test_empty_graph_has_cd_number_zero_on_every_route(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "q=0"
         assert main(["validate", str(path), str(cert)]) == 0
         assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_empty_graph_has_the_empty_total_dominating_set(tmp_path, capsys):
+    path = tmp_path / "empty.dimacs"
+    path.write_text("p edge 0 0\n")
+    for k in ("0", "1", "2"):
+        assert main(["tds", "--k", k, str(path)]) == 0
+        assert capsys.readouterr().out == "size=0 set=[]\n"
 
 
 def test_single_vertex_paths(tmp_path, capsys):

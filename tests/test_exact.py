@@ -83,8 +83,6 @@ def test_members_scan_matches_bit_list():
             bits = sum(1 << d for d in range(1 << n) if rng.random() < density)
             table = CoefficientTable(n, bits)
             assert table.members() == bit_list(bits)
-            for w in range(n + 1):
-                assert table.slice_members(w) == bit_list(table.slice(w))
 
 
 def test_complement_maps_each_subset_to_its_complement():
@@ -166,7 +164,7 @@ def random_table(n, rng):
     return table_from_masks(n, fam), fam
 
 
-def test_powers_take_the_top_vertex_path_and_match_the_general_product():
+def test_repeated_products_match_partitions_into_the_family():
     rng = random.Random(53)
     for _ in range(80):
         n = rng.randint(1, 10)
@@ -175,25 +173,22 @@ def test_powers_take_the_top_vertex_path_and_match_the_general_product():
         for ell in (2, 3, 4):
             power = star_product(power, table)
             general = star_product(general, CoefficientTable(n, table.bits))
-            assert power._power_of is table and general._power_of is None
             assert power == general, (n, fam, ell)
         assert reduce(star_product, [table] * 4) == power
         for w in range(1 << n):
             assert power.contains(w) == brute_partition_into_family(w, fam, 4)
 
 
-def test_table_equal_to_but_not_r_takes_the_general_path():
+def test_products_of_tables_holding_the_empty_set_match_disjoint_unions():
     rng = random.Random(59)
     for _ in range(60):
         n = rng.randint(1, 10)
         p, fam_p = random_table(n, rng)
         r, fam_r = random_table(n, rng)
         got = star_product(CoefficientTable(n, p.bits), p)
-        assert got._power_of is None
         assert set(got.members()) == brute_disjoint_union_masks(fam_p, fam_p)
         square = star_product(p, p)
         mixed = star_product(square, r)
-        assert mixed._power_of is None
         want = brute_disjoint_union_masks(square.members(), fam_r)
         assert set(mixed.members()) == want
 

@@ -158,6 +158,11 @@ def test_setcover_generator_examples():
         generate_from_setcover(2, [{1}], 5)
 
 
+def test_setcover_generator_rejects_negative_k():
+    with pytest.raises(PreconditionError, match="k must lie between 0"):
+        generate_from_setcover(3, [{1, 2}, {2, 3}], -1)
+
+
 def test_setcover_instances_are_split_and_match_solvers():
     rng = random.Random(181)
     for _ in range(25):
@@ -199,6 +204,12 @@ def test_lift_generator_examples():
     assert inst.expected is True
     with pytest.raises(PreconditionError):
         generate_from_partization(complete_graph(3), 1, 3)
+
+
+def test_lift_generator_rejects_negative_k():
+    for q_base in (1, 2):
+        with pytest.raises(PreconditionError, match="k must be non-negative"):
+            generate_from_partization(cycle_graph(5), -2, q_base)
 
 
 def test_lift_instances_match_fpt_solvers():

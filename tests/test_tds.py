@@ -154,6 +154,21 @@ def test_solve_disconnected_sums_components():
     assert tds_solve(disjoint_union(path_graph(4), Graph(1, [0])), 6) is None
 
 
+def test_empty_graph_has_the_empty_total_dominating_set():
+    empty = Graph(0, [])
+    assert is_total_dominating(empty, 0)
+    for k in (0, 1, 2):
+        assert tds_solve(empty, k) == TdsCertificate(0, 0)
+        assert tds_bruteforce(empty, k) == TdsCertificate(0, 0)
+    assert tds_solve(empty, -1) is None and tds_bruteforce(empty, -1) is None
+    for g in (cycle_graph(5), path_graph(4), Graph(1, [0]), petersen_graph()):
+        for k in range(-1, 5):
+            solved, brute = tds_solve(g, k), tds_bruteforce(g, k)
+            assert (solved is None) == (brute is None), (g.adj, k)
+            if solved is not None:
+                assert solved.size == brute.size
+
+
 def test_bruteforce_examples():
     assert tds_bruteforce(path_graph(4), 4).mask == mask_of([1, 2])
     assert tds_bruteforce(path_graph(2), 2).mask == 0b11
