@@ -188,6 +188,8 @@ def _cmd_gen(args) -> int:
     else:  # random
         if args.n > MAX_VERTICES:
             raise CdColorError(f"--n {args.n} exceeds the limit of {MAX_VERTICES}")
+        if not 0 <= args.p <= 1:
+            raise CdColorError(f"--p {args.p} is not a probability in [0, 1]")
         rng = random.Random(args.seed)
         if args.girth5:
             g = random_girth5_graph(args.n, rng, density=args.p, connected=args.connected)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .coloring import (
@@ -93,6 +93,59 @@ def validate_deletion(g: Graph, sol: DeletionSolution, q: int) -> ValidationRepo
     return validate_cd_coloring(g, sol.coloring, g.full_mask & ~sol.deleted)
 
 
+def _cover(g: Graph, budget: int, cand: int, failed: Dict[int, int]) -> Optional[int]:
+    """``vertex_cover(g, budget, cand)``, skipped when ``failed``, which maps
+    each candidate mask to the largest budget at which it had no cover,
+    already settles it: no cover of size <= b means none of size <= b - 1."""
+    if budget <= failed.get(cand, -1):
+        return None
+    cover = vertex_cover(g, budget, cand)
+    if cover is None:
+        failed[cand] = budget
+    return cover
+
+
+def _priced_edges(
+    g: Graph, k: int, active: int, slack: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Type 1's edges (x, y), x < y, of ``g[active]`` in its order, each with
+    the set it keeps and the budget ``rem`` left after deleting the rest;
+    edges with ``rem < -slack`` are skipped.
+
+    The kept set is ``N(x) ^ N(y)`` within ``active``: the exclusive
+    neighbors of x and y, plus the edge itself.
+    """
+    base = k - active.bit_count()
+    for x in iter_bits(active):
+        ax = g.adj[x]
+        for y in iter_bits(ax & active & ~((2 << x) - 1)):  # y > x
+            keep = (ax ^ g.adj[y]) & active
+            rem = base + keep.bit_count()
+            if rem >= -slack:
+                yield x, y, keep, rem
+
+
+def _type1_at(
+    g: Graph, x: int, y: int, keep: int, budget: int, active: int,
+    failed: Dict[int, int],
+) -> Optional[DeletionSolution]:
+    """Type 1 on ``g[active]`` at edge (x, y), keeping ``keep`` and
+    spending at most ``budget`` on the two sides' vertex covers."""
+    x_cand = keep & g.adj[x] & ~(1 << y)
+    y_cand = keep & g.adj[y] & ~(1 << x)
+    s1 = _cover(g, budget, x_cand, failed)
+    if s1 is None:
+        return None
+    s2 = _cover(g, budget - s1.bit_count(), y_cand, failed)
+    if s2 is None:
+        return None
+    coloring = make_coloring(
+        [(y_cand & ~s2) | (1 << x), (x_cand & ~s1) | (1 << y)], [y, x]
+    )
+    witness = TypeWitness(1, (x, y), coloring)
+    return DeletionSolution((active & ~keep) | s1 | s2, (("Type1", witness),), coloring)
+
+
 def delete_to_type1(
     g: Graph, k: int, active: Optional[int] = None
 ) -> Optional[DeletionSolution]:
@@ -100,31 +153,16 @@ def delete_to_type1(
 
     For each edge (x, y): only exclusive neighbors of x and y can stay
     besides the edge itself, and what stays on each side must become
-    independent, which is a vertex cover question per side.
+    independent, which is a vertex cover question per side.  An edge
+    whose kept set is too small for the budget is skipped before either.
     """
     if active is None:
         active = g.full_mask
-    for x in iter_bits(active):
-        for y in iter_bits(g.adj[x] & active & ~((2 << x) - 1)):  # y > x
-            x_cand = g.adj[x] & active & ~g.closed(y)
-            y_cand = g.adj[y] & active & ~g.closed(x)
-            mandatory = active & ~(x_cand | y_cand | (1 << x) | (1 << y))
-            rem = k - mandatory.bit_count()
-            if rem < 0:
-                continue
-            s1 = vertex_cover(g, rem, x_cand)
-            if s1 is None:
-                continue
-            s2 = vertex_cover(g, rem - s1.bit_count(), y_cand)
-            if s2 is None:
-                continue
-            coloring = make_coloring(
-                [(y_cand & ~s2) | (1 << x), (x_cand & ~s1) | (1 << y)], [y, x]
-            )
-            witness = TypeWitness(1, (x, y), coloring)
-            return DeletionSolution(
-                mandatory | s1 | s2, (("Type1", witness),), coloring
-            )
+    failed: Dict[int, int] = {}
+    for x, y, keep, rem in _priced_edges(g, k, active, 0):
+        sol = _type1_at(g, x, y, keep, rem, active, failed)
+        if sol is not None:
+            return sol
     return None
 
 
@@ -135,22 +173,46 @@ def delete_to_type2(
 
     The retained vertex may end up connected to the bipartite part
     (a Type 2 remainder) or isolated beside it; both cost <= 3 colors.
+
+    Each retained vertex v runs Type 1 on ``active`` minus v, over one
+    list of Type 1's edges priced on ``active``.  Dropping v from
+    ``active`` raises an edge's budget by one unless v is in its kept
+    set, so the list keeps edges one short of the budget.  An edge whose
+    kept set misses v has the same candidates and budget for every such
+    v; when its check fails there, it fails for every v, since taking v
+    out of a candidate set lowers that side's cover by at most one.
     """
     if active is None:
         active = g.full_mask
-    for x in iter_bits(active):
-        inner = delete_to_type1(g, k, active & ~(1 << x))
+    edges = list(_priced_edges(g, k, active, 1))
+    failed: Dict[int, int] = {}
+    dead = set()  # edges whose check fails for every retained vertex
+    for v in iter_bits(active):
+        bit = 1 << v
+        rest = active & ~bit
+        inner = None
+        for i, (x, y, keep, rem) in enumerate(edges):
+            if x == v or y == v or i in dead:
+                continue
+            if keep & bit:
+                inner = _type1_at(g, x, y, keep & ~bit, rem, rest, failed)
+            else:
+                inner = _type1_at(g, x, y, keep, rem + 1, rest, failed)
+                if inner is None:
+                    dead.add(i)
+            if inner is not None:
+                break
         if inner is None:
             continue
         w1 = inner.plan[0][1]
         coloring = CdColoring(
-            w1.coloring.classes + ((x,),),
-            w1.coloring.dominators + (x,),
+            w1.coloring.classes + ((v,),),
+            w1.coloring.dominators + (v,),
         )
-        if g.adj[x] & active & ~inner.deleted:
-            plan = (("Type2", TypeWitness(2, (x,), coloring)),)
+        if g.adj[v] & active & ~inner.deleted:
+            plan = (("Type2", TypeWitness(2, (v,), coloring)),)
         else:
-            plan = (("IsolatedVertex", _type0(g, 1 << x)), ("Type1", w1))
+            plan = (("IsolatedVertex", _type0(g, bit)), ("Type1", w1))
         return DeletionSolution(inner.deleted, plan, coloring)
     return None
 
@@ -161,25 +223,30 @@ def delete_to_type3(
     """Deletions leaving an ordered dominating pair (x, y): an
     independent set around x and a non-edgeless bipartite part around y.
 
-    Vertex cover cleans the independent side; a minimal y-avoiding odd
-    cycle transversal cleans the bipartite side, and keeps an edge there
-    whenever any transversal within the budget can.  A y-avoiding one is
-    an odd cycle transversal of ``g[N(x)]``, so per x the search first asks
-    whether any fits the budget, and remembers the budgets that settled.
+    The pair keeps ``N[x] | N(y)``; a pair whose kept set is too small
+    for the budget is skipped at once.  Vertex cover cleans the
+    independent side; a minimal y-avoiding odd cycle transversal cleans
+    the bipartite side, and keeps an edge there whenever any transversal
+    within the budget can.  A y-avoiding one is an odd cycle transversal
+    of ``g[N(x)]``, so per x the search first asks whether any fits the
+    budget, and remembers the budgets that settled.
     """
     if active is None:
         active = g.full_mask
+    base = k - active.bit_count()
+    failed: Dict[int, int] = {}
     for x in iter_bits(active):
         b_cand = g.adj[x] & active  # candidate bipartite part, contains y
+        x_keep = b_cand | (1 << x)
         # g[b_cand] has no OCT of size <= no_oct, and has one of size has_oct
         no_oct, has_oct = -1, b_cand.bit_count()
         for y in iter_bits(b_cand):
-            y_cand = g.adj[y] & active & ~g.closed(x)
-            mandatory = active & ~(y_cand | b_cand | (1 << x))
-            rem = k - mandatory.bit_count()
+            keep = x_keep | (g.adj[y] & active)
+            rem = base + keep.bit_count()
             if rem < 0:
                 continue
-            s1 = vertex_cover(g, rem, y_cand)
+            y_cand = keep & ~x_keep
+            s1 = _cover(g, rem, y_cand, failed)
             if s1 is None:
                 continue
             budget = rem - s1.bit_count()
@@ -206,7 +273,7 @@ def delete_to_type3(
             )
             witness = TypeWitness(3, (x, y), coloring)
             return DeletionSolution(
-                mandatory | s1 | s2, (("Type3", witness),), coloring
+                (active & ~keep) | s1 | s2, (("Type3", witness),), coloring
             )
     return None
 
@@ -218,6 +285,8 @@ def delete_to_type4(
     three vertex-cover-cleaned independent parts."""
     if active is None:
         active = g.full_mask
+    base = k - active.bit_count()
+    failed: Dict[int, int] = {}
     for x in iter_bits(active):
         ax = g.adj[x] & active
         # a triangle's rotations have the same parts, so x is its lowest vertex
@@ -228,18 +297,17 @@ def delete_to_type4(
                 x_cand = ax & ~g.closed(y)
                 y_cand = ay & ~g.closed(z)
                 z_cand = g.adj[z] & active & ~g.closed(x)
-                trio = (1 << x) | (1 << y) | (1 << z)
-                mandatory = active & ~(x_cand | y_cand | z_cand | trio)
-                rem = k - mandatory.bit_count()
+                keep = x_cand | y_cand | z_cand | (1 << x) | (1 << y) | (1 << z)
+                rem = base + keep.bit_count()
                 if rem < 0:
                     continue
-                s1 = vertex_cover(g, rem, x_cand)
+                s1 = _cover(g, rem, x_cand, failed)
                 if s1 is None:
                     continue
-                s2 = vertex_cover(g, rem - s1.bit_count(), y_cand)
+                s2 = _cover(g, rem - s1.bit_count(), y_cand, failed)
                 if s2 is None:
                     continue
-                s3 = vertex_cover(g, rem - s1.bit_count() - s2.bit_count(), z_cand)
+                s3 = _cover(g, rem - s1.bit_count() - s2.bit_count(), z_cand, failed)
                 if s3 is None:
                     continue
                 xs, ys, zs = x_cand & ~s1, y_cand & ~s2, z_cand & ~s3
@@ -248,7 +316,7 @@ def delete_to_type4(
                 )
                 witness = TypeWitness(4, (x, y, z), coloring)
                 return DeletionSolution(
-                    mandatory | s1 | s2 | s3, (("Type4", witness),), coloring
+                    (active & ~keep) | s1 | s2 | s3, (("Type4", witness),), coloring
                 )
     return None
 
@@ -260,26 +328,38 @@ def delete_to_type5(
     shared neighbor z: z's private part becomes independent via a vertex
     cover, and the rest needs a z-avoiding transversal whose residual
     bipartition is pinned (z beside y's side, x-only and z-x-shared
-    neighbors opposite)."""
+    neighbors opposite).  The triple keeps ``N[x] | N[y] | N(z)`` but for
+    the neighbors that only y and z share; a triple whose kept set is too
+    small for the budget is skipped at once, and so is an x whose triples
+    all keep too little: they keep at most ``N[x]``, the ``N(z)`` of each
+    z in ``N(x)``, and one more ``N(y)``."""
     if active is None:
         active = g.full_mask
+    base = k - active.bit_count()
+    top = max(((g.adj[v] & active).bit_count() for v in iter_bits(active)), default=0)
+    failed: Dict[int, int] = {}
     for x in iter_bits(active):
-        for y in iter_bits(active):
-            if y == x or g.has_edge(x, y):
-                continue
-            ax, ay = g.adj[x] & active, g.adj[y] & active
+        ax = g.adj[x] & active
+        reach = ax | (1 << x)
+        for z in iter_bits(ax):
+            reach |= g.adj[z] & active
+        if base + reach.bit_count() + top < 0:
+            continue
+        for y in iter_bits(reach & ~ax & ~(1 << x)):  # y shares a neighbor z with x
+            ay = g.adj[y] & active
+            pair = ax | ay | (1 << x) | (1 << y)
             for z in iter_bits(ax & ay):
                 az = g.adj[z] & active
-                z_cand = az & ~g.closed(x) & ~g.closed(y)
                 knockout = (ay & az) & ~ax  # cannot sit anywhere, must go
-                b_cand = (1 << z) | ((ax | ay) & ~knockout)
-                mandatory = active & ~(z_cand | b_cand | (1 << x) | (1 << y))
-                rem = k - mandatory.bit_count()
+                keep = (pair | az) & ~knockout
+                rem = base + keep.bit_count()
                 if rem < 0:
                     continue
-                s1 = vertex_cover(g, rem, z_cand)
+                z_cand = az & ~pair
+                s1 = _cover(g, rem, z_cand, failed)
                 if s1 is None:
                     continue
+                b_cand = (1 << z) | ((ax | ay) & ~knockout)
                 p_dem = ((1 << z) | (ay & ~ax & ~az)) & b_cand
                 q_dem = ((ax & ~ay & ~az) | (ax & az & ~ay) | (ax & ay & az)) & b_cand
                 res = oct_with_forced_sides(
@@ -296,7 +376,7 @@ def delete_to_type5(
                 )
                 witness = TypeWitness(5, (x, y, z), coloring)
                 return DeletionSolution(
-                    mandatory | s1 | s2, (("Type5", witness),), coloring
+                    (active & ~keep) | s1 | s2, (("Type5", witness),), coloring
                 )
     return None
 
@@ -397,6 +477,14 @@ def _small_remainder(g: Graph, k: int, keep_limit: int) -> Optional[DeletionSolu
     return DeletionSolution(g.full_mask & ~kept_mask, plan, rec.coloring())
 
 
+def _keeps_too_many(g: Graph, k: int, q: int) -> bool:
+    """True when no remainder of ``g`` after at most k deletions can be
+    q-cd-colorable: a class of two or more vertices is independent, so it
+    lies in the open neighborhood of its dominator, and each class holds
+    at most max(Δ, 1) vertices."""
+    return g.n - k > q * max(max(map(int.bit_count, g.adj), default=0), 1)
+
+
 def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
     """Delete at most k vertices so the rest is 3-cd-colorable.
 
@@ -406,11 +494,17 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
     whose inner search may delete the retained vertex's neighborhood.
     With more than 3 + k components the answer is NO at once: k deletions
     empty at most k of them, and every other one needs a class of its own.
+    So it is when more than 3·max(Δ, 1) vertices would remain, Δ being
+    the maximum degree (``_keeps_too_many``).
     """
     if k < 0:
         return None
     small = _small_remainder(g, k, 3)
-    if small is not None or more_components_than(g, g.full_mask, 3 + k):
+    if (
+        small is not None
+        or _keeps_too_many(g, k, 3)
+        or more_components_than(g, g.full_mask, 3 + k)
+    ):
         return small
     for solver in _TYPE_SOLVERS:
         sol = solver(g, k)
@@ -421,11 +515,16 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
 
 def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
     """Delete at most k vertices so the rest is 2-cd-colorable (NO at once
-    with more than 2 + k components, as in ``partization3``)."""
+    with more than 2 + k components or 2·max(Δ, 1) remaining vertices, as
+    in ``partization3``)."""
     if k < 0:
         return None
     small = _small_remainder(g, k, 2)
-    if small is not None or more_components_than(g, g.full_mask, 2 + k):
+    if (
+        small is not None
+        or _keeps_too_many(g, k, 2)
+        or more_components_than(g, g.full_mask, 2 + k)
+    ):
         return small
     return delete_to_type1(g, k)
 

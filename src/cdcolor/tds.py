@@ -72,9 +72,11 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     High-degree vertices (degree > k) are forced into any solution, the
     remainder's size is bounded, and a vertex of ``J*`` whose
     high-degree neighborhood is covered by a surviving peer is deleted.
+    With k = 0 that is NO on a nonempty graph and the empty kernel on
+    the empty one.
     """
-    if k < 1:
-        raise PreconditionError("parameter k must be at least 1")
+    if k < 0:
+        raise PreconditionError("parameter k must be non-negative")
     _require_girth5(g, "tds kernelization")
     reduced = _kernelize(g, k, g.full_mask)
     if isinstance(reduced, str):

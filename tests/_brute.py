@@ -2,7 +2,8 @@
 
 Everything here enumerates directly from definitions (subsets,
 partitions, colorings) and never calls the solver paths it is used to
-check.
+check.  The one exception is ``type2_by_type1``, Type 2 written the way
+the pattern reads: Type 1 once per retained vertex.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import itertools
 
 from cdcolor.bits import bit_list, iter_bits, mask_of
+from cdcolor.coloring import CdColoring
 from cdcolor.graph import Graph
+from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
 
 
 def subsets_of(vertices, min_size=0, max_size=None):
@@ -213,3 +216,23 @@ def brute_min_separators(g: Graph, active: int, sources: int, sinks: int, fixed:
         if found:
             return found
     return []
+
+
+def type2_by_type1(g: Graph, k: int, active: int):
+    """``delete_to_type2`` as Type 1 on ``active`` minus each retained
+    vertex in turn, the first that fits in vertex order."""
+    for x in iter_bits(active):
+        inner = delete_to_type1(g, k, active & ~(1 << x))
+        if inner is None:
+            continue
+        w1 = inner.plan[0][1]
+        coloring = CdColoring(
+            w1.coloring.classes + ((x,),),
+            w1.coloring.dominators + (x,),
+        )
+        if g.adj[x] & active & ~inner.deleted:
+            plan = (("Type2", TypeWitness(2, (x,), coloring)),)
+        else:
+            plan = (("IsolatedVertex", _type0(g, 1 << x)), ("Type1", w1))
+        return DeletionSolution(inner.deleted, plan, coloring)
+    return None

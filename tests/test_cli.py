@@ -462,6 +462,29 @@ def test_empty_graph_has_the_empty_total_dominating_set(tmp_path, capsys):
         assert capsys.readouterr().out == "size=0 set=[]\n"
 
 
+def test_kernel_dump_with_k_zero(tmp_path, c5, capsys):
+    empty = tmp_path / "empty.dimacs"
+    empty.write_text("p edge 0 0\n")
+    kern = tmp_path / "kernel.dimacs"
+    assert main(["tds", "--k", "0", str(empty), "--kernel-out", str(kern)]) == 0
+    assert capsys.readouterr().out == "size=0 set=[]\n"
+    assert parse_graph(kern.read_text(), "dimacs").n == 0
+    kern.unlink()
+    assert main(["tds", "--k", "0", c5, "--kernel-out", str(kern)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("kernelization answered NO: ") and out.endswith("\nNO\n")
+    assert not kern.exists()
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan", "inf"])
+def test_gen_random_rejects_p_outside_the_unit_interval(tmp_path, capsys, p):
+    out = tmp_path / "g.dimacs"
+    for extra in ([], ["--girth5"], ["--split"], ["--connected"]):
+        assert main(["gen", "random", "--n", "5", "--p", p, "--out", str(out), *extra]) == 2
+        assert "is not a probability in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_single_vertex_paths(tmp_path, capsys):
     path = tmp_path / "k1.dimacs"
     path.write_text("p edge 1 0\n")

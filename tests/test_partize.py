@@ -32,6 +32,8 @@ from cdcolor.partize import (
 )
 from cdcolor.split import generate_from_partization
 
+from _brute import type2_by_type1
+
 
 def check_yes(g, sol, k, q):
     assert sol is not None
@@ -244,6 +246,40 @@ def test_component_bound_matches_oracle_on_unions():
                 assert (sol is not None) == want[k], (g.adj, k, q)
                 if sol is not None:
                     check_yes(g, sol, k, q)
+
+
+def test_degree_bound_matches_oracle():
+    # each class fits in one neighborhood, so at most q * max(Δ, 1)
+    # vertices can remain; sparse graphs make the bound fire
+    rng = random.Random(179)
+    fired = 0
+    for _ in range(30):
+        g = random_graph(rng.randint(1, 9), rng.choice([0.05, 0.15, 0.3, 0.6]), rng)
+        for q, solver in ((3, partization3), (2, partization2)):
+            least = partization_bruteforce(g, g.n, q).size
+            for k in range(g.n + 1):
+                if partize._keeps_too_many(g, k, q):
+                    fired += 1
+                    assert k < least, (g.adj, k, q)
+                sol = solver(g, k)
+                assert (sol is not None) == (k >= least), (g.adj, k, q)
+                if sol is not None:
+                    check_yes(g, sol, k, q)
+    assert fired >= 20, fired
+
+
+def test_type2_matches_type1_per_retained_vertex():
+    rng = random.Random(181)
+    for i in range(150):
+        lift = i % 3 == 0  # a lift adds k + q_base + 3 vertices to its base
+        g = random_graph(rng.randint(1, 6 if lift else 14), rng.choice([0.2, 0.4, 0.7]), rng)
+        if lift:
+            g = generate_from_partization(g, rng.randint(0, 3), rng.choice([1, 2])).graph
+        assert g.n <= 14
+        active = g.full_mask if i % 4 == 0 else rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        for k in range(4):
+            want = type2_by_type1(g, k, active)
+            assert repr(delete_to_type2(g, k, active)) == repr(want), (g.adj, k, active)
 
 
 def test_small_remainder_answers_q_at_most_1():

@@ -79,6 +79,18 @@ def test_kernel_girth_precondition():
         tds_solve(cycle_graph(4), 2)
 
 
+def test_kernel_with_k_zero():
+    out = tds_kernelize(Graph(0, []), 0)
+    assert out.verdict == "REDUCED"
+    assert out.kernel.n == 0 and out.back_map == () and out.forced == 0
+    for g in (Graph(1, [0]), Graph(2, [0, 0]), path_graph(2), cycle_graph(5)):
+        out = tds_kernelize(g, 0)
+        assert out.verdict == "NO" and out.reason
+        assert tds_solve(g, 0) is None and tds_bruteforce(g, 0) is None
+    with pytest.raises(PreconditionError):
+        tds_kernelize(cycle_graph(5), -1)
+
+
 def test_kernel_no_when_many_hubs():
     # two adjacent centers with three leaves each; both have degree 4 > k=1
     g = Graph.from_edges(
