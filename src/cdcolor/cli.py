@@ -10,41 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from .bits import iter_bits, mask_of
 from .coloring import CdColoring, validate_cd_coloring
 from .errors import CdColorError
-from .exact import cd_chromatic_bruteforce, cd_chromatic_exact, DEFAULT_EXACT_CAP
-from .generate import (
-    random_connected_graph,
-    random_girth5_graph,
-    random_graph,
-    random_split_graph,
-)
 from .graph import (
-    MAX_VERTICES, Graph, detect_format, label_lookup, parse_graph, to_dimacs
+    MAX_VERTICES,
+    Graph,
+    detect_format,
+    label_lookup,
+    parse_graph,
+    to_dimacs,
 )
-from .partize import (
-    BRUTE_K_CAP,
-    BRUTE_N_CAP,
-    DeletionSolution,
-    _small_remainder,
-    cd_recognize_upto3,
-    partization2,
-    partization3,
-    partization_bruteforce,
-)
-from .split import (
-    cd_chromatic_split,
-    generate_from_partization,
-    generate_from_setcover,
-    split_partization,
-)
-from .tds import cd_chromatic_girth5, is_total_dominating, tds_kernelize, tds_solve
-from .bits import iter_bits, mask_of
+
+if TYPE_CHECKING:
+    from .partize import DeletionSolution
+
+# Each handler imports the solver modules it calls, so a process loads
+# only what its subcommand runs.
 
 
 def _load_graph(path: str) -> Graph:
@@ -67,13 +53,22 @@ def _emit_certificate(args, payload: dict) -> None:
 def _cmd_cdnumber(args) -> int:
     g = _load_graph(args.file)
     if args.brute:
+        from .exact import cd_chromatic_bruteforce
+
         q, coloring = cd_chromatic_bruteforce(g)
     elif args.girth5:
+        from .tds import cd_chromatic_girth5
+
         q, coloring = cd_chromatic_girth5(g)
     elif args.split:
+        from .split import cd_chromatic_split
+
         q, coloring = cd_chromatic_split(g)
     else:
-        q, coloring = cd_chromatic_exact(g, cap=args.cap)
+        from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact
+
+        cap = DEFAULT_EXACT_CAP if args.cap is None else args.cap
+        q, coloring = cd_chromatic_exact(g, cap=cap)
     payload = coloring.to_payload(g)
     if not args.json:
         print(f"q={q}")
@@ -82,6 +77,8 @@ def _cmd_cdnumber(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    from .partize import cd_recognize_upto3
+
     g = _load_graph(args.file)
     result = cd_recognize_upto3(g)
     if result is None or result.q > args.q:
@@ -104,6 +101,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_tds(args) -> int:
+    from .tds import tds_kernelize, tds_solve
+
     g = _load_graph(args.file)
     if args.kernel_out:
         outcome = tds_kernelize(g, args.k)
@@ -137,10 +136,22 @@ def _solution_payload(g: Graph, sol: DeletionSolution) -> dict:
 
 
 def _cmd_partize(args) -> int:
+    from .partize import (
+        BRUTE_K_CAP,
+        BRUTE_N_CAP,
+        _ruled_out,
+        _small_remainder,
+        partization2,
+        partization3,
+        partization_bruteforce,
+    )
+
     g = _load_graph(args.file)
     if args.k < 0:
         raise CdColorError("--k must be non-negative")
     if args.split:
+        from .split import split_partization
+
         sol = split_partization(g, args.k, args.q)
     elif args.q <= 1:
         sol = _small_remainder(g, args.k, args.q) if args.q >= 0 else None
@@ -148,6 +159,8 @@ def _cmd_partize(args) -> int:
         sol = partization2(g, args.k)
     elif args.q == 3:
         sol = partization3(g, args.k)
+    elif _ruled_out(g, args.k, args.q):
+        sol = None
     else:
         print(
             f"warning: q={args.q} runs the brute-force oracle "
@@ -181,8 +194,12 @@ def _parse_sets(text: str):
 
 def _cmd_gen(args) -> int:
     if args.kind == "setcover":
+        from .split import generate_from_setcover
+
         inst = generate_from_setcover(args.universe, _parse_sets(args.sets), args.k)
     elif args.kind == "lift":
+        from .split import generate_from_partization
+
         g = _load_graph(args.file)
         inst = generate_from_partization(g, args.k, 1 if args.base == "vc" else 2)
     else:  # random
@@ -190,6 +207,15 @@ def _cmd_gen(args) -> int:
             raise CdColorError(f"--n {args.n} exceeds the limit of {MAX_VERTICES}")
         if not 0 <= args.p <= 1:
             raise CdColorError(f"--p {args.p} is not a probability in [0, 1]")
+        import random
+
+        from .generate import (
+            random_connected_graph,
+            random_girth5_graph,
+            random_graph,
+            random_split_graph,
+        )
+
         rng = random.Random(args.seed)
         if args.girth5:
             g = random_girth5_graph(args.n, rng, density=args.p, connected=args.connected)
@@ -243,6 +269,8 @@ def _cmd_validate(args) -> int:
         )
         return 2
     if "set" in cert and "size" in cert:
+        from .tds import is_total_dominating
+
         if tds.bit_count() != cert["size"]:
             print("invalid: size field does not match the set")
             return 2
@@ -279,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--girth5", action="store_true", help="total-domination fast path")
     mode.add_argument("--split", action="store_true", help="split-graph fast path")
     mode.add_argument("--brute", action="store_true", help="small-graph oracle")
-    p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP)
+    p.add_argument(
+        "--cap", type=int, help="exact engine's vertex cap per component (default 26)"
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--cert-out")
     p.set_defaults(func=_cmd_cdnumber)

@@ -9,15 +9,13 @@ open-neighborhood reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import iter_bits, mask_of
 from .graph import Graph, iter_components, label_lookup
 
 
-@dataclass(frozen=True)
-class CdColoring:
+class CdColoring(NamedTuple):
     """Color classes (tuples of vertices) plus one dominator per class."""
 
     classes: Tuple[Tuple[int, ...], ...]
@@ -108,8 +106,7 @@ def solve_per_component(
     return total, merged
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problem: Optional[str] = None
 

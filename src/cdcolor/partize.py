@@ -23,8 +23,7 @@ deletion sets, scoring remainders with the partition-search oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .coloring import (
@@ -45,8 +44,7 @@ BRUTE_N_CAP = 9
 BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
 
 
-@dataclass
-class TypeWitness:
+class TypeWitness(NamedTuple):
     """Certificate that a connected graph matches one pattern type."""
 
     type_id: int
@@ -54,8 +52,7 @@ class TypeWitness:
     coloring: CdColoring
 
 
-@dataclass
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     """Total color count plus one witness per connected component."""
 
     q: int
@@ -65,8 +62,7 @@ class RecognitionResult:
         return merge_colorings([w.coloring for _, w in self.components])
 
 
-@dataclass
-class DeletionSolution:
+class DeletionSolution(NamedTuple):
     """Deleted vertex set plus a certified coloring of what remains.
 
     ``plan`` names the structure of each remaining component
@@ -485,6 +481,14 @@ def _keeps_too_many(g: Graph, k: int, q: int) -> bool:
     return g.n - k > q * max(max(map(int.bit_count, g.adj), default=0), 1)
 
 
+def _ruled_out(g: Graph, k: int, q: int) -> bool:
+    """True when one of two bounds, each valid for every q, answers NO:
+    too many vertices would remain (``_keeps_too_many``), or ``g`` has
+    more than q + k components, of which k deletions empty at most k
+    while every other one needs a class of its own."""
+    return _keeps_too_many(g, k, q) or more_components_than(g, g.full_mask, q + k)
+
+
 def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
     """Delete at most k vertices so the rest is 3-cd-colorable.
 
@@ -492,19 +496,14 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
     a single connected remainder of each type in order.  A lone vertex
     beside a Type 1 component is already covered by the Type 2 pass,
     whose inner search may delete the retained vertex's neighborhood.
-    With more than 3 + k components the answer is NO at once: k deletions
-    empty at most k of them, and every other one needs a class of its own.
-    So it is when more than 3·max(Δ, 1) vertices would remain, Δ being
-    the maximum degree (``_keeps_too_many``).
+    The answer is NO at once with more than 3 + k components or more
+    than 3·max(Δ, 1) remaining vertices, Δ being the maximum degree
+    (``_ruled_out``).
     """
     if k < 0:
         return None
     small = _small_remainder(g, k, 3)
-    if (
-        small is not None
-        or _keeps_too_many(g, k, 3)
-        or more_components_than(g, g.full_mask, 3 + k)
-    ):
+    if small is not None or _ruled_out(g, k, 3):
         return small
     for solver in _TYPE_SOLVERS:
         sol = solver(g, k)
@@ -520,11 +519,7 @@ def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
     if k < 0:
         return None
     small = _small_remainder(g, k, 2)
-    if (
-        small is not None
-        or _keeps_too_many(g, k, 2)
-        or more_components_than(g, g.full_mask, 2 + k)
-    ):
+    if small is not None or _ruled_out(g, k, 2):
         return small
     return delete_to_type1(g, k)
 

@@ -14,8 +14,7 @@ a small oracle can afford to compute it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component, validate_cd_coloring
@@ -125,8 +124,7 @@ def split_partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
 # -- instance generators -------------------------------------------------------
 
 
-@dataclass
-class GeneratedInstance:
+class GeneratedInstance(NamedTuple):
     """A labeled deletion instance plus provenance and expected answer."""
 
     graph: Graph

@@ -11,8 +11,7 @@ number, and on each kept kernel mask from its forced set for ``tds_solve``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -28,16 +27,14 @@ def kernel_size_bound(k: int) -> int:
     return k**3 + 2 * k**2 + 2 * k
 
 
-@dataclass(frozen=True)
-class TdsCertificate:
+class TdsCertificate(NamedTuple):
     """A total dominating set as a mask plus its size."""
 
     mask: int
     size: int
 
 
-@dataclass(frozen=True)
-class KernelOutcome:
+class KernelOutcome(NamedTuple):
     """Result of kernelization: an immediate NO or a reduced instance.
 
     ``forced`` lists original vertices (the high-degree set) that belong

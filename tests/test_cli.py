@@ -6,7 +6,8 @@ import time
 import pytest
 
 from cdcolor.cli import main
-from cdcolor.generate import complete_graph, cycle_graph, petersen_graph
+from cdcolor.exact import DEFAULT_EXACT_CAP
+from cdcolor.generate import complete_graph, cycle_graph, path_graph, petersen_graph
 from cdcolor.graph import Graph, parse_graph, to_dimacs
 from cdcolor.partize import BRUTE_K_CAP, BRUTE_N_CAP
 
@@ -52,6 +53,20 @@ def test_cdnumber_split_mode(tmp_path, capsys):
 def test_cdnumber_capacity_flag(c5, capsys):
     assert main(["cdnumber", "--exact", "--cap", "4", c5]) == 2
 
+
+
+def test_cdnumber_cap_defaults_to_the_engine_cap(c5, tmp_path, capsys):
+    assert DEFAULT_EXACT_CAP == 26
+    p27 = write_graph(tmp_path, "p27.dimacs", path_graph(27))
+    assert main(["cdnumber", p27]) == 2
+    assert "exact solver capacity is 26 vertices, got 27" in capsys.readouterr().err
+    p28 = write_graph(tmp_path, "p28.dimacs", path_graph(28))
+    assert main(["cdnumber", "--cap", "27", p28]) == 2
+    assert "exact solver capacity is 27 vertices, got 28" in capsys.readouterr().err
+    assert main(["cdnumber", "--cap", "27", c5]) == 0
+    assert capsys.readouterr().out == "q=3\n"
+    assert main(["cdnumber", "--help"]) == 0
+    assert f"(default {DEFAULT_EXACT_CAP})" in " ".join(capsys.readouterr().out.split())
 
 def test_cdnumber_girth5_requires_girth(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.dimacs", cycle_graph(4))
@@ -107,6 +122,14 @@ def test_partize_split_and_brute_routes(tmp_path, capsys):
     assert "brute-force" in err
     assert f"n <= {BRUTE_N_CAP}" in err and f"k <= {BRUTE_K_CAP}" in err
 
+
+
+def test_partize_q_4_bounds_answer_no_past_the_oracle_cap(tmp_path, capsys):
+    # 39 kept vertices exceed 4 * max(Δ, 1) = 8, so the oracle never runs
+    path = tmp_path / "p40.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 40)))
+    assert main(["partize", "--q", "4", "--k", "1", str(path)]) == 1
+    assert capsys.readouterr() == ("NO\n", "")
 
 def test_partize_q_at_most_1_is_a_closed_form(tmp_path, capsys):
     # 14 vertices: beyond the brute-force oracle's cap

@@ -1,0 +1,140 @@
+"""The package's public names, its records, and what each process imports."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cdcolor
+from cdcolor.cli import main
+from cdcolor.coloring import CdColoring, ValidationReport
+from cdcolor.generate import cycle_graph, path_graph
+from cdcolor.graph import Graph, to_dimacs
+from cdcolor.partize import DeletionSolution, RecognitionResult, TypeWitness
+from cdcolor.split import GeneratedInstance
+from cdcolor.tds import KernelOutcome, TdsCertificate
+
+PUBLIC = [
+    "CapacityError", "CdColorError", "CdColoring", "CoefficientTable",
+    "DeletionSolution", "GeneratedInstance", "Graph", "KernelOutcome",
+    "NotSplitError", "ParseError", "PreconditionError", "RecognitionResult",
+    "TdsCertificate", "TypeWitness", "ValidationReport",
+    "build_color_class_family", "cd_chromatic_bruteforce", "cd_chromatic_exact",
+    "cd_chromatic_girth5", "cd_chromatic_split", "cd_coloring_from_tds",
+    "cd_recognize_upto3", "connected_components", "delete_to_type1",
+    "delete_to_type2", "delete_to_type3", "delete_to_type4", "delete_to_type5",
+    "generate_from_partization", "generate_from_setcover", "girth",
+    "is_total_dominating", "kernel_size_bound", "oct_excluding",
+    "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
+    "partization2", "partization3", "partization_bruteforce", "recognize_type",
+    "split_cd_coloring", "split_partition", "split_partization", "star_product",
+    "tds_bruteforce", "tds_kernelize", "tds_solve", "to_dimacs",
+    "validate_cd_coloring", "validate_deletion", "vertex_cover",
+]
+SOLVERS = {"exact", "fpt", "generate", "partize", "split", "tds"}
+SRC = str(Path(cdcolor.__file__).resolve().parents[1])
+
+
+def test_public_names_resolve_to_their_modules():
+    assert sorted(cdcolor.__all__) == PUBLIC
+    assert set(PUBLIC) <= set(dir(cdcolor))
+    for name in PUBLIC:
+        obj = getattr(cdcolor, name)
+        assert obj.__module__.startswith("cdcolor.")
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+    namespace = {}
+    exec("from cdcolor import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert cdcolor.exact is importlib.import_module("cdcolor.exact")
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cdcolor.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cdcolor import no_such_name", {})
+
+
+def test_records_keep_fields_defaults_and_repr():
+    g = path_graph(2)
+    coloring = CdColoring(((0,), (1,)), (0, 1))
+    witness = TypeWitness(1, (0, 1), coloring)
+    records = [
+        (CdColoring, ((0, 1),), (0,)),
+        (ValidationReport, False, "vertex 1 is uncolored"),
+        (TdsCertificate, 3, 2),
+        (KernelOutcome, "REDUCED", g, (0, 1), 4, None),
+        (TypeWitness, 1, (0, 1), coloring),
+        (RecognitionResult, 2, [(3, witness)]),
+        (DeletionSolution, 4, (("Type1", witness),), coloring),
+        (GeneratedInstance, g, 1, 2, True, {"hub": "x"}, "setcover"),
+    ]
+    for cls, *values in records:
+        fields = [f for f in cls.__annotations__]
+        rec = cls(*values)
+        assert rec == cls(**dict(zip(fields, values)))
+        assert [getattr(rec, f) for f in fields] == values
+        assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, values)
+        ) + ")"
+        assert rec != cls(*values[:-1], "other")
+    assert ValidationReport(True) == ValidationReport(True, None)
+    assert KernelOutcome("NO", reason="k = 0") == KernelOutcome("NO", None, None, 0, "k = 0")
+    assert coloring.q == 2
+    assert DeletionSolution(0b101, (), coloring).size == 2
+    assert RecognitionResult(2, [(3, witness)]).coloring() == coloring
+
+
+def _loaded_after(code: str) -> set:
+    """Module names a fresh interpreter holds after running ``code``."""
+    script = f"{code}\nimport sys\nprint(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_cdcolor_loads_no_submodule():
+    assert {m for m in _loaded_after("import cdcolor") if m.startswith("cdcolor")} == {
+        "cdcolor"
+    }
+
+
+def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
+    c5 = tmp_path / "c5.dimacs"
+    c5.write_text(to_dimacs(Graph(5, cycle_graph(5).adj, labels=(1, 2, 3, 4, 5))))
+    cert, tds_cert = tmp_path / "c.json", tmp_path / "t.json"
+    assert main(["cdnumber", str(c5), "--cert-out", str(cert)]) == 0
+    assert main(["tds", "--k", "3", str(c5), "--cert-out", str(tds_cert)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.dimacs")
+    # solver modules each command may load; None: only dataclasses is checked
+    cases = [
+        (["validate", c5, cert], set()),
+        (["validate", c5, tds_cert], {"tds"}),
+        (["cdnumber", c5], {"exact"}),
+        (["cdnumber", "--girth5", c5], {"tds"}),
+        (["tds", "--k", "3", c5, "--kernel-out", out], {"tds"}),
+        (["gen", "random", "--n", "6", "--out", out], {"generate"}),
+        (["cdnumber", "--split", c5], None),
+        (["recognize", "--q", "3", c5], None),
+        (["partize", "--q", "3", "--k", "1", c5], None),
+        (["partize", "--q", "4", "--k", "0", c5], None),
+        (["gen", "setcover", "--universe", "2", "--sets", "1;2", "--k", "1", "--out", out], None),
+    ]
+    bare = _loaded_after("")
+    for argv, solvers in cases:
+        argv = [str(a) for a in argv]
+        loaded = _loaded_after(f"from cdcolor.cli import main\nmain({argv!r})")
+        assert "dataclasses" not in loaded - bare, argv
+        if solvers is not None:
+            modules = {m.removeprefix("cdcolor.") for m in loaded if m.startswith("cdcolor.")}
+            assert modules & SOLVERS == solvers, argv

@@ -268,6 +268,21 @@ def test_degree_bound_matches_oracle():
     assert fired >= 20, fired
 
 
+
+def test_bounds_match_oracle_for_q_4_and_5():
+    # the CLI answers q >= 4 NO by these bounds before running the oracle
+    rng = random.Random(191)
+    fired = 0
+    for _ in range(40):
+        g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4]), rng)
+        for q in (4, 5):
+            least = partization_bruteforce(g, g.n, q).size
+            for k in range(g.n + 1):
+                if partize._ruled_out(g, k, q):
+                    fired += 1
+                    assert k < least, (g.adj, k, q)
+    assert fired >= 20, fired
+
 def test_type2_matches_type1_per_retained_vertex():
     rng = random.Random(181)
     for i in range(150):
