@@ -13,22 +13,22 @@ singleton, so a set of at least ``a`` vertices splits into exactly ``a``
 classes when at most ``a`` classes cover it: the cover/partition
 equivalence of Björklund, Husfeldt and Koivisto ("Set partitioning via
 inclusion-exclusion", SIAM J. Comput. 2009).  The sets that at most
-``a`` classes cover form a down-closed table ``D_a``, and ``D_{a+1}`` is
-the union, over the maximal classes ``M``, of ``D_a`` closed upward
-inside ``M``: ``x |= (x & lack[i]) << 2**i`` for each vertex ``i`` of
-``M``, where ``lack[i]`` is the table of the sets without ``i``
-(:func:`cover_power`).  That is a few full-width operations per vertex
-of a maximal class, and classes that share vertices share the work.
-Power ``a`` is ``D_a`` without the sets of fewer than ``a`` vertices;
-only the power is kept.
+``a`` classes cover form a down-closed table ``D_a``.  Some class of
+any cover holds the set's highest vertex ``u``, so the sets of
+``D_{a+1}`` whose highest vertex is ``u`` come from the sets below
+``u`` in ``D_a``, closed upward inside the maximal classes that hold
+``u``: :func:`cover_power` builds block ``u`` with operations ``2**u``
+bits wide.  Power ``a`` is ``D_a`` without the sets of fewer than ``a``
+vertices; only the power is kept.
 
 The search meets in the middle: the full set lies in power ``a + b``
 exactly when some member ``S`` of power ``a`` has its complement in
 power ``b``, i.e. when power ``a`` meets the complemented table of power
 ``b`` (bit ``d`` moved to bit ``full ^ d``, a reversal of all ``2**n``
 bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
-built finds ``q`` with only ``ceil(q/2) - 1`` powers past the family.
-The witness is peeled separately inside each half.
+built finds ``q`` with only ``ceil(q/2) - 1`` powers past the family,
+and the build of power ``a`` stops at the first block that meets for
+``k = 2a - 1``.  The witness is peeled separately inside each half.
 
 :func:`star_product` is the plain disjoint-union product of two tables,
 one shifted copy per member of the first.  No solver calls it: it is the
@@ -41,10 +41,9 @@ direct search over vertex partitions that never touches the tables.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Optional, Tuple
 
-from .bits import bit_list, fewer_than, iter_bits, lack_masks, lowest_bit
+from .bits import fewer_than, iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError
 from .graph import Graph
@@ -57,6 +56,8 @@ BRUTEFORCE_CAP = 9
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 _SCAN_BYTES = 1 << 12
+
+Cuts = List[List[List[int]]]  # per block, the vertex lists closed over
 
 
 def _set_positions(bits: int) -> List[int]:
@@ -177,28 +178,29 @@ def maximal_members(family: CoefficientTable) -> List[int]:
     member contains, ascending.
 
     In such a family a member is maximal when adding any one vertex
-    leaves the family, and ``(bits & ~lack[i]) >> 2**i`` marks exactly
+    leaves the family, and ``(bits >> 2**i) & lack[i]`` marks exactly
     the sets one vertex ``i`` short of a member.
     """
-    bits = family.bits
-    short = 0
+    bits, short = family.bits, 0
     for i, lack in enumerate(lack_masks(family.n)):
-        short |= (bits & ~lack) >> (1 << i)
-    return _set_positions(bits & ~short)
+        short |= (bits >> (1 << i)) & lack
+    return _set_positions(bits ^ (bits & short))
 
 
-def cover_chains(maximal: List[int]) -> List[List[int]]:
-    """Vertex lists of the maximal members, in the order
-    :func:`cover_power` walks them.
-
-    Each list puts the vertices that more maximal members hold first
-    (ties by index), and the lists are sorted, so members that share
-    their most common vertices sit next to each other with a shared
-    prefix.
+def cover_cuts(maximal: List[int], n: int) -> Cuts:
+    """Per vertex ``u``, the lists :func:`cover_power` closes block ``u``
+    over: the cuts ``M ∩ {0..u-1}`` of the maximal members ``M`` holding
+    ``u`` that no other cut contains.  A list puts the vertices more
+    maximal members hold first (ties by index), and each block's lists
+    are sorted, so cuts sharing their most common vertices sit together.
     """
-    lists = [bit_list(m) for m in maximal]
-    count = Counter(v for vs in lists for v in vs)
-    return sorted(sorted(vs, key=lambda v: (-count[v], v)) for vs in lists)
+    order = sorted(range(n), key=lambda v: -sum(m >> v & 1 for m in maximal))
+    blocks = []
+    for u in range(n):
+        cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
+        kept = [c for c in cuts if not any(c | o == o != c for o in cuts)]
+        blocks.append(sorted([v for v in order if c >> v & 1] for c in kept))
+    return blocks
 
 
 def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
@@ -206,7 +208,7 @@ def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
 
     Closing over vertex ``i`` is ``x |= (x & lack[i]) << 2**i``.  A
     chain starts from the stacked table of the prefix it shares with the
-    one before; no chain is a prefix of another, since the members they
+    one before; no chain is a prefix of another, since the cuts they
     list contain none of the others.
     """
     out = 0
@@ -227,24 +229,44 @@ def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
     return out
 
 
+def _window(raw: bytes, u: int, start: int) -> int:
+    """Bits ``[start, start + 2**u)``, ``start`` 0 or ``2**u``, of a table's bytes."""
+    if u < 3:
+        return raw[0] >> start & ((1 << (1 << u)) - 1)
+    return int.from_bytes(raw[start >> 3:(start >> 3) + (1 << (u - 3))], "little")
+
+
 def cover_power(
-    power: CoefficientTable, a: int, chains: List[List[int]]
+    power: CoefficientTable, a: int, cuts: Cuts, stop: CoefficientTable
 ) -> CoefficientTable:
-    """Power ``a + 1`` of a family from its power ``a``.
+    """Power ``a + 1`` of a family from its power ``a``, block by block.
 
     The family must be closed under nonempty subsets and hold every
-    singleton; ``chains`` is :func:`cover_chains` of its maximal members.
-    The sets that at most ``a`` members cover form the down-closed table
+    singleton; ``cuts`` is :func:`cover_cuts` of its maximal members.
     ``D_a = power | W_{<a}``, where ``W_{<a}`` holds the sets of fewer
-    than ``a`` vertices.  ``D_{a+1}`` is the union over the maximal
-    members ``M`` of ``D_a`` closed upward inside ``M``.  A set of at
-    least ``a + 1`` vertices that ``a + 1`` members cover splits into
-    exactly ``a + 1`` members, so the power is ``D_{a+1}`` without the
-    sets of at most ``a`` vertices.
+    than ``a`` vertices, holds the sets that at most ``a`` members
+    cover.  Block ``u`` of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is
+    the low ``2**u`` bits of ``D_a`` closed upward inside each cut of
+    block ``u``, shifted up by ``2**u``.  A set of at least ``a + 1``
+    vertices that ``a + 1`` members cover splits into exactly ``a + 1``,
+    so the power is ``D_{a+1}`` without the sets of at most ``a``
+    vertices.  The blocks built so far are returned as soon as the
+    power meets ``stop``: they hold its lowest set in ``stop``.
     """
     n = power.n
-    down = _close_up(power.bits | fewer_than(n, a), chains, lack_masks(n))
-    return CoefficientTable(n, down & ~fewer_than(n, a + 1))
+    size, lack = ((1 << n) + 7) // 8, lack_masks(n)
+    down = (power.bits | fewer_than(n, a)).to_bytes(size, "little")
+    hits = stop.bits.to_bytes(size, "little")
+    out = 1  # the empty set
+    for u in range(n):
+        block = _close_up(_window(down, u, 0), cuts[u], lack)
+        out |= block << (1 << u)
+        if block & _window(hits, u, 1 << u):  # D_{a+1} meets stop; does the power?
+            prefix = out ^ fewer_than(u + 1, a + 1)
+            if prefix >> (1 << u) & _window(hits, u, 1 << u):
+                return CoefficientTable(n, prefix)
+    # its singletons cover a set of at most a vertices: xor drops just W_{<a+1}
+    return CoefficientTable(n, out ^ fewer_than(n, a + 1))
 
 
 def _dominator_of(g: Graph, class_mask: int) -> int:
@@ -254,25 +276,29 @@ def _dominator_of(g: Graph, class_mask: int) -> int:
     raise AssertionError("class has no dominator")
 
 
-def _peel(
-    members: List[int], powers: List[CoefficientTable], want: int, parts: int
-) -> List[int]:
-    """Split ``want``, a member of ``powers[parts]``, into ``parts`` family sets.
+def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
+    """Split ``want``, a member of power ``parts``, into ``parts`` family sets.
 
-    At each level peel the lexicographically smallest family member
-    whose removal stays reachable one power lower; ``powers[0]`` holds
-    only the empty set.  Deterministic by construction.
+    ``tables[a]`` is power ``a`` as little-endian bytes (power 1 is the
+    family).  Each level peels the lexicographically smallest family
+    member whose removal stays in the power below, walking the subsets
+    of ``want`` upward; as the family is closed under nonempty subsets,
+    a subset outside it skips those that add vertices below its lowest.
     """
+    family = tables[1]
     class_masks: List[int] = []
     for level in range(parts, 0, -1):
-        lower = powers[level - 1]
-        for s in members:
-            if not s & ~want and lower.contains(want ^ s):
-                class_masks.append(s)
-                want ^= s
+        lower, s = tables[level - 1], want & -want
+        while s:
+            if not family[s >> 3] >> (s & 7) & 1:
+                s |= want & ((s & -s) - 1)
+            elif lower[(want ^ s) >> 3] >> ((want ^ s) & 7) & 1:
                 break
+            s = (s - want) & want
         else:
             raise AssertionError("witness peel failed")
+        class_masks.append(s)
+        want ^= s
     return class_masks
 
 
@@ -281,26 +307,27 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     sub, ids = g.induced(comp)
     family = build_color_class_family(sub, cap=cap)
     full = sub.full_mask
-    chains: Optional[List[List[int]]] = None  # built on the first power past the family
+    cuts: Optional[Cuts] = None  # built on the first power past the family
     powers = [CoefficientTable(sub.n, 1), family]  # powers[a] is power a
-    prev_comp = 1 << full  # complement of power 0 = {empty set}
+    prev_comp = CoefficientTable(sub.n, 1 << full)  # complement of power 0 = {empty set}
     while True:
         a = len(powers) - 1
         cur = powers[a].bits
-        b, meet = a - 1, cur & prev_comp  # k = 2a - 1
+        b, meet = a - 1, cur & prev_comp.bits  # k = 2a - 1
         if not meet:
-            prev_comp = powers[a].complement().bits
-            b, meet = a, cur & prev_comp  # k = 2a
+            prev_comp = powers[a].complement()
+            b, meet = a, cur & prev_comp.bits  # k = 2a
         if meet:
             break
         if 2 * a >= sub.n:
             raise AssertionError("no family partition covers the component")
-        if chains is None:
-            chains = cover_chains(maximal_members(family))
-        powers.append(cover_power(powers[a], a, chains))
+        if cuts is None:
+            cuts = cover_cuts(maximal_members(family), sub.n)
+        # ends at the block that holds the lowest meet for k = 2a + 1
+        powers.append(cover_power(powers[a], a, cuts, prev_comp))
     s = lowest_bit(meet)
-    members = family.members()
-    class_masks = _peel(members, powers, s, a) + _peel(members, powers, full ^ s, b)
+    tables = [p.bits.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[:max(a, 2)]]
+    class_masks = _peel(tables, s, a) + _peel(tables, full ^ s, b)
     coloring = make_coloring(class_masks, [_dominator_of(sub, c) for c in class_masks])
     return a + b, coloring.relabeled(ids)
 

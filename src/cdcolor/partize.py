@@ -34,7 +34,6 @@ from .coloring import (
     validate_cd_coloring,
 )
 from .errors import CapacityError, PreconditionError
-from .exact import cd_chromatic_bruteforce
 from .fpt import (
     oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
 )
@@ -526,6 +525,8 @@ def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
 
 def partization_bruteforce(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     """Exhaustive deletion oracle over all subsets of size <= k."""
+    from .exact import cd_chromatic_bruteforce
+
     if g.n > BRUTE_N_CAP or k > BRUTE_K_CAP:
         raise CapacityError(
             f"brute-force caps are n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP}"

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from cdcolor import exact
-from cdcolor.bits import bit_list, fewer_than, lack_masks, mask_of
+from cdcolor.bits import bit_list, fewer_than, lack_masks, lowest_bit, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
@@ -13,7 +13,7 @@ from cdcolor.exact import (
     build_color_class_family,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
-    cover_chains,
+    cover_cuts,
     cover_power,
     maximal_members,
     star_product,
@@ -236,10 +236,10 @@ def test_cover_powers_equal_the_star_powers():
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
             family = build_color_class_family(g)
-            chains = cover_chains(maximal_members(family))
+            cuts = cover_cuts(maximal_members(family), n)
             cover = star = family
             for a in range(1, n):
-                cover = cover_power(cover, a, chains)
+                cover = cover_power(cover, a, cuts, CoefficientTable(n))
                 star = star_product(star, family)
                 assert cover == star, (n, g.adj, a + 1)
                 checked += 1
@@ -247,14 +247,65 @@ def test_cover_powers_equal_the_star_powers():
     assert checked > 400
 
 
-def test_cover_chains_share_prefixes_and_list_every_member():
+def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
     rng = random.Random(71)
     for _ in range(40):
-        g = random_graph(rng.randint(1, 12), rng.random(), rng)
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.random(), rng)
         maximal = maximal_members(build_color_class_family(g))
-        chains = cover_chains(maximal)
-        assert chains == sorted(chains)
-        assert sorted(mask_of(c) for c in chains) == maximal
+        blocks = cover_cuts(maximal, n)
+        assert len(blocks) == n
+        for u, lists in enumerate(blocks):
+            cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
+            want = sorted(c for c in cuts if not any(c != o and not c & ~o for o in cuts))
+            assert lists == sorted(lists)
+            assert sorted(mask_of(c) for c in lists) == want
+            assert not any(p == c[: len(p)] for p, c in zip(lists, lists[1:]))
+
+
+def top_vertex_families():
+    """Families whose highest vertex is isolated, a pendant, adjacent to
+    every vertex, or in every maximal member, next to plain random ones."""
+    rng = random.Random(73)
+    for _ in range(12):
+        base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
+        n, top = base.n, 1 << base.n
+        hook = rng.randrange(n)
+        pendant = [row | (top if v == hook else 0) for v, row in enumerate(base.adj)]
+        universal = [row | top for row in base.adj]
+        for g in (
+            Graph(n + 1, list(base.adj) + [0]),
+            Graph(n + 1, pendant + [1 << hook]),
+            Graph(n + 1, universal + [top - 1]),
+            random_graph(n + 1, rng.random(), rng),
+        ):
+            yield build_color_class_family(g)
+        masks = random_family_masks(n, rng.randint(1, 5), rng) + [1 << v for v in range(n)]
+        yield down_closure(n + 1, [m | top for m in masks])
+
+
+def test_cover_power_stops_at_the_lowest_meet():
+    met = 0
+    for family in top_vertex_families():
+        n = family.n
+        cuts = cover_cuts(maximal_members(family), n)
+        power = family
+        for a in range(1, n):
+            full = cover_power(power, a, cuts, CoefficientTable(n))
+            noise = CoefficientTable(n, random.Random(a * n).getrandbits(1 << n))
+            for stop in (power.complement(), noise):
+                early = cover_power(power, a, cuts, stop)
+                meet = full.bits & stop.bits
+                if not meet:
+                    assert early == full
+                    continue
+                met += 1
+                low = lowest_bit(meet)
+                assert lowest_bit(early.bits & stop.bits) == low
+                # the blocks up to the one holding the lowest meet
+                assert early.bits == full.bits & ((1 << (1 << low.bit_length())) - 1)
+            power = full
+    assert met > 100
 
 
 KNOWN_VALUES = [
@@ -297,9 +348,9 @@ def test_named_values(g, expected):
 def test_meet_in_the_middle_product_count(monkeypatch, g, q):
     calls = []
 
-    def counting(power, a, chains):
+    def counting(power, a, cuts, stop):
         calls.append(1)
-        return cover_power(power, a, chains)
+        return cover_power(power, a, cuts, stop)
 
     monkeypatch.setattr(exact, "cover_power", counting)
     assert cd_chromatic_exact(g)[0] == q
@@ -422,3 +473,18 @@ def test_hub_lift_answers_are_pinned(n):
         for p in (0.3, 0.6)
     ]
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == HUB_LIFT_DIGESTS[n]
+
+
+# SHA-256 of repr(cd_chromatic_exact(random_graph(24, 0.5, Random(seed)))),
+# taken from the engine that closed each power over full-width tables in
+# one prefix tree of maximal members.
+N24_DIGESTS = {
+    1: "326626ad255f4602061cdaa3b20ca4416acbd10731255430e4e0d7ef022cc2b1",
+    2: "c632101929446d417a91fc5da9439f0dfaedbacb26f2428d1c6095ceee5c13e3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(N24_DIGESTS))
+def test_n24_answers_are_pinned(seed):
+    answer = cd_chromatic_exact(random_graph(24, 0.5, random.Random(seed)))
+    assert hashlib.sha256(repr(answer).encode()).hexdigest() == N24_DIGESTS[seed]

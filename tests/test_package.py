@@ -124,9 +124,9 @@ def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
         (["cdnumber", "--girth5", c5], {"tds"}),
         (["tds", "--k", "3", c5, "--kernel-out", out], {"tds"}),
         (["gen", "random", "--n", "6", "--out", out], {"generate"}),
-        (["cdnumber", "--split", c5], None),
-        (["recognize", "--q", "3", c5], None),
-        (["partize", "--q", "3", "--k", "1", c5], None),
+        (["cdnumber", "--split", c5], {"fpt", "partize", "split"}),
+        (["recognize", "--q", "3", c5], {"fpt", "partize"}),
+        (["partize", "--q", "3", "--k", "1", c5], {"fpt", "partize"}),
         (["partize", "--q", "4", "--k", "0", c5], None),
         (["gen", "setcover", "--universe", "2", "--sets", "1;2", "--k", "1", "--out", out], None),
     ]
