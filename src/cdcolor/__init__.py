@@ -24,7 +24,6 @@ _EXPORTS = {
     ),
     "exact": (
         "CoefficientTable",
-        "build_color_class_family",
         "cd_chromatic_bruteforce",
         "cd_chromatic_exact",
         "star_product",

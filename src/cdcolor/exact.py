@@ -19,14 +19,15 @@ any cover holds the set's highest vertex ``u``, so the sets of
 ``u`` in ``D_a``, closed upward inside the maximal classes that hold
 ``u``: :func:`cover_power` builds block ``u`` with operations ``2**u``
 bits wide.  Power ``a`` is ``D_a`` without the sets of fewer than ``a``
-vertices; only the power is kept.
+vertices.  The family itself is power 1, built by the same call from
+power 0 = {empty set} over :func:`maximal_classes`, read off the graph.
 
 The search meets in the middle: the full set lies in power ``a + b``
 exactly when some member ``S`` of power ``a`` has its complement in
 power ``b``, i.e. when power ``a`` meets the complemented table of power
 ``b`` (bit ``d`` moved to bit ``full ^ d``, a reversal of all ``2**n``
 bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
-built finds ``q`` with only ``ceil(q/2) - 1`` powers past the family,
+built finds ``q`` with only ``ceil(q/2)`` powers past power 0,
 and the build of power ``a`` stops at the first block that meets for
 ``k = 2a - 1``.  The witness is peeled separately inside each half.
 
@@ -41,7 +42,7 @@ direct search over vertex partitions that never touches the tables.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .bits import fewer_than, iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -130,30 +131,6 @@ class CoefficientTable:
         return f"CoefficientTable(n={self.n}, members={self.member_count()})"
 
 
-def build_color_class_family(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> CoefficientTable:
-    """Table of all candidate color classes of ``g``.
-
-    A nonempty set qualifies when it is independent and fits inside the
-    closed neighborhood of some vertex.  Built per vertex ``y`` by
-    growing the independent subsets of ``N[y]`` one element at a time;
-    duplicates collapse in the table.  The bits are set in a byte
-    buffer, so each set costs one byte update, not a full-width OR.
-    """
-    if g.n > cap:
-        raise CapacityError(
-            f"exact solver capacity is {cap} vertices, got {g.n}; raise the cap"
-        )
-    table = bytearray(((1 << g.n) + 7) // 8)
-    for y in range(g.n):
-        sets = [0]
-        for v in iter_bits(g.closed(y)):
-            av = g.adj[v]
-            sets += [s | (1 << v) for s in sets if not (av & s)]
-        for s in sets[1:]:  # sets[0] is the empty set
-            table[s >> 3] |= 1 << (s & 7)
-    return CoefficientTable(g.n, int.from_bytes(table, "little"))
-
-
 def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     """Table of all unions of a ``p``-member and a disjoint ``r``-member.
 
@@ -173,18 +150,40 @@ def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
     return CoefficientTable(p.n, out)
 
 
-def maximal_members(family: CoefficientTable) -> List[int]:
-    """Members of a family closed under nonempty subsets that no other
-    member contains, ascending.
+def maximal_classes(g: Graph) -> List[int]:
+    """Color classes of ``g`` that no other class contains, ascending.
 
-    In such a family a member is maximal when adding any one vertex
-    leaves the family, and ``(bits >> 2**i) & lack[i]`` marks exactly
-    the sets one vertex ``i`` short of a member.
+    A class is an independent set inside some ``N[y]``, so each maximal
+    class is a maximal independent subset of ``N[y]`` for each of its
+    dominators ``y``.  These are listed per ``y`` by Bron-Kerbosch on
+    the complement (Bron and Kerbosch, CACM 1973), pivoting on the
+    lowest free vertex, and each is kept from its lowest dominator
+    only.  It is maximal among all classes when no dominator's ``N[d]``
+    holds a vertex outside the set and its neighborhood, which would
+    extend it.
     """
-    bits, short = family.bits, 0
-    for i, lack in enumerate(lack_masks(family.n)):
-        short |= (bits >> (1 << i)) & lack
-    return _set_positions(bits ^ (bits & short))
+    out = []
+    for y in range(g.n):
+        stack = [(0, g.closed(y), 0)]  # (chosen, free, done) masks
+        while stack:
+            s, free, done = stack.pop()
+            if free:  # a maximal set holds the pivot or a neighbor of it
+                for v in iter_bits(free & g.closed(lowest_bit(free))):
+                    rest = ~g.closed(v)
+                    stack.append((s | 1 << v, free & rest, done & rest))
+                    free, done = free ^ 1 << v, done | 1 << v
+                continue
+            if done:  # a done vertex extends s
+                continue
+            dominators, reach = -1, 0
+            for v in iter_bits(s):
+                dominators &= g.closed(v)
+                reach |= g.closed(v)
+            if lowest_bit(dominators) == y and not any(
+                g.closed(d) & ~reach for d in iter_bits(dominators)
+            ):
+                out.append(s)
+    return sorted(out)
 
 
 def cover_cuts(maximal: List[int], n: int) -> Cuts:
@@ -254,7 +253,7 @@ def cover_power(
     power meets ``stop``: they hold its lowest set in ``stop``.
     """
     n = power.n
-    size, lack = ((1 << n) + 7) // 8, lack_masks(n)
+    size, lack = ((1 << n) + 7) // 8, lack_masks(n - 1)  # block u reads lack[i < u]
     down = (power.bits | fewer_than(n, a)).to_bytes(size, "little")
     hits = stop.bits.to_bytes(size, "little")
     out = 1  # the empty set
@@ -304,12 +303,15 @@ def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
 
 def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     """Solve ``comp`` on a compact copy, whose subsets the tables index."""
+    if comp.bit_count() > cap:
+        raise CapacityError(
+            f"exact solver capacity is {cap} vertices, got {comp.bit_count()}; raise the cap"
+        )
     sub, ids = g.induced(comp)
-    family = build_color_class_family(sub, cap=cap)
     full = sub.full_mask
-    cuts: Optional[Cuts] = None  # built on the first power past the family
-    powers = [CoefficientTable(sub.n, 1), family]  # powers[a] is power a
-    prev_comp = CoefficientTable(sub.n, 1 << full)  # complement of power 0 = {empty set}
+    cuts = cover_cuts(maximal_classes(sub), sub.n)
+    powers = [CoefficientTable(sub.n, 1)]  # powers[a] is power a; power 0 = {empty set}
+    prev_comp = CoefficientTable(sub.n)  # no k = -1 test
     while True:
         a = len(powers) - 1
         cur = powers[a].bits
@@ -321,8 +323,6 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
             break
         if 2 * a >= sub.n:
             raise AssertionError("no family partition covers the component")
-        if cuts is None:
-            cuts = cover_cuts(maximal_members(family), sub.n)
         # ends at the block that holds the lowest meet for k = 2a + 1
         powers.append(cover_power(powers[a], a, cuts, prev_comp))
     s = lowest_bit(meet)

@@ -331,8 +331,9 @@ def is_connected(g: Graph) -> bool:
 # -- cycles and colorings ----------------------------------------------------
 
 
-def girth(g: Graph):
-    """Length of a shortest cycle, or ``float('inf')`` for forests.
+def girth(g: Graph, limit=float("inf")):
+    """Length of a shortest cycle, or ``float('inf')`` for forests; with
+    a ``limit``, ``min(girth, limit)``, searching no deeper than it needs.
 
     One breadth-first search per start vertex, a layer mask at a time
     (Itai and Rodeh, SIAM J. Comput. 1978).  An edge inside layer ``d``
@@ -341,7 +342,7 @@ def girth(g: Graph):
     holds a cycle no longer than itself, and every start on a shortest
     cycle finds its length, so the minimum over all starts is exact.
     """
-    best = float("inf")
+    best = limit
     for s in range(g.n):
         seen = layer = 1 << s
         d = 0

@@ -55,7 +55,7 @@ def is_total_dominating(g: Graph, mask: int) -> bool:
 
 
 def _require_girth5(g: Graph, who: str) -> None:
-    gg = girth(g)
+    gg = girth(g, 5)  # 3 or 4 exactly, else 5
     if gg < 5:
         raise PreconditionError(
             f"{who} requires girth >= 5 (got {gg}): open neighborhoods must be "

@@ -10,12 +10,11 @@ from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_colori
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
     CoefficientTable,
-    build_color_class_family,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
     cover_cuts,
     cover_power,
-    maximal_members,
+    maximal_classes,
     star_product,
 )
 from cdcolor.generate import (
@@ -46,20 +45,27 @@ def table_from_masks(n, masks):
     return CoefficientTable(n, bits)
 
 
+def family_of(g):
+    """Power 1, the color-class family, built from power 0 = {empty set}
+    as the engine builds it."""
+    cuts = cover_cuts(maximal_classes(g), g.n)
+    return cover_power(CoefficientTable(g.n, 1), 0, cuts, CoefficientTable(g.n))
+
+
 def test_family_path3():
     # P3 = a-b-c: singletons plus the dominated pair {a, c}
     g = path_graph(3)
-    fam = build_color_class_family(g)
+    fam = family_of(g)
     assert set(fam.members()) == {0b001, 0b010, 0b100, 0b101}
 
 
 def test_family_k1_self_dominated():
-    fam = build_color_class_family(Graph(1, [0]))
+    fam = family_of(Graph(1, [0]))
     assert fam.members() == [0b1]
 
 
 def test_family_triangle_singletons_only():
-    fam = build_color_class_family(complete_graph(3))
+    fam = family_of(complete_graph(3))
     assert set(fam.members()) == {0b001, 0b010, 0b100}
 
 
@@ -67,13 +73,17 @@ def test_family_matches_bruteforce():
     rng = random.Random(23)
     for _ in range(60):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]), rng)
-        fam = build_color_class_family(g)
+        fam = family_of(g)
         assert set(fam.members()) == brute_family_masks(g)
 
 
-def test_family_capacity():
-    with pytest.raises(CapacityError):
-        build_color_class_family(Graph(5, [0] * 5), cap=4)
+def test_oversized_component_is_refused_before_its_copy(monkeypatch):
+    def no_copy(self, mask):
+        raise AssertionError("component copied")
+
+    monkeypatch.setattr(Graph, "induced", no_copy)
+    with pytest.raises(CapacityError, match="capacity is 4 vertices, got 5"):
+        cd_chromatic_exact(path_graph(5), cap=4)
 
 
 def test_members_scan_matches_bit_list():
@@ -215,18 +225,22 @@ def down_closure(n, masks):
     return CoefficientTable(n, bits)
 
 
-def test_maximal_members_match_bruteforce():
+def maximal_of(masks):
+    """The masks that no other mask contains, ascending."""
+    return sorted(m for m in set(masks) if not any(o != m and not m & ~o for o in masks))
+
+
+def test_maximal_classes_match_bruteforce():
     rng = random.Random(61)
+    graphs = [complete_graph(n) for n in range(1, 10)] + [star_graph(n) for n in range(1, 9)]
     for _ in range(80):
-        n = rng.randint(0, 9)
-        if rng.random() < 0.5:
-            table = build_color_class_family(random_graph(n, rng.random(), rng))
-        else:
-            table = down_closure(n, random_family_masks(n, rng.randint(1, 6), rng) if n else [])
-        members = table.members()
-        want = [m for m in members if not any(o != m and not m & ~o for o in members)]
-        assert maximal_members(table) == want
-    assert maximal_members(CoefficientTable(0, 1)) == [0]
+        g = random_graph(rng.randint(1, 7), rng.random(), rng)
+        k = rng.randint(1, 2)
+        isolated = Graph(k, [0] * k)
+        graphs += [g, disjoint_union(isolated, g), disjoint_union(g, isolated)]
+    for g in graphs:
+        assert maximal_classes(g) == maximal_of(brute_family_masks(g)), (g.n, g.adj)
+    assert maximal_classes(Graph(0, [])) == []
 
 
 def test_cover_powers_equal_the_star_powers():
@@ -235,9 +249,8 @@ def test_cover_powers_equal_the_star_powers():
     for n in range(1, 12):
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-            family = build_color_class_family(g)
-            cuts = cover_cuts(maximal_members(family), n)
-            cover = star = family
+            cuts = cover_cuts(maximal_classes(g), n)
+            family = cover = star = cover_power(CoefficientTable(n, 1), 0, cuts, CoefficientTable(n))
             for a in range(1, n):
                 cover = cover_power(cover, a, cuts, CoefficientTable(n))
                 star = star_product(star, family)
@@ -252,7 +265,7 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
     for _ in range(40):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.random(), rng)
-        maximal = maximal_members(build_color_class_family(g))
+        maximal = maximal_classes(g)
         blocks = cover_cuts(maximal, n)
         assert len(blocks) == n
         for u, lists in enumerate(blocks):
@@ -264,8 +277,9 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
 
 
 def top_vertex_families():
-    """Families whose highest vertex is isolated, a pendant, adjacent to
-    every vertex, or in every maximal member, next to plain random ones."""
+    """Families, with their maximal members, whose highest vertex is
+    isolated, a pendant, adjacent to every vertex, or in every maximal
+    member, next to plain random ones."""
     rng = random.Random(73)
     for _ in range(12):
         base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -279,16 +293,17 @@ def top_vertex_families():
             Graph(n + 1, universal + [top - 1]),
             random_graph(n + 1, rng.random(), rng),
         ):
-            yield build_color_class_family(g)
+            yield family_of(g), maximal_classes(g)
         masks = random_family_masks(n, rng.randint(1, 5), rng) + [1 << v for v in range(n)]
-        yield down_closure(n + 1, [m | top for m in masks])
+        masks = [m | top for m in masks]
+        yield down_closure(n + 1, masks), maximal_of(masks)
 
 
 def test_cover_power_stops_at_the_lowest_meet():
     met = 0
-    for family in top_vertex_families():
+    for family, maximal in top_vertex_families():
         n = family.n
-        cuts = cover_cuts(maximal_members(family), n)
+        cuts = cover_cuts(maximal, n)
         power = family
         for a in range(1, n):
             full = cover_power(power, a, cuts, CoefficientTable(n))
@@ -354,7 +369,7 @@ def test_meet_in_the_middle_product_count(monkeypatch, g, q):
 
     monkeypatch.setattr(exact, "cover_power", counting)
     assert cd_chromatic_exact(g)[0] == q
-    assert len(calls) == (q + 1) // 2 - 1
+    assert len(calls) == (q + 1) // 2  # the family is the first call
 
 
 def test_bruteforce_examples():

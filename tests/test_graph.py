@@ -230,6 +230,20 @@ def test_girth_matches_bruteforce():
         assert girth(g) == brute_girth(g) == b
 
 
+def test_girth_with_a_limit_is_the_girth_cut_at_it():
+    rng = random.Random(13)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            g = sparse_graph(rng)
+        else:
+            g = random_graph(rng.randint(1, 12), rng.choice([0.1, 0.2, 0.4, 0.6]), rng)
+        forest = relabeled(Graph.from_edges(g.n, [(v, rng.randrange(v)) for v in range(1, g.n)]), rng)
+        for h in (g, forest):
+            for limit in (3, 4, 5, 6):
+                assert girth(h, limit) == min(girth(h), limit), (h.adj, limit)
+    assert girth(path_graph(20000), 5) == 5
+
+
 def test_bipartition_named():
     c4, c5, empty3 = cycle_graph(4), cycle_graph(5), Graph(3, [0, 0, 0])
     a, b = bipartition_within(c4, c4.full_mask)

@@ -22,7 +22,7 @@ PUBLIC = [
     "DeletionSolution", "GeneratedInstance", "Graph", "KernelOutcome",
     "NotSplitError", "ParseError", "PreconditionError", "RecognitionResult",
     "TdsCertificate", "TypeWitness", "ValidationReport",
-    "build_color_class_family", "cd_chromatic_bruteforce", "cd_chromatic_exact",
+    "cd_chromatic_bruteforce", "cd_chromatic_exact",
     "cd_chromatic_girth5", "cd_chromatic_split", "cd_coloring_from_tds",
     "cd_recognize_upto3", "connected_components", "delete_to_type1",
     "delete_to_type2", "delete_to_type3", "delete_to_type4", "delete_to_type5",

@@ -259,9 +259,9 @@ def test_girth5_matches_oracle():
 def test_girth_checked_once_per_call(monkeypatch):
     calls = []
 
-    def counting(g):
+    def counting(g, *limit):
         calls.append(1)
-        return girth(g)
+        return girth(g, *limit)
 
     monkeypatch.setattr(tds, "girth", counting)
     rng = random.Random(89)
