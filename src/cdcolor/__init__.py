@@ -52,6 +52,7 @@ _EXPORTS = {
         "delete_to_type3",
         "delete_to_type4",
         "delete_to_type5",
+        "partization",
         "partization2",
         "partization3",
         "partization_bruteforce",

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .bits import iter_bits, mask_of
 from .coloring import CdColoring, validate_cd_coloring
@@ -25,9 +26,6 @@ from .graph import (
     parse_graph,
     to_dimacs,
 )
-
-if TYPE_CHECKING:
-    from .partize import DeletionSolution
 
 # Each handler imports the solver modules it calls, so a process loads
 # only what its subcommand runs.
@@ -128,24 +126,7 @@ def _cmd_tds(args) -> int:
     return 0
 
 
-def _solution_payload(g: Graph, sol: DeletionSolution) -> dict:
-    payload = sol.coloring.to_payload(g)
-    payload["deleted"] = g.label_list(sol.deleted)
-    payload["pattern"] = [name for name, _ in sol.plan]
-    return payload
-
-
 def _cmd_partize(args) -> int:
-    from .partize import (
-        BRUTE_K_CAP,
-        BRUTE_N_CAP,
-        _ruled_out,
-        _small_remainder,
-        partization2,
-        partization3,
-        partization_bruteforce,
-    )
-
     g = _load_graph(args.file)
     if args.k < 0:
         raise CdColorError("--k must be non-negative")
@@ -153,26 +134,17 @@ def _cmd_partize(args) -> int:
         from .split import split_partization
 
         sol = split_partization(g, args.k, args.q)
-    elif args.q <= 1:
-        sol = _small_remainder(g, args.k, args.q) if args.q >= 0 else None
-    elif args.q == 2:
-        sol = partization2(g, args.k)
-    elif args.q == 3:
-        sol = partization3(g, args.k)
-    elif _ruled_out(g, args.k, args.q):
-        sol = None
     else:
-        print(
-            f"warning: q={args.q} runs the brute-force oracle "
-            f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})",
-            file=sys.stderr,
-        )
-        sol = partization_bruteforce(g, args.k, args.q)
+        from .partize import partization
+
+        sol = partization(g, args.k, args.q)
     if sol is None:
         if not args.json:
             print("NO")
         return 1
-    payload = _solution_payload(g, sol)
+    payload = sol.coloring.to_payload(g)
+    payload["deleted"] = g.label_list(sol.deleted)
+    payload["pattern"] = [name for name, _ in sol.plan]
     if not args.json:
         print(
             f"YES deleted={payload['deleted']} "
@@ -376,7 +348,10 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # print each warning as it is raised
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = lambda m, *_: print(f"warning: {m}", file=sys.stderr)
+            return args.func(args)
     except CdColorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,10 @@ joined to the two sets.
 
 A subproblem is a vertex mask of the input graph: the routines take an
 optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
-vertex ids.  Bipartiteness tests and side demands read the two-colorings
-that ``graph.component_sides`` finds in one breadth-first walk per
-component.
+vertex ids.  Bipartiteness tests and side demands share one routine,
+``graph.bipartition_within``, which reads the two-colorings that
+``graph.component_sides`` finds in one breadth-first walk per component
+and orients each component to meet the demands.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import PreconditionError
-from .graph import Graph, bipartition_within, component_sides
+from .graph import Graph, bipartition_within
 
 
 def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int]:
@@ -277,26 +278,6 @@ def oct_excluding(
     return _oct_avoiding(g, _vertex_bit(g, v, active), k, active)
 
 
-def demand_sides(
-    g: Graph, oct_mask: int, p_mask: int, q_mask: int, active: Optional[int] = None
-) -> Optional[Tuple[int, int]]:
-    """Bipartition of ``g[active]`` minus ``oct_mask`` with surviving ``p``
-    on the first side and surviving ``q`` on the second, or None."""
-    rest = (g.full_mask if active is None else active) & ~oct_mask
-    first = second = 0
-    for _, sides in component_sides(g, rest):
-        if sides is None:
-            return None
-        a, b = sides
-        if p_mask & b or q_mask & a:
-            a, b = b, a
-            if p_mask & b or q_mask & a:
-                return None
-        first |= a
-        second |= b
-    return first, second
-
-
 def oct_with_forced_sides(
     g: Graph,
     p_mask: int,
@@ -332,6 +313,6 @@ def oct_with_forced_sides(
     )
     if found is None:
         return None
-    sides = demand_sides(g, found, p_mask, q_mask, active)
+    sides = bipartition_within(g, active & ~found, p_mask, q_mask)
     assert sides is not None
     return found, sides

@@ -360,18 +360,24 @@ def girth(g: Graph, limit=float("inf")):
     return best
 
 
-def bipartition_within(g: Graph, active: int) -> Optional[Tuple[int, int]]:
-    """Two-coloring of ``g`` restricted to ``active``, or None if odd cycle.
-
-    Deterministic orientation: the lowest-index vertex of every
-    component goes on side A.
+def bipartition_within(
+    g: Graph, active: int, first: int = 0, second: int = 0
+) -> Optional[Tuple[int, int]]:
+    """Two-coloring of ``g[active]`` with the vertices of ``first`` on side
+    A and of ``second`` on side B, or None on an odd cycle or a clash.
+    A component without demands puts its lowest-index vertex on side A.
     """
     side_a = side_b = 0
     for _, sides in component_sides(g, active):
         if sides is None:
             return None
-        side_a |= sides[0]
-        side_b |= sides[1]
+        a, b = sides
+        if first & b or second & a:
+            a, b = b, a
+            if first & b or second & a:
+                return None
+        side_a |= a
+        side_b |= b
     return side_a, side_b
 
 

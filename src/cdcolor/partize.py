@@ -16,13 +16,19 @@ Recognition is deletion with budget k = 0: ``recognize_type`` returns
 the matcher's witness, and ``cd_recognize_upto3`` sums over components.
 Type 0 (at most three vertices) is a closed form.
 
-``partization_bruteforce`` is the validation oracle: exhaustive over
-deletion sets, scoring remainders with the partition-search oracle.
+``partization(g, k, q)`` routes deletion for every q: a closed form for
+small remainders, two NO bounds, then the matchers (Type 1 for q = 2,
+Types 1-5 for q >= 3).  ``partization_bruteforce`` is the validation
+oracle: exhaustive over deletion sets, scoring remainders with the
+partition-search oracle.  Recognition is NP-hard for q >= 4, so there
+it runs as ``partization``'s last step, after the bounds and the q = 3
+route.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
@@ -88,16 +94,31 @@ def validate_deletion(g: Graph, sol: DeletionSolution, q: int) -> ValidationRepo
     return validate_cd_coloring(g, sol.coloring, g.full_mask & ~sol.deleted)
 
 
-def _cover(g: Graph, budget: int, cand: int, failed: Dict[int, int]) -> Optional[int]:
-    """``vertex_cover(g, budget, cand)``, skipped when ``failed``, which maps
-    each candidate mask to the largest budget at which it had no cover,
-    already settles it: no cover of size <= b means none of size <= b - 1."""
-    if budget <= failed.get(cand, -1):
-        return None
-    cover = vertex_cover(g, budget, cand)
-    if cover is None:
-        failed[cand] = budget
-    return cover
+def _covers(g: Graph, budget: int, cands, failed: Dict[int, int]) -> Optional[int]:
+    """Union of ``vertex_cover`` calls on the pairwise disjoint ``cands``
+    in turn, each within what is left of ``budget``, or None.  ``failed``
+    maps a set to the largest budget at which it had no cover, which
+    settles every smaller budget too."""
+    union = 0
+    for cand in cands:
+        left = budget - union.bit_count()
+        if left <= failed.get(cand, -1):
+            return None
+        cover = vertex_cover(g, left, cand)
+        if cover is None:
+            failed[cand] = left
+            return None
+        union |= cover
+    return union
+
+
+def _matched(
+    t: int, dominators: Tuple[int, ...], classes, class_dominators, deleted: int
+) -> DeletionSolution:
+    """A connected remainder matching Type ``t``, colored by ``classes``."""
+    coloring = make_coloring(classes, class_dominators)
+    witness = TypeWitness(t, dominators, coloring)
+    return DeletionSolution(deleted, ((f"Type{t}", witness),), coloring)
 
 
 def _priced_edges(
@@ -128,17 +149,13 @@ def _type1_at(
     spending at most ``budget`` on the two sides' vertex covers."""
     x_cand = keep & g.adj[x] & ~(1 << y)
     y_cand = keep & g.adj[y] & ~(1 << x)
-    s1 = _cover(g, budget, x_cand, failed)
-    if s1 is None:
+    s = _covers(g, budget, (x_cand, y_cand), failed)
+    if s is None:
         return None
-    s2 = _cover(g, budget - s1.bit_count(), y_cand, failed)
-    if s2 is None:
-        return None
-    coloring = make_coloring(
-        [(y_cand & ~s2) | (1 << x), (x_cand & ~s1) | (1 << y)], [y, x]
+    return _matched(
+        1, (x, y), [(y_cand & ~s) | (1 << x), (x_cand & ~s) | (1 << y)], [y, x],
+        (active & ~keep) | s,
     )
-    witness = TypeWitness(1, (x, y), coloring)
-    return DeletionSolution((active & ~keep) | s1 | s2, (("Type1", witness),), coloring)
 
 
 def delete_to_type1(
@@ -241,7 +258,7 @@ def delete_to_type3(
             if rem < 0:
                 continue
             y_cand = keep & ~x_keep
-            s1 = _cover(g, rem, y_cand, failed)
+            s1 = _covers(g, rem, (y_cand,), failed)
             if s1 is None:
                 continue
             budget = rem - s1.bit_count()
@@ -263,12 +280,9 @@ def delete_to_type3(
             if not any(g.adj[v] & rest for v in iter_bits(rest)):
                 continue
             sides = bipartition_within(g, rest)
-            coloring = make_coloring(
-                [(y_cand & ~s1) | (1 << x), sides[0], sides[1]], [y, x, x]
-            )
-            witness = TypeWitness(3, (x, y), coloring)
-            return DeletionSolution(
-                (active & ~keep) | s1 | s2, (("Type3", witness),), coloring
+            return _matched(
+                3, (x, y), [(y_cand & ~s1) | (1 << x), *sides], [y, x, x],
+                (active & ~keep) | s1 | s2,
             )
     return None
 
@@ -296,22 +310,13 @@ def delete_to_type4(
                 rem = base + keep.bit_count()
                 if rem < 0:
                     continue
-                s1 = _cover(g, rem, x_cand, failed)
-                if s1 is None:
+                s = _covers(g, rem, (x_cand, y_cand, z_cand), failed)
+                if s is None:
                     continue
-                s2 = _cover(g, rem - s1.bit_count(), y_cand, failed)
-                if s2 is None:
-                    continue
-                s3 = _cover(g, rem - s1.bit_count() - s2.bit_count(), z_cand, failed)
-                if s3 is None:
-                    continue
-                xs, ys, zs = x_cand & ~s1, y_cand & ~s2, z_cand & ~s3
-                coloring = make_coloring(
-                    [xs | (1 << y), ys | (1 << z), zs | (1 << x)], [x, y, z]
-                )
-                witness = TypeWitness(4, (x, y, z), coloring)
-                return DeletionSolution(
-                    (active & ~keep) | s1 | s2 | s3, (("Type4", witness),), coloring
+                xs, ys, zs = x_cand & ~s, y_cand & ~s, z_cand & ~s
+                return _matched(
+                    4, (x, y, z), [xs | (1 << y), ys | (1 << z), zs | (1 << x)],
+                    [x, y, z], (active & ~keep) | s,
                 )
     return None
 
@@ -351,7 +356,7 @@ def delete_to_type5(
                 if rem < 0:
                     continue
                 z_cand = az & ~pair
-                s1 = _cover(g, rem, z_cand, failed)
+                s1 = _covers(g, rem, (z_cand,), failed)
                 if s1 is None:
                     continue
                 b_cand = (1 << z) | ((ax | ay) & ~knockout)
@@ -364,14 +369,12 @@ def delete_to_type5(
                     continue
                 s2, (y_side, x_side) = res
                 # demand-free vertices of b_cand lie in ax & ay, and
-                # demand_sides pins the rest
+                # the demands pin the rest
                 assert not (x_side & ~ax or y_side & ~ay)
-                coloring = make_coloring(
-                    [x_side, y_side, (z_cand & ~s1) | (1 << x) | (1 << y)], [x, y, z]
-                )
-                witness = TypeWitness(5, (x, y, z), coloring)
-                return DeletionSolution(
-                    (active & ~keep) | s1 | s2, (("Type5", witness),), coloring
+                return _matched(
+                    5, (x, y, z),
+                    [x_side, y_side, (z_cand & ~s1) | (1 << x) | (1 << y)],
+                    [x, y, z], (active & ~keep) | s1 | s2,
                 )
     return None
 
@@ -488,39 +491,46 @@ def _ruled_out(g: Graph, k: int, q: int) -> bool:
     return _keeps_too_many(g, k, q) or more_components_than(g, g.full_mask, q + k)
 
 
-def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
-    """Delete at most k vertices so the rest is 3-cd-colorable.
+def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
+    """Delete at most k vertices so the rest is q-cd-colorable.
 
-    Pattern order: a remainder of at most 3 vertices always works, then
-    a single connected remainder of each type in order.  A lone vertex
-    beside a Type 1 component is already covered by the Type 2 pass,
-    whose inner search may delete the retained vertex's neighborhood.
-    The answer is NO at once with more than 3 + k components or more
-    than 3·max(Δ, 1) remaining vertices, Δ being the maximum degree
-    (``_ruled_out``).
+    A remainder of at most min(q, 3) vertices always works; for q <= 1
+    nothing else can.  The answer is NO at once with more than q + k
+    components or q·max(Δ, 1) remaining vertices, Δ being the maximum
+    degree (``_ruled_out``).  Then a single connected remainder of each
+    type in order: Type 1 for q = 2, Types 1-5 for q >= 3; a lone vertex
+    beside a Type 1 component is covered by the Type 2 pass, whose inner
+    search may delete the retained vertex's neighborhood.  For q >= 4,
+    where recognition is NP-hard, the brute-force oracle decides last,
+    with a warning.
     """
-    if k < 0:
+    if k < 0 or q < 0:
         return None
-    small = _small_remainder(g, k, 3)
-    if small is not None or _ruled_out(g, k, 3):
+    small = _small_remainder(g, k, min(q, 3))
+    if small is not None or q <= 1 or _ruled_out(g, k, q):
         return small
-    for solver in _TYPE_SOLVERS:
+    for solver in _TYPE_SOLVERS[:1] if q == 2 else _TYPE_SOLVERS:
         sol = solver(g, k)
         if sol is not None:
             return sol
-    return None
+    if q <= 3:
+        return None
+    warnings.warn(
+        f"q={q} runs the brute-force oracle "
+        f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})",
+        stacklevel=2,
+    )
+    return partization_bruteforce(g, k, q)
+
+
+def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
+    """``partization`` with q = 3."""
+    return partization(g, k, 3)
 
 
 def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
-    """Delete at most k vertices so the rest is 2-cd-colorable (NO at once
-    with more than 2 + k components or 2·max(Δ, 1) remaining vertices, as
-    in ``partization3``)."""
-    if k < 0:
-        return None
-    small = _small_remainder(g, k, 2)
-    if small is not None or _ruled_out(g, k, 2):
-        return small
-    return delete_to_type1(g, k)
+    """``partization`` with q = 2."""
+    return partization(g, k, 2)
 
 
 def partization_bruteforce(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:

@@ -116,11 +116,15 @@ def test_partize_exit_codes(c5, k5, tmp_path, capsys):
 def test_partize_split_and_brute_routes(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.dimacs", complete_graph(4))
     assert main(["partize", "--q", "3", "--k", "1", "--split", path]) == 0
-    # q >= 4 falls back to the oracle with a warning
-    assert main(["partize", "--q", "4", "--k", "0", path]) == 0
-    err = capsys.readouterr().err
-    assert "brute-force" in err
-    assert f"n <= {BRUTE_N_CAP}" in err and f"k <= {BRUTE_K_CAP}" in err
+    capsys.readouterr()
+    # q >= 4 falls back to the oracle with a warning, once on every call
+    warning = (
+        f"warning: q=4 runs the brute-force oracle "
+        f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})\n"
+    )
+    for _ in range(3):
+        assert main(["partize", "--q", "4", "--k", "0", path]) == 0
+        assert capsys.readouterr() == ("YES deleted=[] pattern=Empty q=4\n", warning)
 
 
 
@@ -130,6 +134,26 @@ def test_partize_q_4_bounds_answer_no_past_the_oracle_cap(tmp_path, capsys):
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 40)))
     assert main(["partize", "--q", "4", "--k", "1", str(path)]) == 1
     assert capsys.readouterr() == ("NO\n", "")
+
+def test_partize_q_4_takes_the_3_color_route_past_the_oracle_cap(tmp_path, capsys):
+    # 14 vertices: beyond the brute-force oracle's cap, but 3 <= q colors
+    # suffice once 11 of them go
+    path = str(tmp_path / "b.dimacs")
+    gen = ["gen", "random", "--n", "14", "--p", "0.3", "--seed", "2", "--out", path]
+    assert main(gen) == 0
+    capsys.readouterr()
+    line = (
+        "YES deleted=[4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14] "
+        "pattern=IsolatedVertex+IsolatedVertex+IsolatedVertex q=3\n"
+    )
+    for q in (3, 4, 5):
+        assert main(["partize", "--q", str(q), "--k", "12", path]) == 0
+        assert capsys.readouterr() == (line, "")
+    empty = tmp_path / "e.dimacs"
+    empty.write_text("p edge 0 0\n")
+    assert main(["partize", "--q", "5", "--k", "0", str(empty)]) == 0
+    assert capsys.readouterr() == ("YES deleted=[] pattern=Empty q=0\n", "")
+
 
 def test_partize_q_at_most_1_is_a_closed_form(tmp_path, capsys):
     # 14 vertices: beyond the brute-force oracle's cap

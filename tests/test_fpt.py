@@ -7,7 +7,6 @@ from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
     _min_vertex_cut,
     _split_network,
-    demand_sides,
     oct_excluding,
     oct_with_forced_sides,
     odd_cycle_transversal,
@@ -167,7 +166,8 @@ def test_forced_sides_c5():
     assert res is not None
     oct_mask, (p_side, q_side) = res
     assert oct_mask.bit_count() <= 1
-    check = demand_sides(cycle_graph(5), oct_mask, 0b00001, 0b00010)
+    g = cycle_graph(5)
+    check = bipartition_within(g, g.full_mask & ~oct_mask, 0b00001, 0b00010)
     assert check is not None
 
 
@@ -189,7 +189,7 @@ def test_forced_sides_matches_bruteforce():
                 assert oct_mask.bit_count() <= k
                 if exclude is not None:
                     assert not (oct_mask >> exclude) & 1
-                assert demand_sides(g, oct_mask, p, q) is not None
+                assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) is not None
                 assert sp | sq == g.full_mask & ~oct_mask
                 assert not sp & sq
 
@@ -214,4 +214,20 @@ def test_forced_sides_exclude_inside_p():
     assert res is not None and brute_forced_sides(g, p, q, 1, 2) is not None
     oct_mask, sides = res
     assert oct_mask.bit_count() <= 2 and not (oct_mask >> 1) & 1
-    assert demand_sides(g, oct_mask, p, q) == sides
+    assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) == sides
+
+
+def test_bipartition_within_demands_clash_inside_a_component():
+    # the path 0-1-2 puts 0 and 2 on one side: demanding them apart fails
+    g = path_graph(3)
+    assert bipartition_within(g, g.full_mask, 0b001, 0b100) is None
+    assert bipartition_within(g, g.full_mask, 0b101, 0b010) == (0b101, 0b010)
+    assert bipartition_within(g, g.full_mask, 0b010, 0b001) == (0b010, 0b101)
+
+
+def test_bipartition_within_keeps_a_demand_free_component_on_the_first_side():
+    # two paths 0-1-2 and 3-4: demands flip the first, the second keeps
+    # its lowest vertex 3 on the first side
+    g = Graph(5, (0b00010, 0b00101, 0b00010, 0b10000, 0b01000))
+    assert bipartition_within(g, g.full_mask, 0b00010, 0) == (0b01010, 0b10101)
+    assert bipartition_within(g, g.full_mask) == (0b01101, 0b10010)

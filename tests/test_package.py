@@ -29,10 +29,11 @@ PUBLIC = [
     "generate_from_partization", "generate_from_setcover", "girth",
     "is_total_dominating", "kernel_size_bound", "oct_excluding",
     "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
-    "partization2", "partization3", "partization_bruteforce", "recognize_type",
-    "split_cd_coloring", "split_partition", "split_partization", "star_product",
-    "tds_bruteforce", "tds_kernelize", "tds_solve", "to_dimacs",
-    "validate_cd_coloring", "validate_deletion", "vertex_cover",
+    "partization", "partization2", "partization3", "partization_bruteforce",
+    "recognize_type", "split_cd_coloring", "split_partition",
+    "split_partization", "star_product", "tds_bruteforce", "tds_kernelize",
+    "tds_solve", "to_dimacs", "validate_cd_coloring", "validate_deletion",
+    "vertex_cover",
 ]
 SOLVERS = {"exact", "fpt", "generate", "partize", "split", "tds"}
 SRC = str(Path(cdcolor.__file__).resolve().parents[1])
@@ -112,6 +113,8 @@ def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
     c5 = tmp_path / "c5.dimacs"
     c5.write_text(to_dimacs(Graph(5, cycle_graph(5).adj, labels=(1, 2, 3, 4, 5))))
     cert, tds_cert = tmp_path / "c.json", tmp_path / "t.json"
+    b14 = tmp_path / "b14.dimacs"
+    assert main(["gen", "random", "--n", "14", "--p", "0.3", "--seed", "2", "--out", str(b14)]) == 0
     assert main(["cdnumber", str(c5), "--cert-out", str(cert)]) == 0
     assert main(["tds", "--k", "3", str(c5), "--cert-out", str(tds_cert)]) == 0
     capsys.readouterr()
@@ -128,6 +131,7 @@ def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
         (["recognize", "--q", "3", c5], {"fpt", "partize"}),
         (["partize", "--q", "3", "--k", "1", c5], {"fpt", "partize"}),
         (["partize", "--q", "4", "--k", "0", c5], None),
+        (["partize", "--q", "4", "--k", "12", b14], {"fpt", "partize"}),
         (["gen", "setcover", "--universe", "2", "--sets", "1;2", "--k", "1", "--out", out], None),
     ]
     bare = _loaded_after("")

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 
 import pytest
 
@@ -25,6 +26,7 @@ from cdcolor.partize import (
     delete_to_type4,
     delete_to_type5,
     oct_excluding,
+    partization,
     partization2,
     partization3,
     partization_bruteforce,
@@ -270,18 +272,39 @@ def test_degree_bound_matches_oracle():
 
 
 def test_bounds_match_oracle_for_q_4_and_5():
-    # the CLI answers q >= 4 NO by these bounds before running the oracle
+    # partization answers q >= 4 NO by these bounds, and YES by a small
+    # remainder or the 3-color route, before it runs the oracle
     rng = random.Random(191)
     fired = 0
-    for _ in range(40):
-        g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4]), rng)
-        for q in (4, 5):
-            least = partization_bruteforce(g, g.n, q).size
-            for k in range(g.n + 1):
-                if partize._ruled_out(g, k, q):
-                    fired += 1
-                    assert k < least, (g.adj, k, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(40):
+            g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4]), rng)
+            for q in (4, 5):
+                least = partization_bruteforce(g, g.n, q).size
+                for k in range(g.n + 1):
+                    if partize._ruled_out(g, k, q):
+                        fired += 1
+                        assert k < least, (g.adj, k, q)
+                    sol = partization(g, k, q)
+                    assert (sol is not None) == (k >= least), (g.adj, k, q)
+                    if sol is not None:
+                        check_yes(g, sol, k, q)
     assert fired >= 20, fired
+
+
+def test_partization_warns_only_when_the_oracle_runs():
+    with pytest.warns(UserWarning, match=r"q=4 runs the brute-force oracle \(capacity"):
+        assert partization(complete_graph(4), 0, 4) is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert partization(cycle_graph(5), 0, 4) is not None  # the Types
+        assert partization(complete_graph(4), 1, 4) is not None  # 3 remain
+        assert partization(Graph(0, []), 0, 5) is not None
+        assert partization(path_graph(12), 0, 4) is None  # 12 > 4 * max(Δ, 1)
+        assert partization(complete_graph(3), -1, 4) is None
+        assert partization(complete_graph(3), 3, -1) is None
+
 
 def test_type2_matches_type1_per_retained_vertex():
     rng = random.Random(181)
@@ -376,3 +399,30 @@ def test_lift_answers_are_pinned(q_base, n, p, k, seed):
     assert (sol is not None) == inst.expected
     digest = hashlib.sha256(repr(sol).encode()).hexdigest()
     assert digest == LIFT_DIGESTS[q_base, n, p, k, seed]
+
+
+# SHA-256 of repr of the answers for q = 0..3 and k = 0..3 below, taken
+# from the per-q routes (``_small_remainder`` for q <= 1, ``partization2``
+# and ``partization3``) before ``partization`` merged them.
+ROUTER_DIGEST = "36316524a1a657d956f7e95b4ca22df08538f0deda921842a12da22b8962a1e8"
+
+
+def router_instances(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        lift = i % 3 == 0  # a lift adds k + q_base + 3 vertices to its base
+        g = random_graph(rng.randint(2, 6 if lift else 10), rng.choice([0.3, 0.5, 0.7]), rng)
+        if lift:
+            g = generate_from_partization(g, rng.randint(0, 3), rng.choice([1, 2])).graph
+        yield g
+
+
+def test_router_answers_are_pinned():
+    answers = [
+        partization(g, k, q)
+        for g in router_instances(90, 211)
+        for q in range(4)
+        for k in range(4)
+    ]
+    assert 400 <= sum(a is not None for a in answers) <= 700
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == ROUTER_DIGEST
