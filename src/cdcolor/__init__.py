@@ -22,12 +22,7 @@ _EXPORTS = {
         "ParseError",
         "PreconditionError",
     ),
-    "exact": (
-        "CoefficientTable",
-        "cd_chromatic_bruteforce",
-        "cd_chromatic_exact",
-        "star_product",
-    ),
+    "exact": ("cd_chromatic_bruteforce", "cd_chromatic_exact"),
     "fpt": (
         "oct_excluding",
         "oct_with_forced_sides",

@@ -1,11 +1,11 @@
 """Exact cd-chromatic number via set-family table powers.
 
-The engine represents a family of vertex subsets as one ``2**n``-bit
-integer (:class:`CoefficientTable`): bit ``d`` is set when the subset
-with characteristic value ``d`` belongs to the family.  Power ``a`` of
-the color-class family holds the sets that split into exactly ``a``
-color classes, and the smallest power that contains the full vertex set
-is the cd-chromatic number.
+The engine represents a family of vertex subsets as a table, a plain
+``2**n``-bit integer: bit ``d`` is set when the subset with
+characteristic value ``d`` belongs to the family.  Power ``a`` of the
+color-class family holds the sets that split into exactly ``a`` color
+classes, and the smallest power that contains the full vertex set is
+the cd-chromatic number.
 
 Powers are cover tables.  The family is closed under nonempty subsets (a
 subset of an independent set inside ``N[y]`` is one too) and holds every
@@ -31,10 +31,9 @@ built finds ``q`` with only ``ceil(q/2)`` powers past power 0,
 and the build of power ``a`` stops at the first block that meets for
 ``k = 2a - 1``.  The witness is peeled separately inside each half.
 
-:func:`star_product` is the plain disjoint-union product of two tables,
-one shifted copy per member of the first.  No solver calls it: it is the
-reference that the tests check :func:`cover_power` against, since
-folding it over copies of the family gives the same powers bit for bit.
+The tests check :func:`cover_power` bit for bit against the plain
+disjoint-union product of tables folded over copies of the family; that
+reference lives in ``tests/_brute.py``.
 
 :func:`cd_chromatic_bruteforce` is the independent validation oracle: a
 direct search over vertex partitions that never touches the tables.
@@ -56,98 +55,20 @@ BRUTEFORCE_CAP = 9
 # byte value -> the same byte with its 8 bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-_SCAN_BYTES = 1 << 12
-
 Cuts = List[List[List[int]]]  # per block, the vertex lists closed over
 
 
-def _set_positions(bits: int) -> List[int]:
-    """Set bit positions of a table, ascending, in time linear in its width.
+def complement(bits: int, n: int) -> int:
+    """Table of the complements: bit ``d`` moves to bit ``full ^ d``.
 
-    Unlike :func:`bits.bit_list`, which copies the whole integer per
-    member, this scans strings; it pays off on ``2**n``-bit tables.  The
-    table is read in chunks of ``8 * _SCAN_BYTES`` bits, so the strings
-    stay small next to the table.
+    That reverses all ``2**n`` bits: reverse the byte order (write
+    big-endian, read little-endian) and the bits inside each byte;
+    below ``n = 3`` the padding of the single byte is shifted out.
     """
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    out: List[int] = []
-    for start in range(0, len(raw), _SCAN_BYTES):
-        chunk = int.from_bytes(raw[start:start + _SCAN_BYTES], "little")
-        if not chunk:
-            continue
-        digits = bin(chunk)[:1:-1]
-        base = 8 * start
-        pos = digits.find("1")
-        while pos >= 0:
-            out.append(base + pos)
-            pos = digits.find("1", pos + 1)
-    return out
-
-
-class CoefficientTable:
-    """Boolean table over the subsets of an ``n``-element universe."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
-        if bits >> (1 << n):
-            raise ValueError("table has entries beyond 2**n")
-        self.n = n
-        self.bits = bits
-
-    def contains(self, subset_mask: int) -> bool:
-        return bool((self.bits >> subset_mask) & 1)
-
-    def member_count(self) -> int:
-        return self.bits.bit_count()
-
-    def members(self) -> List[int]:
-        """All present subset masks, ascending."""
-        return _set_positions(self.bits)
-
-    def complement(self) -> "CoefficientTable":
-        """Table of the complements: bit ``d`` moves to bit ``full ^ d``.
-
-        That reverses all ``2**n`` bits: reverse the byte order (write
-        big-endian, read little-endian) and the bits inside each byte;
-        below ``n = 3`` the padding of the single byte is shifted out.
-        """
-        size = 1 << self.n
-        nbytes = (size + 7) // 8
-        raw = self.bits.to_bytes(nbytes, "big").translate(_BIT_REVERSE)
-        bits = int.from_bytes(raw, "little") >> (8 * nbytes - size)
-        return CoefficientTable(self.n, bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoefficientTable)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __repr__(self) -> str:
-        return f"CoefficientTable(n={self.n}, members={self.member_count()})"
-
-
-def star_product(p: CoefficientTable, r: CoefficientTable) -> CoefficientTable:
-    """Table of all unions of a ``p``-member and a disjoint ``r``-member.
-
-    For each member ``S`` of ``p``, the ``r``-members disjoint from ``S``
-    are ``r`` cut by ``lack[i]`` for every vertex ``i`` of ``S``; shifting
-    them left by ``S`` adds ``S`` to each.
-    """
-    if p.n != r.n:
-        raise ValueError(f"universe size mismatch: {p.n} != {r.n}")
-    lack = lack_masks(p.n)
-    out = 0
-    for s in p.members():
-        disjoint = r.bits
-        for i in iter_bits(s):
-            disjoint &= lack[i]
-        out |= disjoint << s
-    return CoefficientTable(p.n, out)
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    raw = bits.to_bytes(nbytes, "big").translate(_BIT_REVERSE)
+    return int.from_bytes(raw, "little") >> (8 * nbytes - size)
 
 
 def maximal_classes(g: Graph) -> List[int]:
@@ -235,13 +156,12 @@ def _window(raw: bytes, u: int, start: int) -> int:
     return int.from_bytes(raw[start >> 3:(start >> 3) + (1 << (u - 3))], "little")
 
 
-def cover_power(
-    power: CoefficientTable, a: int, cuts: Cuts, stop: CoefficientTable
-) -> CoefficientTable:
+def cover_power(power: int, a: int, cuts: Cuts, stop: int) -> int:
     """Power ``a + 1`` of a family from its power ``a``, block by block.
 
     The family must be closed under nonempty subsets and hold every
-    singleton; ``cuts`` is :func:`cover_cuts` of its maximal members.
+    singleton; ``cuts`` is :func:`cover_cuts` of its maximal members,
+    one block per vertex of the ``n = len(cuts)``-vertex universe.
     ``D_a = power | W_{<a}``, where ``W_{<a}`` holds the sets of fewer
     than ``a`` vertices, holds the sets that at most ``a`` members
     cover.  Block ``u`` of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is
@@ -252,10 +172,10 @@ def cover_power(
     vertices.  The blocks built so far are returned as soon as the
     power meets ``stop``: they hold its lowest set in ``stop``.
     """
-    n = power.n
+    n = len(cuts)
     size, lack = ((1 << n) + 7) // 8, lack_masks(n - 1)  # block u reads lack[i < u]
-    down = (power.bits | fewer_than(n, a)).to_bytes(size, "little")
-    hits = stop.bits.to_bytes(size, "little")
+    down = (power | fewer_than(n, a)).to_bytes(size, "little")
+    hits = stop.to_bytes(size, "little")
     out = 1  # the empty set
     for u in range(n):
         block = _close_up(_window(down, u, 0), cuts[u], lack)
@@ -263,9 +183,9 @@ def cover_power(
         if block & _window(hits, u, 1 << u):  # D_{a+1} meets stop; does the power?
             prefix = out ^ fewer_than(u + 1, a + 1)
             if prefix >> (1 << u) & _window(hits, u, 1 << u):
-                return CoefficientTable(n, prefix)
+                return prefix
     # its singletons cover a set of at most a vertices: xor drops just W_{<a+1}
-    return CoefficientTable(n, out ^ fewer_than(n, a + 1))
+    return out ^ fewer_than(n, a + 1)
 
 
 def _dominator_of(g: Graph, class_mask: int) -> int:
@@ -310,15 +230,14 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     sub, ids = g.induced(comp)
     full = sub.full_mask
     cuts = cover_cuts(maximal_classes(sub), sub.n)
-    powers = [CoefficientTable(sub.n, 1)]  # powers[a] is power a; power 0 = {empty set}
-    prev_comp = CoefficientTable(sub.n)  # no k = -1 test
+    powers = [1]  # powers[a] is power a; power 0 = {empty set}
+    prev_comp = 0  # no k = -1 test
     while True:
         a = len(powers) - 1
-        cur = powers[a].bits
-        b, meet = a - 1, cur & prev_comp.bits  # k = 2a - 1
+        b, meet = a - 1, powers[a] & prev_comp  # k = 2a - 1
         if not meet:
-            prev_comp = powers[a].complement()
-            b, meet = a, cur & prev_comp.bits  # k = 2a
+            prev_comp = complement(powers[a], sub.n)
+            b, meet = a, powers[a] & prev_comp  # k = 2a
         if meet:
             break
         if 2 * a >= sub.n:
@@ -326,7 +245,7 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
         # ends at the block that holds the lowest meet for k = 2a + 1
         powers.append(cover_power(powers[a], a, cuts, prev_comp))
     s = lowest_bit(meet)
-    tables = [p.bits.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[:max(a, 2)]]
+    tables = [p.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[:max(a, 2)]]
     class_masks = _peel(tables, s, a) + _peel(tables, full ^ s, b)
     coloring = make_coloring(class_masks, [_dominator_of(sub, c) for c in class_masks])
     return a + b, coloring.relabeled(ids)

@@ -7,7 +7,7 @@ fixed seed reproduces instances byte for byte.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .bits import iter_bits
 from .graph import Graph, connected_components
@@ -140,15 +140,3 @@ def random_split_graph(
             nbrs = [rng.randrange(c)]
         edges.extend((u, w) for u in nbrs)
     return Graph.from_edges(n, edges)
-
-
-def random_family_masks(
-    n: int, count: int, rng: random.Random, max_size: Optional[int] = None
-) -> List[int]:
-    """Random nonempty subset masks over an n-element universe."""
-    hi = n if max_size is None else max_size
-    out = set()
-    for _ in range(count):
-        size = rng.randint(1, max(1, hi))
-        out.add(sum(1 << v for v in rng.sample(range(n), min(size, n))))
-    return sorted(out)

@@ -17,7 +17,7 @@ the matcher's witness, and ``cd_recognize_upto3`` sums over components.
 Type 0 (at most three vertices) is a closed form.
 
 ``partization(g, k, q)`` routes deletion for every q: a closed form for
-small remainders, two NO bounds, then the matchers (Type 1 for q = 2,
+small remainders, three NO bounds, then the matchers (Type 1 for q = 2,
 Types 1-5 for q >= 3).  ``partization_bruteforce`` is the validation
 oracle: exhaustive over deletion sets, scoring remainders with the
 partition-search oracle.  Recognition is NP-hard for q >= 4, so there
@@ -483,12 +483,28 @@ def _keeps_too_many(g: Graph, k: int, q: int) -> bool:
     return g.n - k > q * max(max(map(int.bit_count, g.adj), default=0), 1)
 
 
+def _greedy_clique(g: Graph) -> int:
+    """Size of a clique grown by adding, at each step, the candidate with
+    the most candidate neighbors (ties to the lowest index)."""
+    cands, size = g.full_mask, 0
+    while cands:
+        v = max(iter_bits(cands), key=lambda u: (g.adj[u] & cands).bit_count())
+        cands, size = cands & g.adj[v], size + 1
+    return size
+
+
 def _ruled_out(g: Graph, k: int, q: int) -> bool:
-    """True when one of two bounds, each valid for every q, answers NO:
-    too many vertices would remain (``_keeps_too_many``), or ``g`` has
-    more than q + k components, of which k deletions empty at most k
-    while every other one needs a class of its own."""
-    return _keeps_too_many(g, k, q) or more_components_than(g, g.full_mask, q + k)
+    """True when one of three bounds, each valid for every q, answers NO:
+    too many vertices would remain (``_keeps_too_many``); ``g`` has more
+    than q + k components, of which k deletions empty at most k while
+    every other one needs a class of its own; or a clique C has
+    |C| - k > q, as k deletions leave at least |C| - k of its vertices,
+    each in a class of its own.  The cheap checks run first."""
+    return (
+        _keeps_too_many(g, k, q)
+        or more_components_than(g, g.full_mask, q + k)
+        or _greedy_clique(g) - k > q
+    )
 
 
 def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
@@ -496,8 +512,9 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
 
     A remainder of at most min(q, 3) vertices always works; for q <= 1
     nothing else can.  The answer is NO at once with more than q + k
-    components or q·max(Δ, 1) remaining vertices, Δ being the maximum
-    degree (``_ruled_out``).  Then a single connected remainder of each
+    components, q·max(Δ, 1) remaining vertices, Δ being the maximum
+    degree, or a greedy clique of more than q + k vertices
+    (``_ruled_out``).  Then a single connected remainder of each
     type in order: Type 1 for q = 2, Types 1-5 for q >= 3; a lone vertex
     beside a Type 1 component is covered by the Type 2 pass, whose inner
     search may delete the retained vertex's neighborhood.  For q >= 4,

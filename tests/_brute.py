@@ -3,14 +3,19 @@
 Everything here enumerates directly from definitions (subsets,
 partitions, colorings) and never calls the solver paths it is used to
 check.  The one exception is ``type2_by_type1``, Type 2 written the way
-the pattern reads: Type 1 once per retained vertex.
+the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
+the plain disjoint-union product of two tables that the exact engine's
+``cover_power`` is checked against, and ``random_family_masks`` draws
+the families it multiplies.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from typing import List
 
-from cdcolor.bits import bit_list, iter_bits, mask_of
+from cdcolor.bits import bit_list, iter_bits, lack_masks, mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.graph import Graph
 from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
@@ -99,6 +104,35 @@ def brute_family_masks(g: Graph) -> set:
 
 def brute_disjoint_union_masks(fam1, fam2) -> set:
     return {a | b for a in fam1 for b in fam2 if not a & b}
+
+
+def random_family_masks(n: int, count: int, rng: random.Random) -> List[int]:
+    """Random nonempty subset masks over an n-element universe."""
+    out = set()
+    for _ in range(count):
+        size = rng.randint(1, max(1, n))
+        out.add(sum(1 << v for v in rng.sample(range(n), min(size, n))))
+    return sorted(out)
+
+
+def star_product(n: int, p: int, r: int) -> int:
+    """Reference product of two tables over an n-element universe: the
+    table of all unions of a ``p``-member and a disjoint ``r``-member.
+
+    A table is a ``2**n``-bit int whose bit ``d`` marks the subset with
+    characteristic value ``d``.  For each member ``S`` of ``p``, the
+    ``r``-members disjoint from ``S`` are ``r`` cut by ``lack[i]`` for
+    every vertex ``i`` of ``S``; shifting them left by ``S`` adds ``S``
+    to each.
+    """
+    lack = lack_masks(n)
+    out = 0
+    for s in bit_list(p):
+        disjoint = r
+        for i in iter_bits(s):
+            disjoint &= lack[i]
+        out |= disjoint << s
+    return out
 
 
 def brute_partition_into_family(universe_mask: int, family, ell: int) -> bool:

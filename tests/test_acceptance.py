@@ -10,15 +10,10 @@ import random
 import resource
 import time
 
-from cdcolor.bits import mask_of
+from cdcolor.bits import bit_list, mask_of
 from cdcolor.cli import main
 from cdcolor.coloring import validate_cd_coloring
-from cdcolor.exact import (
-    CoefficientTable,
-    cd_chromatic_bruteforce,
-    cd_chromatic_exact,
-    star_product,
-)
+from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.fpt import oct_excluding, oct_with_forced_sides
 from cdcolor.generate import (
     complete_graph,
@@ -28,7 +23,6 @@ from cdcolor.generate import (
     path_graph,
     petersen_graph,
     random_connected_graph,
-    random_family_masks,
     random_girth5_graph,
     random_graph,
     random_split_graph,
@@ -62,6 +56,8 @@ from _brute import (
     brute_forced_sides,
     brute_oct_min,
     brute_vertex_cover_min,
+    random_family_masks,
+    star_product,
 )
 
 GiB = 1 << 30
@@ -110,9 +106,9 @@ def test_criterion_2_star_product_semantics():
         n = rng.randint(2, 10)
         fam1 = random_family_masks(n, rng.randint(1, 28), rng)
         fam2 = random_family_masks(n, rng.randint(1, 28), rng)
-        t1 = CoefficientTable(n, sum(1 << m for m in fam1))
-        t2 = CoefficientTable(n, sum(1 << m for m in fam2))
-        got = set(star_product(t1, t2).members())
+        t1 = sum(1 << m for m in fam1)
+        t2 = sum(1 << m for m in fam2)
+        got = set(bit_list(star_product(n, t1, t2)))
         assert got == brute_disjoint_union_masks(fam1, fam2), (n, fam1, fam2)
         checked += 1
     assert checked >= 100

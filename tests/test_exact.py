@@ -1,6 +1,6 @@
 import hashlib
 import random
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
@@ -9,13 +9,12 @@ from cdcolor.bits import bit_list, fewer_than, lack_masks, lowest_bit, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
-    CoefficientTable,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
+    complement,
     cover_cuts,
     cover_power,
     maximal_classes,
-    star_product,
 )
 from cdcolor.generate import (
     complete_graph,
@@ -24,7 +23,6 @@ from cdcolor.generate import (
     path_graph,
     petersen_graph,
     random_connected_graph,
-    random_family_masks,
     random_graph,
     star_graph,
 )
@@ -35,38 +33,33 @@ from _brute import (
     brute_disjoint_union_masks,
     brute_family_masks,
     brute_partition_into_family,
+    random_family_masks,
+    star_product,
 )
-
-
-def table_from_masks(n, masks):
-    bits = 0
-    for m in masks:
-        bits |= 1 << m
-    return CoefficientTable(n, bits)
 
 
 def family_of(g):
     """Power 1, the color-class family, built from power 0 = {empty set}
     as the engine builds it."""
     cuts = cover_cuts(maximal_classes(g), g.n)
-    return cover_power(CoefficientTable(g.n, 1), 0, cuts, CoefficientTable(g.n))
+    return cover_power(1, 0, cuts, 0)
 
 
 def test_family_path3():
     # P3 = a-b-c: singletons plus the dominated pair {a, c}
     g = path_graph(3)
     fam = family_of(g)
-    assert set(fam.members()) == {0b001, 0b010, 0b100, 0b101}
+    assert set(bit_list(fam)) == {0b001, 0b010, 0b100, 0b101}
 
 
 def test_family_k1_self_dominated():
     fam = family_of(Graph(1, [0]))
-    assert fam.members() == [0b1]
+    assert bit_list(fam) == [0b1]
 
 
 def test_family_triangle_singletons_only():
     fam = family_of(complete_graph(3))
-    assert set(fam.members()) == {0b001, 0b010, 0b100}
+    assert set(bit_list(fam)) == {0b001, 0b010, 0b100}
 
 
 def test_family_matches_bruteforce():
@@ -74,7 +67,7 @@ def test_family_matches_bruteforce():
     for _ in range(60):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]), rng)
         fam = family_of(g)
-        assert set(fam.members()) == brute_family_masks(g)
+        assert set(bit_list(fam)) == brute_family_masks(g)
 
 
 def test_oversized_component_is_refused_before_its_copy(monkeypatch):
@@ -86,45 +79,31 @@ def test_oversized_component_is_refused_before_its_copy(monkeypatch):
         cd_chromatic_exact(path_graph(5), cap=4)
 
 
-def test_members_scan_matches_bit_list():
-    rng = random.Random(19)
-    for n in range(13):
-        for density in (0.0, 0.02, 0.5, 1.0):
-            bits = sum(1 << d for d in range(1 << n) if rng.random() < density)
-            table = CoefficientTable(n, bits)
-            assert table.members() == bit_list(bits)
-
-
 def test_complement_maps_each_subset_to_its_complement():
     rng = random.Random(17)
     for n in range(11):
         full = (1 << n) - 1
         for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
             want = sum(1 << (full ^ d) for d in bit_list(bits))
-            assert CoefficientTable(n, bits).complement() == CoefficientTable(n, want)
+            assert complement(bits, n) == want
 
 
 def test_star_product_singletons():
-    p = table_from_masks(3, [0b001])
-    r = table_from_masks(3, [0b010])
-    assert star_product(p, r).members() == [0b011]
+    p = mask_of([0b001])
+    r = mask_of([0b010])
+    assert bit_list(star_product(3, p, r)) == [0b011]
 
 
 def test_star_product_annihilates_overlap():
-    p = table_from_masks(3, [0b001])
-    assert star_product(p, p).members() == []
+    p = mask_of([0b001])
+    assert bit_list(star_product(3, p, p)) == []
 
 
 def test_star_product_path3_families():
     # {a},{c} times {b} on a 3-universe: the two disjoint unions
-    p = table_from_masks(3, [0b001, 0b100])
-    r = table_from_masks(3, [0b010])
-    assert set(star_product(p, r).members()) == {0b011, 0b110}
-
-
-def test_star_product_rejects_mismatched_universe():
-    with pytest.raises(ValueError):
-        star_product(table_from_masks(2, [1]), table_from_masks(3, [1]))
+    p = mask_of([0b001, 0b100])
+    r = mask_of([0b010])
+    assert set(bit_list(star_product(3, p, r))) == {0b011, 0b110}
 
 
 def test_star_product_matches_bruteforce():
@@ -133,23 +112,23 @@ def test_star_product_matches_bruteforce():
         n = rng.randint(2, 10)
         fam1 = random_family_masks(n, rng.randint(1, 24), rng)
         fam2 = random_family_masks(n, rng.randint(1, 24), rng)
-        got = star_product(table_from_masks(n, fam1), table_from_masks(n, fam2))
-        assert set(got.members()) == brute_disjoint_union_masks(fam1, fam2)
+        got = star_product(n, mask_of(fam1), mask_of(fam2))
+        assert set(bit_list(got)) == brute_disjoint_union_masks(fam1, fam2)
 
 
 def test_star_power_base_case():
-    p = table_from_masks(4, [0b0011, 0b0100])
-    assert reduce(star_product, [p]) == p
+    p = mask_of([0b0011, 0b0100])
+    assert reduce(partial(star_product, 4), [p]) == p
 
 
 def test_star_power_three_singletons():
-    p = table_from_masks(3, [0b001, 0b010, 0b100])
-    assert reduce(star_product, [p] * 3).members() == [0b111]
+    p = mask_of([0b001, 0b010, 0b100])
+    assert bit_list(reduce(partial(star_product, 3), [p] * 3)) == [0b111]
 
 
 def test_star_power_pigeonhole_empty():
-    p = table_from_masks(3, [0b001, 0b010, 0b100, 0b011])
-    assert reduce(star_product, [p] * 4).members() == []
+    p = mask_of([0b001, 0b010, 0b100, 0b011])
+    assert bit_list(reduce(partial(star_product, 3), [p] * 4)) == []
 
 
 def test_power_bit_iff_partition_exists():
@@ -157,11 +136,11 @@ def test_power_bit_iff_partition_exists():
     for _ in range(25):
         n = rng.randint(2, 8)
         fam = random_family_masks(n, rng.randint(1, 12), rng)
-        table = table_from_masks(n, fam)
+        table = mask_of(fam)
         for ell in (1, 2, 3, 4):
-            power = reduce(star_product, [table] * ell)
+            power = reduce(partial(star_product, n), [table] * ell)
             for w in range(1 << n):
-                assert power.contains(w) == brute_partition_into_family(
+                assert bool(power >> w & 1) == brute_partition_into_family(
                     w, fam, ell
                 ), (n, fam, ell, w)
 
@@ -171,7 +150,7 @@ def random_table(n, rng):
     with its member list."""
     fam = random_family_masks(n, rng.randint(1, 16), rng)
     fam += [0] * (rng.random() < 0.3)
-    return table_from_masks(n, fam), fam
+    return mask_of(fam), fam
 
 
 def test_repeated_products_match_partitions_into_the_family():
@@ -181,12 +160,12 @@ def test_repeated_products_match_partitions_into_the_family():
         table, fam = random_table(n, rng)
         power = general = table
         for ell in (2, 3, 4):
-            power = star_product(power, table)
-            general = star_product(general, CoefficientTable(n, table.bits))
+            power = star_product(n, power, table)
+            general = star_product(n, table, general)
             assert power == general, (n, fam, ell)
-        assert reduce(star_product, [table] * 4) == power
+        assert reduce(partial(star_product, n), [table] * 4) == power
         for w in range(1 << n):
-            assert power.contains(w) == brute_partition_into_family(w, fam, 4)
+            assert bool(power >> w & 1) == brute_partition_into_family(w, fam, 4)
 
 
 def test_products_of_tables_holding_the_empty_set_match_disjoint_unions():
@@ -195,12 +174,11 @@ def test_products_of_tables_holding_the_empty_set_match_disjoint_unions():
         n = rng.randint(1, 10)
         p, fam_p = random_table(n, rng)
         r, fam_r = random_table(n, rng)
-        got = star_product(CoefficientTable(n, p.bits), p)
-        assert set(got.members()) == brute_disjoint_union_masks(fam_p, fam_p)
-        square = star_product(p, p)
-        mixed = star_product(square, r)
-        want = brute_disjoint_union_masks(square.members(), fam_r)
-        assert set(mixed.members()) == want
+        square = star_product(n, p, p)
+        assert set(bit_list(square)) == brute_disjoint_union_masks(fam_p, fam_p)
+        mixed = star_product(n, square, r)
+        want = brute_disjoint_union_masks(bit_list(square), fam_r)
+        assert set(bit_list(mixed)) == want
 
 
 def test_lack_masks_and_fewer_than_match_their_definitions():
@@ -214,7 +192,7 @@ def test_lack_masks_and_fewer_than_match_their_definitions():
             assert fewer_than(n, a) == want, (n, a)
 
 
-def down_closure(n, masks):
+def down_closure(masks):
     """Table of every nonempty subset of the given masks."""
     bits = 0
     for m in masks:
@@ -222,7 +200,7 @@ def down_closure(n, masks):
         while sub:
             bits |= 1 << sub
             sub = (sub - 1) & m
-    return CoefficientTable(n, bits)
+    return bits
 
 
 def maximal_of(masks):
@@ -250,13 +228,13 @@ def test_cover_powers_equal_the_star_powers():
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
             cuts = cover_cuts(maximal_classes(g), n)
-            family = cover = star = cover_power(CoefficientTable(n, 1), 0, cuts, CoefficientTable(n))
+            family = cover = star = cover_power(1, 0, cuts, 0)
             for a in range(1, n):
-                cover = cover_power(cover, a, cuts, CoefficientTable(n))
-                star = star_product(star, family)
+                cover = cover_power(cover, a, cuts, 0)
+                star = star_product(n, star, family)
                 assert cover == star, (n, g.adj, a + 1)
                 checked += 1
-            assert star == reduce(star_product, [family] * n)
+            assert star == reduce(partial(star_product, n), [family] * n)
     assert checked > 400
 
 
@@ -277,7 +255,7 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
 
 
 def top_vertex_families():
-    """Families, with their maximal members, whose highest vertex is
+    """Families, with their universe size and maximal members, whose highest vertex is
     isolated, a pendant, adjacent to every vertex, or in every maximal
     member, next to plain random ones."""
     rng = random.Random(73)
@@ -293,32 +271,31 @@ def top_vertex_families():
             Graph(n + 1, universal + [top - 1]),
             random_graph(n + 1, rng.random(), rng),
         ):
-            yield family_of(g), maximal_classes(g)
+            yield g.n, family_of(g), maximal_classes(g)
         masks = random_family_masks(n, rng.randint(1, 5), rng) + [1 << v for v in range(n)]
         masks = [m | top for m in masks]
-        yield down_closure(n + 1, masks), maximal_of(masks)
+        yield n + 1, down_closure(masks), maximal_of(masks)
 
 
 def test_cover_power_stops_at_the_lowest_meet():
     met = 0
-    for family, maximal in top_vertex_families():
-        n = family.n
+    for n, family, maximal in top_vertex_families():
         cuts = cover_cuts(maximal, n)
         power = family
         for a in range(1, n):
-            full = cover_power(power, a, cuts, CoefficientTable(n))
-            noise = CoefficientTable(n, random.Random(a * n).getrandbits(1 << n))
-            for stop in (power.complement(), noise):
+            full = cover_power(power, a, cuts, 0)
+            noise = random.Random(a * n).getrandbits(1 << n)
+            for stop in (complement(power, n), noise):
                 early = cover_power(power, a, cuts, stop)
-                meet = full.bits & stop.bits
+                meet = full & stop
                 if not meet:
                     assert early == full
                     continue
                 met += 1
                 low = lowest_bit(meet)
-                assert lowest_bit(early.bits & stop.bits) == low
+                assert lowest_bit(early & stop) == low
                 # the blocks up to the one holding the lowest meet
-                assert early.bits == full.bits & ((1 << (1 << low.bit_length())) - 1)
+                assert early == full & ((1 << (1 << low.bit_length())) - 1)
             power = full
     assert met > 100
 

@@ -18,9 +18,9 @@ from cdcolor.split import GeneratedInstance
 from cdcolor.tds import KernelOutcome, TdsCertificate
 
 PUBLIC = [
-    "CapacityError", "CdColorError", "CdColoring", "CoefficientTable",
-    "DeletionSolution", "GeneratedInstance", "Graph", "KernelOutcome",
-    "NotSplitError", "ParseError", "PreconditionError", "RecognitionResult",
+    "CapacityError", "CdColorError", "CdColoring", "DeletionSolution",
+    "GeneratedInstance", "Graph", "KernelOutcome", "NotSplitError",
+    "ParseError", "PreconditionError", "RecognitionResult",
     "TdsCertificate", "TypeWitness", "ValidationReport",
     "cd_chromatic_bruteforce", "cd_chromatic_exact",
     "cd_chromatic_girth5", "cd_chromatic_split", "cd_coloring_from_tds",
@@ -31,9 +31,8 @@ PUBLIC = [
     "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
     "partization", "partization2", "partization3", "partization_bruteforce",
     "recognize_type", "split_cd_coloring", "split_partition",
-    "split_partization", "star_product", "tds_bruteforce", "tds_kernelize",
-    "tds_solve", "to_dimacs", "validate_cd_coloring", "validate_deletion",
-    "vertex_cover",
+    "split_partization", "tds_bruteforce", "tds_kernelize", "tds_solve",
+    "to_dimacs", "validate_cd_coloring", "validate_deletion", "vertex_cover",
 ]
 SOLVERS = {"exact", "fpt", "generate", "partize", "split", "tds"}
 SRC = str(Path(cdcolor.__file__).resolve().parents[1])

@@ -275,14 +275,17 @@ def test_bounds_match_oracle_for_q_4_and_5():
     # partization answers q >= 4 NO by these bounds, and YES by a small
     # remainder or the 3-color route, before it runs the oracle
     rng = random.Random(191)
-    fired = 0
+    fired = clique = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(40):
-            g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4]), rng)
+            g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 0.9]), rng)
             for q in (4, 5):
                 least = partization_bruteforce(g, g.n, q).size
                 for k in range(g.n + 1):
+                    if partize._greedy_clique(g) - k > q:
+                        clique += 1
+                        assert k < least, (g.adj, k, q)
                     if partize._ruled_out(g, k, q):
                         fired += 1
                         assert k < least, (g.adj, k, q)
@@ -290,7 +293,7 @@ def test_bounds_match_oracle_for_q_4_and_5():
                     assert (sol is not None) == (k >= least), (g.adj, k, q)
                     if sol is not None:
                         check_yes(g, sol, k, q)
-    assert fired >= 20, fired
+    assert fired >= 20 and clique >= 10, (fired, clique)
 
 
 def test_partization_warns_only_when_the_oracle_runs():
@@ -302,6 +305,7 @@ def test_partization_warns_only_when_the_oracle_runs():
         assert partization(complete_graph(4), 1, 4) is not None  # 3 remain
         assert partization(Graph(0, []), 0, 5) is not None
         assert partization(path_graph(12), 0, 4) is None  # 12 > 4 * max(Δ, 1)
+        assert partization(complete_graph(10), 1, 4) is None  # clique: 10 - 1 > 4
         assert partization(complete_graph(3), -1, 4) is None
         assert partization(complete_graph(3), 3, -1) is None
 
