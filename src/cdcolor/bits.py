@@ -85,18 +85,3 @@ def lack_masks(n: int) -> List[int]:
         masks.append(pattern)
     _LACK_MASK_CACHE[n] = masks
     return masks
-
-
-def fewer_than(n: int, a: int) -> int:
-    """``2**n``-bit table of the subsets of a size-``n`` universe with
-    fewer than ``a`` elements.
-
-    Built by the doubling of :func:`weight_masks`, keeping only the
-    rows that the last ones need instead of ``n + 1`` cached masks.
-    """
-    rows = {b: int(b > 0) for b in range(max(0, a - n), a + 1)}
-    for m in range(n):
-        half = 1 << m
-        lo = max(0, a - (n - m - 1))
-        rows = {b: rows[b] | rows.get(b - 1, 0) << half for b in range(lo, a + 1)}
-    return rows[a]

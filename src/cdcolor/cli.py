@@ -98,9 +98,16 @@ def _cmd_recognize(args) -> int:
     return 0
 
 
+def _require_non_negative(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 0:
+            raise CdColorError(f"--{name} must be non-negative")
+
+
 def _cmd_tds(args) -> int:
     from .tds import tds_kernelize, tds_solve
 
+    _require_non_negative(args, "k")
     g = _load_graph(args.file)
     if args.kernel_out:
         outcome = tds_kernelize(g, args.k)
@@ -127,9 +134,8 @@ def _cmd_tds(args) -> int:
 
 
 def _cmd_partize(args) -> int:
+    _require_non_negative(args, "q", "k")
     g = _load_graph(args.file)
-    if args.k < 0:
-        raise CdColorError("--k must be non-negative")
     if args.split:
         from .split import split_partization
 

@@ -1,39 +1,37 @@
-"""Exact cd-chromatic number via set-family table powers.
+"""Exact cd-chromatic number via set-family cover tables.
 
 The engine represents a family of vertex subsets as a table, a plain
 ``2**n``-bit integer: bit ``d`` is set when the subset with
-characteristic value ``d`` belongs to the family.  Power ``a`` of the
-color-class family holds the sets that split into exactly ``a`` color
-classes, and the smallest power that contains the full vertex set is
-the cd-chromatic number.
-
-Powers are cover tables.  The family is closed under nonempty subsets (a
-subset of an independent set inside ``N[y]`` is one too) and holds every
-singleton, so a set of at least ``a`` vertices splits into exactly ``a``
-classes when at most ``a`` classes cover it: the cover/partition
-equivalence of Björklund, Husfeldt and Koivisto ("Set partitioning via
-inclusion-exclusion", SIAM J. Comput. 2009).  The sets that at most
-``a`` classes cover form a down-closed table ``D_a``.  Some class of
-any cover holds the set's highest vertex ``u``, so the sets of
+characteristic value ``d`` belongs to the family.  ``D_a`` is the table
+of the sets, the empty set included, that at most ``a`` color classes
+cover, and the cd-chromatic number is the smallest ``a`` whose ``D_a``
+holds the full vertex set.  The family is closed under nonempty subsets
+(a subset of an independent set inside ``N[y]`` is one too), so a cover
+shrinks to a partition into as many classes or fewer: the
+cover/partition equivalence of Björklund, Husfeldt and Koivisto ("Set
+partitioning via inclusion-exclusion", SIAM J. Comput. 2009).  Some
+class of any cover holds the set's highest vertex ``u``, so the sets of
 ``D_{a+1}`` whose highest vertex is ``u`` come from the sets below
 ``u`` in ``D_a``, closed upward inside the maximal classes that hold
 ``u``: :func:`cover_power` builds block ``u`` with operations ``2**u``
-bits wide.  Power ``a`` is ``D_a`` without the sets of fewer than ``a``
-vertices.  The family itself is power 1, built by the same call from
-power 0 = {empty set} over :func:`maximal_classes`, read off the graph.
+bits wide.  ``D_1``, the family and the empty set, is built by the same
+call from ``D_0`` = {empty set} over :func:`maximal_classes`, read off
+the graph.
 
-The search meets in the middle: the full set lies in power ``a + b``
-exactly when some member ``S`` of power ``a`` has its complement in
-power ``b``, i.e. when power ``a`` meets the complemented table of power
-``b`` (bit ``d`` moved to bit ``full ^ d``, a reversal of all ``2**n``
-bits).  Testing ``k = 2a - 1`` and ``k = 2a`` right after power ``a`` is
-built finds ``q`` with only ``ceil(q/2)`` powers past power 0,
-and the build of power ``a`` stops at the first block that meets for
-``k = 2a - 1``.  The witness is peeled separately inside each half.
+The search meets in the middle: the full set lies in ``D_{a+b}``
+exactly when ``D_a`` meets the complemented table of ``D_b`` (bit ``d``
+moved to bit ``full ^ d``, a reversal of all ``2**n`` bits).  Testing
+``k = 2a - 1`` and ``k = 2a`` right after ``D_a`` is built finds ``q``
+with only ``ceil(q/2)`` tables past ``D_0``, and the build of ``D_a``
+stops at the first block that meets for ``k = 2a - 1``.  As the tests
+run in increasing ``k``, each set of the first meet needs exactly ``a``
+classes and its complement exactly ``b``: with fewer, a smaller ``k``
+would have met.  The witness is peeled inside each half.
 
-The tests check :func:`cover_power` bit for bit against the plain
-disjoint-union product of tables folded over copies of the family; that
-reference lives in ``tests/_brute.py``.
+The tests check each ``D_a`` of :func:`cover_power`, less its sets of
+fewer than ``a`` vertices, bit for bit against the plain disjoint-union
+product of tables folded over copies of the family; that reference
+lives in ``tests/_brute.py``.
 
 :func:`cd_chromatic_bruteforce` is the independent validation oracle: a
 direct search over vertex partitions that never touches the tables.
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .bits import fewer_than, iter_bits, lack_masks, lowest_bit
+from .bits import iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError
 from .graph import Graph
@@ -83,14 +81,15 @@ def maximal_classes(g: Graph) -> List[int]:
     holds a vertex outside the set and its neighborhood, which would
     extend it.
     """
+    closed = [g.closed(v) for v in range(g.n)]
     out = []
     for y in range(g.n):
-        stack = [(0, g.closed(y), 0)]  # (chosen, free, done) masks
+        stack = [(0, closed[y], 0)]  # (chosen, free, done) masks
         while stack:
             s, free, done = stack.pop()
             if free:  # a maximal set holds the pivot or a neighbor of it
-                for v in iter_bits(free & g.closed(lowest_bit(free))):
-                    rest = ~g.closed(v)
+                for v in iter_bits(free & closed[lowest_bit(free)]):
+                    rest = ~closed[v]
                     stack.append((s | 1 << v, free & rest, done & rest))
                     free, done = free ^ 1 << v, done | 1 << v
                 continue
@@ -98,10 +97,10 @@ def maximal_classes(g: Graph) -> List[int]:
                 continue
             dominators, reach = -1, 0
             for v in iter_bits(s):
-                dominators &= g.closed(v)
-                reach |= g.closed(v)
+                dominators &= closed[v]
+                reach |= closed[v]
             if lowest_bit(dominators) == y and not any(
-                g.closed(d) & ~reach for d in iter_bits(dominators)
+                closed[d] & ~reach for d in iter_bits(dominators)
             ):
                 out.append(s)
     return sorted(out)
@@ -114,11 +113,18 @@ def cover_cuts(maximal: List[int], n: int) -> Cuts:
     maximal members hold first (ties by index), and each block's lists
     are sorted, so cuts sharing their most common vertices sit together.
     """
-    order = sorted(range(n), key=lambda v: -sum(m >> v & 1 for m in maximal))
+    held = [0] * n
+    for m in maximal:
+        for v in iter_bits(m):
+            held[v] += 1
+    order = sorted(range(n), key=lambda v: -held[v])
     blocks = []
     for u in range(n):
         cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
-        kept = [c for c in cuts if not any(c | o == o != c for o in cuts)]
+        kept: List[int] = []
+        for c in sorted(cuts, key=int.bit_count, reverse=True):  # only a larger cut holds c
+            if not any(c | o == o for o in kept):
+                kept.append(c)
         blocks.append(sorted([v for v in order if c >> v & 1] for c in kept))
     return blocks
 
@@ -149,43 +155,28 @@ def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
     return out
 
 
-def _window(raw: bytes, u: int, start: int) -> int:
-    """Bits ``[start, start + 2**u)``, ``start`` 0 or ``2**u``, of a table's bytes."""
-    if u < 3:
-        return raw[0] >> start & ((1 << (1 << u)) - 1)
-    return int.from_bytes(raw[start >> 3:(start >> 3) + (1 << (u - 3))], "little")
+def cover_power(down: int, cuts: Cuts, stop: int) -> int:
+    """``D_{a+1}`` of a family from its ``D_a``, block by block.
 
-
-def cover_power(power: int, a: int, cuts: Cuts, stop: int) -> int:
-    """Power ``a + 1`` of a family from its power ``a``, block by block.
-
-    The family must be closed under nonempty subsets and hold every
-    singleton; ``cuts`` is :func:`cover_cuts` of its maximal members,
-    one block per vertex of the ``n = len(cuts)``-vertex universe.
-    ``D_a = power | W_{<a}``, where ``W_{<a}`` holds the sets of fewer
-    than ``a`` vertices, holds the sets that at most ``a`` members
-    cover.  Block ``u`` of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is
-    the low ``2**u`` bits of ``D_a`` closed upward inside each cut of
-    block ``u``, shifted up by ``2**u``.  A set of at least ``a + 1``
-    vertices that ``a + 1`` members cover splits into exactly ``a + 1``,
-    so the power is ``D_{a+1}`` without the sets of at most ``a``
-    vertices.  The blocks built so far are returned as soon as the
-    power meets ``stop``: they hold its lowest set in ``stop``.
+    The family must be closed under nonempty subsets; ``cuts`` is
+    :func:`cover_cuts` of its maximal members, one block per vertex of
+    the ``n = len(cuts)``-vertex universe.  ``D_a`` holds the sets, the
+    empty set included, that at most ``a`` members cover.  Block ``u``
+    of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is the low ``2**u`` bits
+    of ``D_a`` closed upward inside each cut of block ``u``, shifted up
+    by ``2**u``.  The blocks built so far are returned as soon as one
+    meets ``stop``: they hold the lowest nonempty set of ``D_{a+1}`` in
+    ``stop``.
     """
-    n = len(cuts)
-    size, lack = ((1 << n) + 7) // 8, lack_masks(n - 1)  # block u reads lack[i < u]
-    down = (power | fewer_than(n, a)).to_bytes(size, "little")
-    hits = stop.to_bytes(size, "little")
+    lack = lack_masks(len(cuts) - 1)  # block u reads lack[i < u]
     out = 1  # the empty set
-    for u in range(n):
-        block = _close_up(_window(down, u, 0), cuts[u], lack)
-        out |= block << (1 << u)
-        if block & _window(hits, u, 1 << u):  # D_{a+1} meets stop; does the power?
-            prefix = out ^ fewer_than(u + 1, a + 1)
-            if prefix >> (1 << u) & _window(hits, u, 1 << u):
-                return prefix
-    # its singletons cover a set of at most a vertices: xor drops just W_{<a+1}
-    return out ^ fewer_than(n, a + 1)
+    for u, chains in enumerate(cuts):
+        width = 1 << u
+        block = _close_up(down & ((1 << width) - 1), chains, lack) << width
+        out |= block
+        if block & stop:
+            break
+    return out
 
 
 def _dominator_of(g: Graph, class_mask: int) -> int:
@@ -196,13 +187,14 @@ def _dominator_of(g: Graph, class_mask: int) -> int:
 
 
 def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
-    """Split ``want``, a member of power ``parts``, into ``parts`` family sets.
+    """Split ``want``, a set that needs exactly ``parts`` family sets, into them.
 
-    ``tables[a]`` is power ``a`` as little-endian bytes (power 1 is the
-    family).  Each level peels the lexicographically smallest family
-    member whose removal stays in the power below, walking the subsets
-    of ``want`` upward; as the family is closed under nonempty subsets,
-    a subset outside it skips those that add vertices below its lowest.
+    ``tables[a]`` is ``D_a`` as little-endian bytes (``D_1`` is the
+    family and the empty set).  Each level peels the lexicographically
+    smallest family member whose removal stays in the table below,
+    walking the subsets of ``want`` upward; as the family is closed
+    under nonempty subsets, a subset outside it skips those that add
+    vertices below its lowest.
     """
     family = tables[1]
     class_masks: List[int] = []
@@ -230,20 +222,20 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     sub, ids = g.induced(comp)
     full = sub.full_mask
     cuts = cover_cuts(maximal_classes(sub), sub.n)
-    powers = [1]  # powers[a] is power a; power 0 = {empty set}
+    powers = [1]  # powers[a] is D_a; D_0 = {empty set}
     prev_comp = 0  # no k = -1 test
     while True:
         a = len(powers) - 1
         b, meet = a - 1, powers[a] & prev_comp  # k = 2a - 1
         if not meet:
-            prev_comp = complement(powers[a], sub.n)
+            prev_comp = complement(powers[a], sub.n) if a else 1 << full
             b, meet = a, powers[a] & prev_comp  # k = 2a
         if meet:
             break
         if 2 * a >= sub.n:
             raise AssertionError("no family partition covers the component")
         # ends at the block that holds the lowest meet for k = 2a + 1
-        powers.append(cover_power(powers[a], a, cuts, prev_comp))
+        powers.append(cover_power(powers[a], cuts, prev_comp))
     s = lowest_bit(meet)
     tables = [p.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[:max(a, 2)]]
     class_masks = _peel(tables, s, a) + _peel(tables, full ^ s, b)

@@ -5,8 +5,9 @@ partitions, colorings) and never calls the solver paths it is used to
 check.  The one exception is ``type2_by_type1``, Type 2 written the way
 the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
 the plain disjoint-union product of two tables that the exact engine's
-``cover_power`` is checked against, and ``random_family_masks`` draws
-the families it multiplies.
+``cover_power`` is checked against, ``random_family_masks`` draws
+the families it multiplies, and ``fewer_than`` turns the engine's cover
+tables back into exact powers.
 """
 
 from __future__ import annotations
@@ -133,6 +134,22 @@ def star_product(n: int, p: int, r: int) -> int:
             disjoint &= lack[i]
         out |= disjoint << s
     return out
+
+
+def fewer_than(n: int, a: int) -> int:
+    """``2**n``-bit table of the subsets of a size-``n`` universe with
+    fewer than ``a`` elements: the sets that the exact powers leave out
+    of the engine's cover tables.
+
+    Built by doubling the universe one vertex at a time, the high half
+    one weight down, keeping only the rows that the last ones need.
+    """
+    rows = {b: int(b > 0) for b in range(max(0, a - n), a + 1)}
+    for m in range(n):
+        half = 1 << m
+        lo = max(0, a - (n - m - 1))
+        rows = {b: rows[b] | rows.get(b - 1, 0) << half for b in range(lo, a + 1)}
+    return rows[a]
 
 
 def brute_partition_into_family(universe_mask: int, family, ell: int) -> bool:

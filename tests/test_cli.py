@@ -168,9 +168,11 @@ def test_partize_q_at_most_1_is_a_closed_form(tmp_path, capsys):
     assert err == ""
     assert main(["validate", path, str(cert)]) == 0
     assert main(["partize", "--q", "0", "--k", "14", path]) == 0
-    for q, k in ((1, 12), (0, 13), (-1, 14)):
+    for q, k in ((1, 12), (0, 13)):
         assert main(["partize", "--q", str(q), "--k", str(k), path]) == 1
     assert capsys.readouterr().err == ""
+    assert main(["partize", "--q", "-1", "--k", "14", path]) == 2
+    assert "--q must be non-negative" in capsys.readouterr().err
 
 
 def test_validate_reports_unknown_labels_as_invalid(tmp_path, capsys):
@@ -422,6 +424,22 @@ def test_gen_rejects_negative_k(tmp_path, c5, capsys):
         assert main(["gen", *args, "--out", str(out)]) == 2
         assert "k must" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "n.dimacs.json").exists()
+
+
+def test_negative_parameters_exit_2_with_a_named_reason(c5, tmp_path, capsys):
+    kernel = tmp_path / "kernel.dimacs"
+    cases = [
+        (["partize", "--q", "-1", "--k", "1", c5], "--q must be non-negative"),
+        (["partize", "--q", "3", "--k", "-1", c5], "--k must be non-negative"),
+        (["partize", "--split", "--q", "-1", "--k", "1", c5], "--q must be non-negative"),
+        (["tds", "--k", "-1", c5], "--k must be non-negative"),
+        (["tds", "--k", "-1", c5, "--kernel-out", str(kernel)], "--k must be non-negative"),
+    ]
+    for argv, reason in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and reason in captured.err, argv
+    assert not kernel.exists()
 
 
 def test_gen_random_rejects_n_above_the_vertex_limit(tmp_path, capsys):

@@ -5,7 +5,7 @@ from functools import partial, reduce
 import pytest
 
 from cdcolor import exact
-from cdcolor.bits import bit_list, fewer_than, lack_masks, lowest_bit, mask_of
+from cdcolor.bits import bit_list, lack_masks, lowest_bit, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
@@ -33,33 +33,34 @@ from _brute import (
     brute_disjoint_union_masks,
     brute_family_masks,
     brute_partition_into_family,
+    fewer_than,
     random_family_masks,
     star_product,
 )
 
 
 def family_of(g):
-    """Power 1, the color-class family, built from power 0 = {empty set}
-    as the engine builds it."""
+    """D_1, the color-class family and the empty set, built from
+    D_0 = {empty set} as the engine builds it."""
     cuts = cover_cuts(maximal_classes(g), g.n)
-    return cover_power(1, 0, cuts, 0)
+    return cover_power(1, cuts, 0)
 
 
 def test_family_path3():
-    # P3 = a-b-c: singletons plus the dominated pair {a, c}
+    # P3 = a-b-c: the empty set, singletons and the dominated pair {a, c}
     g = path_graph(3)
     fam = family_of(g)
-    assert set(bit_list(fam)) == {0b001, 0b010, 0b100, 0b101}
+    assert set(bit_list(fam)) == {0, 0b001, 0b010, 0b100, 0b101}
 
 
 def test_family_k1_self_dominated():
     fam = family_of(Graph(1, [0]))
-    assert bit_list(fam) == [0b1]
+    assert bit_list(fam) == [0, 0b1]
 
 
 def test_family_triangle_singletons_only():
     fam = family_of(complete_graph(3))
-    assert set(bit_list(fam)) == {0b001, 0b010, 0b100}
+    assert set(bit_list(fam)) == {0, 0b001, 0b010, 0b100}
 
 
 def test_family_matches_bruteforce():
@@ -67,7 +68,7 @@ def test_family_matches_bruteforce():
     for _ in range(60):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]), rng)
         fam = family_of(g)
-        assert set(bit_list(fam)) == brute_family_masks(g)
+        assert set(bit_list(fam)) == brute_family_masks(g) | {0}
 
 
 def test_oversized_component_is_refused_before_its_copy(monkeypatch):
@@ -193,8 +194,8 @@ def test_lack_masks_and_fewer_than_match_their_definitions():
 
 
 def down_closure(masks):
-    """Table of every nonempty subset of the given masks."""
-    bits = 0
+    """Table of every subset of the given masks, the empty set included."""
+    bits = 1
     for m in masks:
         sub = m
         while sub:
@@ -228,11 +229,14 @@ def test_cover_powers_equal_the_star_powers():
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
             cuts = cover_cuts(maximal_classes(g), n)
-            family = cover = star = cover_power(1, 0, cuts, 0)
+            cover = cover_power(1, cuts, 0)
+            family = star = cover ^ 1
             for a in range(1, n):
-                cover = cover_power(cover, a, cuts, 0)
+                cover = cover_power(cover, cuts, 0)
                 star = star_product(n, star, family)
-                assert cover == star, (n, g.adj, a + 1)
+                small = fewer_than(n, a + 1)  # all in D_{a+1}, by singletons
+                assert cover & small == small, (n, g.adj, a + 1)
+                assert cover & ~small == star, (n, g.adj, a + 1)
                 checked += 1
             assert star == reduce(partial(star_product, n), [family] * n)
     assert checked > 400
@@ -255,9 +259,9 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
 
 
 def top_vertex_families():
-    """Families, with their universe size and maximal members, whose highest vertex is
-    isolated, a pendant, adjacent to every vertex, or in every maximal
-    member, next to plain random ones."""
+    """D_1 of families, with their universe size and maximal members, whose
+    highest vertex is isolated, a pendant, adjacent to every vertex, or in
+    every maximal member, next to plain random ones."""
     rng = random.Random(73)
     for _ in range(12):
         base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -281,23 +285,55 @@ def test_cover_power_stops_at_the_lowest_meet():
     met = 0
     for n, family, maximal in top_vertex_families():
         cuts = cover_cuts(maximal, n)
-        power = family
+        down = family
         for a in range(1, n):
-            full = cover_power(power, a, cuts, 0)
+            full = cover_power(down, cuts, 0)
             noise = random.Random(a * n).getrandbits(1 << n)
-            for stop in (complement(power, n), noise):
-                early = cover_power(power, a, cuts, stop)
-                meet = full & stop
+            for stop in (complement(down, n), noise):
+                early = cover_power(down, cuts, stop)
+                meet = full & stop & ~1  # the blocks hold the nonempty sets
                 if not meet:
                     assert early == full
                     continue
                 met += 1
                 low = lowest_bit(meet)
-                assert lowest_bit(early & stop) == low
+                assert lowest_bit(early & stop & ~1) == low
                 # the blocks up to the one holding the lowest meet
                 assert early == full & ((1 << (1 << low.bit_length())) - 1)
-            power = full
+            down = full
     assert met > 100
+
+
+def test_cover_tables_meet_and_peel_as_the_exact_powers():
+    """Up to the first k that meets, D_a meets the complemented D_b in
+    the same sets as P_a meets the complemented P_b, for every a + b = k,
+    where P_a, the sets that split into exactly a classes, is the star
+    power of the family; and the peel splits those sets the same way."""
+    rng = random.Random(79)
+    for _ in range(60):
+        n = rng.randint(1, 11)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+        cuts = cover_cuts(maximal_classes(g), n)
+        down, powers = [1], [1]  # D_a and P_a, from D_0 = P_0 = {empty set}
+        family = cover_power(1, cuts, 0) ^ 1
+        for k in range(n + 1):
+            if k:
+                down.append(cover_power(down[-1], cuts, 0))
+                powers.append(star_product(n, powers[-1], family))
+            meets = [powers[a] & complement(powers[k - a], n) for a in range(k + 1)]
+            assert meets == [down[a] & complement(down[k - a], n) for a in range(k + 1)]
+            if any(meets):
+                break
+        assert k == cd_chromatic_exact(g)[0], (n, g.adj)
+        size = ((1 << n) + 7) // 8
+        d_tables = [t.to_bytes(size, "little") for t in down]
+        p_tables = [t.to_bytes(size, "little") for t in powers]
+        for a, meet in enumerate(meets):
+            if meet:
+                s = lowest_bit(meet)
+                for want, parts in ((s, a), (g.full_mask ^ s, k - a)):
+                    got = exact._peel(d_tables, want, parts)
+                    assert got == exact._peel(p_tables, want, parts), (n, g.adj, a)
 
 
 KNOWN_VALUES = [
@@ -340,9 +376,9 @@ def test_named_values(g, expected):
 def test_meet_in_the_middle_product_count(monkeypatch, g, q):
     calls = []
 
-    def counting(power, a, cuts, stop):
+    def counting(down, cuts, stop):
         calls.append(1)
-        return cover_power(power, a, cuts, stop)
+        return cover_power(down, cuts, stop)
 
     monkeypatch.setattr(exact, "cover_power", counting)
     assert cd_chromatic_exact(g)[0] == q
