@@ -63,10 +63,9 @@ def complement(bits: int, n: int) -> int:
     big-endian, read little-endian) and the bits inside each byte;
     below ``n = 3`` the padding of the single byte is shifted out.
     """
-    size = 1 << n
-    nbytes = (size + 7) // 8
-    raw = bits.to_bytes(nbytes, "big").translate(_BIT_REVERSE)
-    return int.from_bytes(raw, "little") >> (8 * nbytes - size)
+    raw = bits.to_bytes(max(1, (1 << n) // 8), "big").translate(_BIT_REVERSE)
+    out = int.from_bytes(raw, "little")
+    return out >> (8 - (1 << n)) if n < 3 else out
 
 
 def maximal_classes(g: Graph) -> List[int]:
@@ -76,32 +75,27 @@ def maximal_classes(g: Graph) -> List[int]:
     class is a maximal independent subset of ``N[y]`` for each of its
     dominators ``y``.  These are listed per ``y`` by Bron-Kerbosch on
     the complement (Bron and Kerbosch, CACM 1973), pivoting on the
-    lowest free vertex, and each is kept from its lowest dominator
-    only.  It is maximal among all classes when no dominator's ``N[d]``
-    holds a vertex outside the set and its neighborhood, which would
-    extend it.
+    lowest free vertex.  Each branch carries the set's dominators and
+    its reach, the meet and the union of its members' ``N[v]``, so a set
+    is dropped at once unless ``y`` is its lowest dominator.  It is
+    maximal among all classes when no dominator's ``N[d]`` holds a
+    vertex outside the reach, which would extend it.
     """
     closed = [g.closed(v) for v in range(g.n)]
     out = []
     for y in range(g.n):
-        stack = [(0, closed[y], 0)]  # (chosen, free, done) masks
+        below = (1 << y) - 1
+        stack = [(0, closed[y], 0, -1, 0)]  # (chosen, free, done, dominators, reach) masks
         while stack:
-            s, free, done = stack.pop()
+            s, free, done, dom, reach = stack.pop()
             if free:  # a maximal set holds the pivot or a neighbor of it
                 for v in iter_bits(free & closed[lowest_bit(free)]):
-                    rest = ~closed[v]
-                    stack.append((s | 1 << v, free & rest, done & rest))
+                    c = closed[v]
+                    stack.append((s | 1 << v, free & ~c, done & ~c, dom & c, reach | c))
                     free, done = free ^ 1 << v, done | 1 << v
                 continue
-            if done:  # a done vertex extends s
-                continue
-            dominators, reach = -1, 0
-            for v in iter_bits(s):
-                dominators &= closed[v]
-                reach |= closed[v]
-            if lowest_bit(dominators) == y and not any(
-                closed[d] & ~reach for d in iter_bits(dominators)
-            ):
+            # a done vertex extends s; a lower dominator lists s itself
+            if not (done or dom & below or any(closed[d] & ~reach for d in iter_bits(dom))):
                 out.append(s)
     return sorted(out)
 
@@ -112,20 +106,22 @@ def cover_cuts(maximal: List[int], n: int) -> Cuts:
     ``u`` that no other cut contains.  A list puts the vertices more
     maximal members hold first (ties by index), and each block's lists
     are sorted, so cuts sharing their most common vertices sit together.
+    One pass adds ``M ∩ {0..v-1}`` to block ``v`` for each ``v`` of each ``M``.
     """
     held = [0] * n
+    cuts: List[set] = [set() for _ in range(n)]
     for m in maximal:
         for v in iter_bits(m):
             held[v] += 1
-    order = sorted(range(n), key=lambda v: -held[v])
+            cuts[v].add(m & ((1 << v) - 1))
+    rank = {v: i for i, v in enumerate(sorted(range(n), key=lambda v: -held[v]))}
     blocks = []
-    for u in range(n):
-        cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
+    for block in cuts:
         kept: List[int] = []
-        for c in sorted(cuts, key=int.bit_count, reverse=True):  # only a larger cut holds c
+        for c in sorted(block, key=int.bit_count, reverse=True):  # only a larger cut holds c
             if not any(c | o == o for o in kept):
                 kept.append(c)
-        blocks.append(sorted([v for v in order if c >> v & 1] for c in kept))
+        blocks.append(sorted(sorted(iter_bits(c), key=rank.__getitem__) for c in kept))
     return blocks
 
 
@@ -190,16 +186,16 @@ def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
     """Split ``want``, a set that needs exactly ``parts`` family sets, into them.
 
     ``tables[a]`` is ``D_a`` as little-endian bytes (``D_1`` is the
-    family and the empty set).  Each level peels the lexicographically
-    smallest family member whose removal stays in the table below,
-    walking the subsets of ``want`` upward; as the family is closed
-    under nonempty subsets, a subset outside it skips those that add
-    vertices below its lowest.
+    family and the empty set; ``D_0`` is not read).  Each level above 1
+    peels the lexicographically smallest family member whose removal
+    stays in the table below, walking the subsets of ``want`` upward; as
+    the family is closed under nonempty subsets, a subset outside it
+    skips those that add vertices below its lowest.  Level 1 takes what
+    is left, as only the empty set lies in ``D_0``.
     """
-    family = tables[1]
     class_masks: List[int] = []
-    for level in range(parts, 0, -1):
-        lower, s = tables[level - 1], want & -want
+    for level in range(parts, 1, -1):
+        family, lower, s = tables[1], tables[level - 1], want & -want
         while s:
             if not family[s >> 3] >> (s & 7) & 1:
                 s |= want & ((s & -s) - 1)
@@ -210,11 +206,12 @@ def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
             raise AssertionError("witness peel failed")
         class_masks.append(s)
         want ^= s
-    return class_masks
+    return class_masks + [want] if parts else class_masks
 
 
 def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
-    """Solve ``comp`` on a compact copy, whose subsets the tables index."""
+    """Solve ``comp`` on a compact copy, whose subsets the tables index
+    (``g`` itself when ``comp`` is all of it)."""
     if comp.bit_count() > cap:
         raise CapacityError(
             f"exact solver capacity is {cap} vertices, got {comp.bit_count()}; raise the cap"
@@ -237,7 +234,7 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
         # ends at the block that holds the lowest meet for k = 2a + 1
         powers.append(cover_power(powers[a], cuts, prev_comp))
     s = lowest_bit(meet)
-    tables = [p.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[:max(a, 2)]]
+    tables = [b""] + [p.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[1:a]]
     class_masks = _peel(tables, s, a) + _peel(tables, full ^ s, b)
     coloring = make_coloring(class_masks, [_dominator_of(sub, c) for c in class_masks])
     return a + b, coloring.relabeled(ids)

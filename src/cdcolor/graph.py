@@ -96,7 +96,9 @@ class Graph:
         return [self.label(v) for v in mask_or_vertices]
 
     def induced(self, mask: int) -> Tuple["Graph", List[int]]:
-        """Induced subgraph on ``mask``; returns it with the old vertex ids."""
+        """Induced subgraph on ``mask`` with the old vertex ids; ``self`` on the full mask."""
+        if mask == self.full_mask:
+            return self, list(range(self.n))
         ids = bit_list(mask)
         pos = {old: new for new, old in enumerate(ids)}
         adj = [0] * len(ids)

@@ -7,7 +7,9 @@ the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
 the plain disjoint-union product of two tables that the exact engine's
 ``cover_power`` is checked against, ``random_family_masks`` draws
 the families it multiplies, and ``fewer_than`` turns the engine's cover
-tables back into exact powers.
+tables back into exact powers.  ``peel_every_level`` is the witness
+peel that ``exact._peel`` is checked against, walking the subsets at
+every level, level 1 included.
 """
 
 from __future__ import annotations
@@ -150,6 +152,30 @@ def fewer_than(n: int, a: int) -> int:
         lo = max(0, a - (n - m - 1))
         rows = {b: rows[b] | rows.get(b - 1, 0) << half for b in range(lo, a + 1)}
     return rows[a]
+
+
+def peel_every_level(tables, want: int, parts: int) -> List[int]:
+    """Split ``want``, a set that needs exactly ``parts`` family sets, into
+    them: ``tables[a]`` is ``D_a`` as little-endian bytes, ``D_0`` = {empty
+    set} included.  Every level, the last one too, takes the
+    lexicographically smallest family member whose removal stays in the
+    table below, walking the subsets of ``want`` upward and skipping
+    those that add vertices below the lowest one of a non-member."""
+    family = tables[1]
+    class_masks: List[int] = []
+    for level in range(parts, 0, -1):
+        lower, s = tables[level - 1], want & -want
+        while s:
+            if not family[s >> 3] >> (s & 7) & 1:
+                s |= want & ((s & -s) - 1)
+            elif lower[(want ^ s) >> 3] >> ((want ^ s) & 7) & 1:
+                break
+            s = (s - want) & want
+        else:
+            raise AssertionError("witness peel failed")
+        class_masks.append(s)
+        want ^= s
+    return class_masks
 
 
 def brute_partition_into_family(universe_mask: int, family, ell: int) -> bool:

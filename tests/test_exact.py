@@ -34,6 +34,7 @@ from _brute import (
     brute_family_masks,
     brute_partition_into_family,
     fewer_than,
+    peel_every_level,
     random_family_masks,
     star_product,
 )
@@ -78,6 +79,26 @@ def test_oversized_component_is_refused_before_its_copy(monkeypatch):
     monkeypatch.setattr(Graph, "induced", no_copy)
     with pytest.raises(CapacityError, match="capacity is 4 vertices, got 5"):
         cd_chromatic_exact(path_graph(5), cap=4)
+
+
+def test_a_connected_graph_is_solved_without_a_copy(monkeypatch):
+    g = random_connected_graph(10, 0.3, random.Random(89))
+    labeled = Graph(3, [0b010, 0b101, 0b010], labels="abc")
+    for h in (g, labeled, Graph(0, [])):
+        sub, ids = h.induced(h.full_mask)
+        assert sub is h and ids == list(range(h.n))
+    built = []
+    init = Graph.__init__
+
+    def counting(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    q, coloring = cd_chromatic_exact(g)
+    assert built == []
+    assert validate_cd_coloring(g, coloring).ok
+    assert g.induced(g.full_mask & ~1)[0].n == g.n - 1 and built == [g.n - 1]
 
 
 def test_complement_maps_each_subset_to_its_complement():
@@ -242,20 +263,48 @@ def test_cover_powers_equal_the_star_powers():
     assert checked > 400
 
 
+def assert_cuts_match_their_definition(maximal, n):
+    """Block u of ``cover_cuts`` lists the cuts M ∩ {0..u-1} of the maximal
+    members M holding u that no other cut contains, sorted, each with the
+    vertices more members hold first (ties by index)."""
+    blocks = cover_cuts(maximal, n)
+    assert len(blocks) == n
+    held = [sum(m >> v & 1 for m in maximal) for v in range(n)]
+    for u, lists in enumerate(blocks):
+        cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
+        want = sorted(c for c in cuts if not any(c != o and not c & ~o for o in cuts))
+        assert lists == sorted(lists)
+        assert sorted(mask_of(c) for c in lists) == want
+        assert not any(p == c[: len(p)] for p, c in zip(lists, lists[1:]))
+        assert all(c == sorted(c, key=lambda v: (-held[v], v)) for c in lists)
+
+
 def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
     rng = random.Random(71)
     for _ in range(40):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.random(), rng)
+        assert_cuts_match_their_definition(maximal_classes(g), n)
+
+
+def lifts_pendants_and_twins():
+    """Hub lifts of random bases with at most 8 vertices, and random graphs
+    with a pendant or a true twin (same closed neighborhood) added."""
+    rng = random.Random(97)
+    for _ in range(10):
+        base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
+        yield generate_from_partization(base, rng.randint(0, 1), rng.randint(1, 2)).graph
+        n, top, v = base.n, 1 << base.n, rng.randrange(base.n)
+        near = base.closed(v)
+        yield Graph(n + 1, [row | (top if u == v else 0) for u, row in enumerate(base.adj)] + [1 << v])
+        yield Graph(n + 1, [row | (top if near >> u & 1 else 0) for u, row in enumerate(base.adj)] + [near])
+
+
+def test_maximal_classes_and_cuts_on_hub_lifts_pendants_and_twins():
+    for g in lifts_pendants_and_twins():
         maximal = maximal_classes(g)
-        blocks = cover_cuts(maximal, n)
-        assert len(blocks) == n
-        for u, lists in enumerate(blocks):
-            cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
-            want = sorted(c for c in cuts if not any(c != o and not c & ~o for o in cuts))
-            assert lists == sorted(lists)
-            assert sorted(mask_of(c) for c in lists) == want
-            assert not any(p == c[: len(p)] for p, c in zip(lists, lists[1:]))
+        assert maximal == maximal_of(brute_family_masks(g)), (g.n, g.adj)
+        assert_cuts_match_their_definition(maximal, g.n)
 
 
 def top_vertex_families():
@@ -334,6 +383,40 @@ def test_cover_tables_meet_and_peel_as_the_exact_powers():
                 for want, parts in ((s, a), (g.full_mask ^ s, k - a)):
                     got = exact._peel(d_tables, want, parts)
                     assert got == exact._peel(p_tables, want, parts), (n, g.adj, a)
+
+
+def test_peel_matches_the_walk_over_every_level():
+    """``exact._peel`` takes what is left at level 1 at once; it splits each
+    set that needs exactly a classes as the walk over every level does:
+    the sets of each meet of D_a and the complemented D_b for every split
+    a + b = k up to the cd-chromatic number, and sets of D_a outside D_{a-1}."""
+    rng = random.Random(101)
+    graphs = [random_graph(rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+              for _ in range(30)]
+    for _ in range(15):
+        base = random_graph(rng.randint(1, 7), rng.choice([0.3, 0.6]), rng)
+        graphs.append(generate_from_partization(base, 0, rng.randint(1, 2)).graph)
+    peeled = 0
+    for g in graphs:
+        n, q = g.n, cd_chromatic_exact(g)[0]
+        cuts = cover_cuts(maximal_classes(g), n)
+        down = [1]
+        for _ in range(q):
+            down.append(cover_power(down[-1], cuts, 0))
+        tables = [t.to_bytes(((1 << n) + 7) // 8, "little") for t in down]
+        wants = []
+        for k in range(q + 1):
+            for a in range(k + 1):
+                meet = bit_list(down[a] & complement(down[k - a], n))
+                assert not meet or k == q, (n, g.adj, k)
+                wants += [(s, a) for s in meet[:20]] + [(g.full_mask ^ s, k - a) for s in meet[:20]]
+        for a in range(1, q + 1):
+            wants += [(s, a) for s in bit_list(down[a] & ~down[a - 1])[:20]]
+        for want, parts in wants:
+            got = exact._peel(tables, want, parts)
+            assert got == peel_every_level(tables, want, parts), (n, g.adj, want, parts)
+            peeled += 1
+    assert peeled > 1000
 
 
 KNOWN_VALUES = [
