@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "partize": (
         "DeletionSolution",
-        "RecognitionResult",
         "TypeWitness",
         "cd_recognize_upto3",
         "delete_to_type1",
@@ -51,7 +50,6 @@ _EXPORTS = {
         "partization2",
         "partization3",
         "partization_bruteforce",
-        "recognize_type",
         "validate_deletion",
     ),
     "split": (
@@ -59,17 +57,14 @@ _EXPORTS = {
         "cd_chromatic_split",
         "generate_from_partization",
         "generate_from_setcover",
-        "split_cd_coloring",
         "split_partization",
     ),
     "tds": (
         "KernelOutcome",
         "TdsCertificate",
         "cd_chromatic_girth5",
-        "cd_coloring_from_tds",
         "is_total_dominating",
         "kernel_size_bound",
-        "tds_bruteforce",
         "tds_kernelize",
         "tds_solve",
     ),

@@ -78,22 +78,22 @@ def _cmd_recognize(args) -> int:
     from .partize import cd_recognize_upto3
 
     g = _load_graph(args.file)
-    result = cd_recognize_upto3(g)
-    if result is None or result.q > args.q:
+    sol = cd_recognize_upto3(g)
+    if sol is None or sol.coloring.q > args.q:
         if not args.json:
             print(f"NO: cd-chromatic number exceeds {args.q}")
         return 1
-    payload = result.coloring().to_payload(g)
+    payload = sol.coloring.to_payload(g)
     payload["components"] = [
         {
             "type_id": w.type_id,
             "dominators": [g.label(d) for d in w.dominators],
-            "vertices": g.label_list(comp),
+            "vertices": g.label_list(mask_of(v for cls in w.coloring.classes for v in cls)),
         }
-        for comp, w in result.components
+        for _, w in sol.plan
     ]
     if not args.json:
-        print(f"q={result.q}")
+        print(f"q={sol.coloring.q}")
     _emit_certificate(args, payload)
     return 0
 
@@ -249,7 +249,7 @@ def _cmd_validate(args) -> int:
     if "set" in cert and "size" in cert:
         from .tds import is_total_dominating
 
-        if tds.bit_count() != cert["size"]:
+        if type(cert["size"]) is not int or cert["size"] != tds.bit_count():
             print("invalid: size field does not match the set")
             return 2
         if not is_total_dominating(g, tds):
@@ -264,7 +264,7 @@ def _cmd_validate(args) -> int:
     if not report.ok:
         print(f"invalid: {report.problem}")
         return 2
-    if cert.get("q") != coloring.q:
+    if type(cert.get("q")) is not int or cert["q"] != coloring.q:
         print("invalid: q field does not match the class count")
         return 2
     print("valid")

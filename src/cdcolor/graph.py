@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .bits import bit_list, iter_bits, lowest_bit, mask_of
+from .bits import bit_list, iter_bits, mask_of
 from .errors import ParseError
 
 
@@ -381,18 +381,6 @@ def bipartition_within(
         side_a |= a
         side_b |= b
     return side_a, side_b
-
-
-def find_triangle(g: Graph) -> Optional[Tuple[int, int, int]]:
-    """Lexicographically first triangle ``(u, v, w)``, ``u < v < w``, or None."""
-    for u in range(g.n):
-        for dv in iter_bits(g.adj[u] >> (u + 1)):
-            v = u + 1 + dv
-            # a sorted triangle is always seen from its lowest edge
-            higher = g.adj[u] & g.adj[v] & ~((1 << (v + 1)) - 1)
-            if higher:
-                return (u, v, lowest_bit(higher))
-    return None
 
 
 # -- split graphs ------------------------------------------------------------

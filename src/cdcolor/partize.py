@@ -12,9 +12,10 @@ mandatory deletions.  Every matcher works on ``g[active]`` for an
 optional vertex mask ``active`` and hands sub-masks, never induced
 copies, to vertex cover and odd cycle transversal.
 
-Recognition is deletion with budget k = 0: ``recognize_type`` returns
-the matcher's witness, and ``cd_recognize_upto3`` sums over components.
-Type 0 (at most three vertices) is a closed form.
+Recognition is deletion with budget k = 0: ``cd_recognize_upto3``
+matches each component of ``g[active]`` and returns the same deletion
+record, with the vertices outside ``active`` deleted.  Type 0 (at most
+three vertices) is a closed form.
 
 ``partization(g, k, q)`` routes deletion for every q: a closed form for
 small remainders, three NO bounds, then the matchers (Type 1 for q = 2,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .coloring import (
@@ -39,7 +40,7 @@ from .coloring import (
     merge_colorings,
     validate_cd_coloring,
 )
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError
 from .fpt import (
     oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
 )
@@ -55,16 +56,6 @@ class TypeWitness(NamedTuple):
     type_id: int
     dominators: Tuple[int, ...]
     coloring: CdColoring
-
-
-class RecognitionResult(NamedTuple):
-    """Total color count plus one witness per connected component."""
-
-    q: int
-    components: List[Tuple[int, TypeWitness]]  # (component mask, witness)
-
-    def coloring(self) -> CdColoring:
-        return merge_colorings([w.coloring for _, w in self.components])
 
 
 class DeletionSolution(NamedTuple):
@@ -402,77 +393,56 @@ def _type0(g: Graph, active: int) -> Optional[TypeWitness]:
     return TypeWitness(0, (), coloring)
 
 
-def recognize_type(
-    g: Graph, t: int, active: Optional[int] = None
-) -> Optional[TypeWitness]:
-    """Witness that connected ``g[active]`` matches pattern type ``t``,
-    or None.
-
-    Types 1-5 run the deletion matcher with budget 0.
-    """
-    if t not in range(6):
-        raise ValueError(f"unknown type {t}")
-    if active is None:
-        active = g.full_mask
-    if more_components_than(g, active, 1):
-        raise PreconditionError("type recognition works on connected graphs")
-    if t == 0:
-        return _type0(g, active)
-    sol = _TYPE_SOLVERS[t - 1](g, 0, active)
-    return None if sol is None else sol.plan[0][1]
-
-
-def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[int, TypeWitness]]:
+def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[str, TypeWitness]]:
     if comp.bit_count() == 1:
-        return 1, _type0(g, comp)
+        return "IsolatedVertex", _type0(g, comp)
     sol = _TYPE_SOLVERS[0](g, 0, comp)
     if sol is not None:
-        return 2, sol.plan[0][1]
+        return sol.plan[0]
     w = _type0(g, comp)
     if w is not None:
-        return 3, w
+        return "Type0", w
     for solver in _TYPE_SOLVERS[1:]:
         sol = solver(g, 0, comp)
         if sol is not None:
-            return 3, sol.plan[0][1]
+            return sol.plan[0]
     return None
 
 
 def cd_recognize_upto3(
     g: Graph, active: Optional[int] = None
-) -> Optional[RecognitionResult]:
-    """Color count and witnesses when ``g[active]`` is <= 3 cd-colorable.
+) -> Optional[DeletionSolution]:
+    """Deletion record of ``g[active]`` when it is <= 3 cd-colorable: the
+    vertices outside ``active`` are deleted, and the plan holds one
+    witness per component, by lowest vertex.
 
-    Components are recognized separately: a lone vertex costs one color,
-    a bipartite component with a dominating edge two, any other matched
-    pattern three.  None when the component sum exceeds three.
+    Components are recognized separately, each costing its witness's
+    class count: a lone vertex one color, a bipartite component with a
+    dominating edge two, any other matched pattern three.  None when the
+    component sum exceeds three.
     """
+    if active is None:
+        active = g.full_mask
     total = 0
-    out: List[Tuple[int, TypeWitness]] = []
-    for comp in iter_components(g, g.full_mask if active is None else active):
-        res = _component_upto3(g, comp)
-        if res is None:
+    plan = []
+    for comp in iter_components(g, active):
+        entry = _component_upto3(g, comp)
+        if entry is None:
             return None
-        q_i, witness = res
-        total += q_i
+        total += entry[1].coloring.q
         if total > 3:
             return None
-        out.append((comp, witness))
-    return RecognitionResult(total, out)
+        plan.append(entry)
+    coloring = merge_colorings([w.coloring for _, w in plan])
+    return DeletionSolution(g.full_mask & ~active, tuple(plan), coloring)
 
 
 def _small_remainder(g: Graph, k: int, keep_limit: int) -> Optional[DeletionSolution]:
-    """Keep the lowest-index vertices when almost everything may go."""
+    """Keep the lowest-index vertices when almost everything may go; the
+    at most ``keep_limit`` kept vertices need at most one color each."""
     if g.n - k > keep_limit:
         return None
-    kept_mask = (1 << min(g.n, keep_limit)) - 1
-    rec = cd_recognize_upto3(g, kept_mask)
-    assert rec is not None and rec.q <= keep_limit
-    plan = tuple(
-        ("IsolatedVertex" if comp.bit_count() == 1 else f"Type{w.type_id}", w)
-        for comp, w in rec.components
-    )
-    return DeletionSolution(g.full_mask & ~kept_mask, plan, rec.coloring())
+    return cd_recognize_upto3(g, (1 << min(g.n, keep_limit)) - 1)
 
 
 def _keeps_too_many(g: Graph, k: int, q: int) -> bool:

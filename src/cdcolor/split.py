@@ -20,16 +20,8 @@ from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component, validate_cd_coloring
 from .errors import NotSplitError, PreconditionError
 from .fpt import odd_cycle_transversal, vertex_cover
-from .graph import Graph, is_connected, split_partition
+from .graph import Graph, split_partition
 from .partize import DeletionSolution
-
-
-def split_cd_coloring(g: Graph) -> Tuple[int, CdColoring]:
-    """Optimal cd-coloring of a connected split graph; q is its clique number."""
-    answer = cd_chromatic_split(g)
-    if not is_connected(g):
-        raise PreconditionError("split coloring needs a connected graph")
-    return answer
 
 
 def _split_component(g: Graph, comp: int, clique: int) -> Tuple[int, CdColoring]:

@@ -15,11 +15,8 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
-from .errors import CapacityError, PreconditionError
-from .graph import Graph, find_triangle, girth, is_connected, iter_components
-
-BRUTE_N_CAP = 20
-BRUTE_K_CAP = 6
+from .errors import PreconditionError
+from .graph import Graph, girth, iter_components
 
 
 def kernel_size_bound(k: int) -> int:
@@ -216,36 +213,6 @@ def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
         total |= found
     assert is_total_dominating(g, total)
     return TdsCertificate(total, total.bit_count())
-
-
-def tds_bruteforce(g: Graph, k: int) -> Optional[TdsCertificate]:
-    """Exhaustive minimum total dominating set of size <= k (small inputs)."""
-    if g.n > BRUTE_N_CAP or k > BRUTE_K_CAP:
-        raise CapacityError(
-            f"brute-force caps are n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP}"
-        )
-    if any(not g.adj[v] for v in range(g.n)):
-        return None
-    for size in range(0, min(k, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = mask_of(combo)
-            if is_total_dominating(g, mask):
-                return TdsCertificate(mask, size)
-    return None
-
-
-def cd_coloring_from_tds(g: Graph, cert: TdsCertificate) -> CdColoring:
-    """Coloring of a connected triangle-free graph read off a total dominating set."""
-    tri = find_triangle(g)
-    if tri is not None:
-        raise PreconditionError(
-            f"construction needs a triangle-free graph; found triangle {tri}"
-        )
-    if not is_connected(g):
-        raise PreconditionError("construction needs a connected graph")
-    if not is_total_dominating(g, cert.mask):
-        raise PreconditionError("given set is not total dominating")
-    return _coloring_from_set(g, cert.mask)
 
 
 def _coloring_from_set(g: Graph, tds: int) -> CdColoring:

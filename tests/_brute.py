@@ -7,7 +7,9 @@ the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
 the plain disjoint-union product of two tables that the exact engine's
 ``cover_power`` is checked against, ``random_family_masks`` draws
 the families it multiplies, and ``fewer_than`` turns the engine's cover
-tables back into exact powers.  ``peel_every_level`` is the witness
+tables back into exact powers.  ``tds_bruteforce`` is the exhaustive
+total dominating set search that the kernel and branch and bound of
+``cdcolor.tds`` are checked against.  ``peel_every_level`` is the witness
 peel that ``exact._peel`` is checked against, walking the subsets at
 every level, level 1 included.
 """
@@ -20,8 +22,13 @@ from typing import List
 
 from cdcolor.bits import bit_list, iter_bits, lack_masks, mask_of
 from cdcolor.coloring import CdColoring
+from cdcolor.errors import CapacityError
 from cdcolor.graph import Graph
 from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
+from cdcolor.tds import TdsCertificate, is_total_dominating
+
+TDS_BRUTE_N_CAP = 20
+TDS_BRUTE_K_CAP = 6
 
 
 def subsets_of(vertices, min_size=0, max_size=None):
@@ -195,6 +202,22 @@ def brute_min_tds(g: Graph, k: int):
             mask = mask_of(combo)
             if all(g.adj[v] & mask for v in range(g.n)):
                 return mask
+    return None
+
+
+def tds_bruteforce(g: Graph, k: int):
+    """Exhaustive minimum total dominating set of size <= k (small inputs)."""
+    if g.n > TDS_BRUTE_N_CAP or k > TDS_BRUTE_K_CAP:
+        raise CapacityError(
+            f"brute-force caps are n <= {TDS_BRUTE_N_CAP}, k <= {TDS_BRUTE_K_CAP}"
+        )
+    if any(not g.adj[v] for v in range(g.n)):
+        return None
+    for size in range(0, min(k, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            mask = mask_of(combo)
+            if is_total_dominating(g, mask):
+                return TdsCertificate(mask, size)
     return None
 
 

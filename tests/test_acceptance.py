@@ -37,16 +37,15 @@ from cdcolor.partize import (
     validate_deletion,
 )
 from cdcolor.split import (
+    cd_chromatic_split,
     generate_from_partization,
     generate_from_setcover,
-    split_cd_coloring,
     split_partization,
 )
 from cdcolor.tds import (
     cd_chromatic_girth5,
     is_total_dominating,
     kernel_size_bound,
-    tds_bruteforce,
     tds_kernelize,
     tds_solve,
 )
@@ -58,6 +57,7 @@ from _brute import (
     brute_vertex_cover_min,
     random_family_masks,
     star_product,
+    tds_bruteforce,
 )
 
 GiB = 1 << 30
@@ -200,8 +200,8 @@ def test_criterion_6_recognition():
         rec = cd_recognize_upto3(g)
         q_true = cd_chromatic_bruteforce(g)[0]
         if q_true <= 3:
-            assert rec is not None and rec.q == q_true, (g.adj, q_true)
-            report_ = validate_cd_coloring(g, rec.coloring())
+            assert rec is not None and rec.coloring.q == q_true, (g.adj, q_true)
+            report_ = validate_cd_coloring(g, rec.coloring)
             assert report_.ok, (g.adj, report_.problem)
             witnessed += 1
         else:
@@ -272,7 +272,7 @@ def test_criterion_8_split_graphs():
         if not is_connected(g):
             continue
         clique, _ = split_partition(g)
-        q, wit = split_cd_coloring(g)
+        q, wit = cd_chromatic_split(g)
         assert q == clique.bit_count() == cd_chromatic_bruteforce(g)[0], g.adj
         assert validate_cd_coloring(g, wit).ok
         checked += 1

@@ -302,6 +302,30 @@ def test_validate_rejects_tampered_certificate(c5, tmp_path, capsys):
     assert "invalid" in out
 
 
+def test_validate_requires_integer_counts(tmp_path, capsys):
+    # a count must be a JSON integer: 2.0 == 2 and true == 1 in Python
+    k1, k2 = tmp_path / "k1.dimacs", tmp_path / "k2.dimacs"
+    k1.write_text("p edge 1 0\n")
+    k2.write_text("p edge 2 1\ne 1 2\n")
+    cert = tmp_path / "cert.json"
+    size_problem = "invalid: size field does not match the set\n"
+    q_problem = "invalid: q field does not match the class count\n"
+    cases = [
+        (k2, {"size": 2, "set": [1, 2]}, "size", size_problem),
+        (k2, {"q": 2, "classes": [[1], [2]], "dominators": [1, 2]}, "q", q_problem),
+        (k1, {"q": 1, "classes": [[1]], "dominators": [1]}, "q", q_problem),
+    ]
+    for graph, payload, field, problem in cases:
+        cert.write_text(json.dumps(payload))
+        assert main(["validate", str(graph), str(cert)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        count = payload[field]
+        for tampered in (float(count), True, str(count)):
+            cert.write_text(json.dumps(dict(payload, **{field: tampered})))
+            assert main(["validate", str(graph), str(cert)]) == 2, tampered
+            assert capsys.readouterr().out == problem
+
+
 def test_validate_rejects_coloring_of_deleted_vertex(c5, tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert main(["partize", "--q", "2", "--k", "1", c5, "--cert-out", str(cert)]) == 0
@@ -477,6 +501,50 @@ def test_partize_split_json_is_pinned(n, seed, tmp_path, capsys):
             runs.append(f"{code}\n{capsys.readouterr().out}")
     digest = hashlib.sha256("".join(runs).encode()).hexdigest()
     assert digest == SPLIT_PARTIZE_DIGESTS[n, seed]
+
+
+RECOGNIZE_DIGESTS = {
+    ("random", 1, "0.5"):
+        "9b95e7063998db12b64608b12da6c7853aabefa4adf3b21c886a1e13038121b3",
+    ("random", 3, "0.6"):
+        "801e0df5375f85baa370c15728096c21d37bf8708f0185d2c5e0baf7c88f79f0",
+    ("random", 5, "0.3"):
+        "a0f2c50a57248b64e4c8418b09740da4abee314a633d3169a941e47971731680",
+    ("random", 8, "0.2"):
+        "a5b0ba563ba45299874a16a466ab8148e1d0514db323a8c41bcb445786e04f11",
+    ("random", 9, "0.4"):
+        "54e5b5d1b7628b606a59798282cd99f7c99d42debfa2675cc7342a84e192d39b",
+    ("random", 12, "0.35"):
+        "0f1473012a78bd2b496394cef70a6202ce186a6d8902815d24cde5dc9dfaf32a",
+    ("lift", 5, "0.3"):
+        "e0ee7b20496e9ae3721793f4e4c4d084051668567ee7628e0310b1d5db0be6fa",
+    ("lift", 7, "0.25"):
+        "979221cc730d86f475402921a16d3f08575e91567aba31f2cca9430c50d0e2bf",
+    ("lift", 9, "0.2"):
+        "548e9fb693589fd96262d59cc86f4a724475f0a600ce24798c2cb9c023828b71",
+    ("lift", 11, "0.2"):
+        "228e4f29346456ddac62231cb0e68579aa4df3ee4eb8b369826c1c40c694bb5b",
+}
+
+
+@pytest.mark.parametrize("kind, n, p", sorted(RECOGNIZE_DIGESTS))
+def test_recognize_json_is_pinned(kind, n, p, tmp_path, capsys):
+    """``recognize --json --q {1,2,3}`` on 20 draws each, disconnected ones
+    included; a lift puts a hub with pendants over the draw."""
+    path = str(tmp_path / "r.dimacs")
+    runs = []
+    for seed in range(20):
+        gen = ["gen", "random", "--n", str(n), "--p", p, "--seed", str(seed)]
+        assert main(gen + ["--out", path]) == 0
+        if kind == "lift":
+            base = ("vc", "oct")[seed % 2]
+            assert main(["gen", "lift", path, "--base", base, "--k", "1", "--out", path]) == 0
+        capsys.readouterr()
+        for q in (1, 2, 3):
+            code = main(["recognize", "--json", "--q", str(q), path])
+            runs.append(f"{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("".join(runs).encode()).hexdigest()
+    assert digest == RECOGNIZE_DIGESTS[kind, n, p]
 
 
 def test_certificates_byte_identical_across_runs(c5, k5, tmp_path):

@@ -17,7 +17,7 @@ from cdcolor.generate import (
     random_split_graph,
 )
 from cdcolor.graph import is_connected, split_partition
-from cdcolor.split import split_cd_coloring
+from cdcolor.split import cd_chromatic_split
 from cdcolor.tds import cd_chromatic_girth5
 
 
@@ -44,7 +44,7 @@ def test_exact_agrees_with_split_route_midsize():
         g = random_split_graph(rng.randint(10, 14), rng, p=rng.random(), connected=True)
         if not is_connected(g):
             continue
-        q_split, wit = split_cd_coloring(g)
+        q_split, wit = cd_chromatic_split(g)
         q_exact, _ = cd_chromatic_exact(g)
         assert q_split == q_exact, g.adj
         assert q_split == split_partition(g)[0].bit_count()
@@ -62,4 +62,4 @@ def test_exact_and_split_on_complete_split_family():
     for c in (2, 3, 4):
         for i in (1, 2, 3):
             g = complete_split_graph(c, i)
-            assert cd_chromatic_exact(g)[0] == split_cd_coloring(g)[0]
+            assert cd_chromatic_exact(g)[0] == cd_chromatic_split(g)[0]

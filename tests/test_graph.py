@@ -21,7 +21,6 @@ from cdcolor.graph import (
     bipartition_within,
     connected_components,
     detect_format,
-    find_triangle,
     girth,
     iter_components,
     parse_graph,
@@ -262,11 +261,6 @@ def test_bipartition_matches_bruteforce():
             a, b = sides
             assert a | b == g.full_mask and not a & b
             assert is_independent(g, a) and is_independent(g, b)
-
-
-def test_find_triangle():
-    assert find_triangle(complete_graph(3)) == (0, 1, 2)
-    assert find_triangle(cycle_graph(5)) is None
 
 
 def test_split_partition_named():

@@ -1,5 +1,6 @@
 """The package's public names, its records, and what each process imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -13,25 +14,23 @@ from cdcolor.cli import main
 from cdcolor.coloring import CdColoring, ValidationReport
 from cdcolor.generate import cycle_graph, path_graph
 from cdcolor.graph import Graph, to_dimacs
-from cdcolor.partize import DeletionSolution, RecognitionResult, TypeWitness
+from cdcolor.partize import DeletionSolution, TypeWitness
 from cdcolor.split import GeneratedInstance
 from cdcolor.tds import KernelOutcome, TdsCertificate
 
 PUBLIC = [
     "CapacityError", "CdColorError", "CdColoring", "DeletionSolution",
     "GeneratedInstance", "Graph", "KernelOutcome", "NotSplitError",
-    "ParseError", "PreconditionError", "RecognitionResult",
-    "TdsCertificate", "TypeWitness", "ValidationReport",
-    "cd_chromatic_bruteforce", "cd_chromatic_exact",
-    "cd_chromatic_girth5", "cd_chromatic_split", "cd_coloring_from_tds",
-    "cd_recognize_upto3", "connected_components", "delete_to_type1",
+    "ParseError", "PreconditionError", "TdsCertificate", "TypeWitness",
+    "ValidationReport", "cd_chromatic_bruteforce", "cd_chromatic_exact",
+    "cd_chromatic_girth5", "cd_chromatic_split", "cd_recognize_upto3",
+    "connected_components", "delete_to_type1",
     "delete_to_type2", "delete_to_type3", "delete_to_type4", "delete_to_type5",
     "generate_from_partization", "generate_from_setcover", "girth",
     "is_total_dominating", "kernel_size_bound", "oct_excluding",
     "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
     "partization", "partization2", "partization3", "partization_bruteforce",
-    "recognize_type", "split_cd_coloring", "split_partition",
-    "split_partization", "tds_bruteforce", "tds_kernelize", "tds_solve",
+    "split_partition", "split_partization", "tds_kernelize", "tds_solve",
     "to_dimacs", "validate_cd_coloring", "validate_deletion", "vertex_cover",
 ]
 SOLVERS = {"exact", "fpt", "generate", "partize", "split", "tds"}
@@ -51,6 +50,21 @@ def test_public_names_resolve_to_their_modules():
     assert cdcolor.exact is importlib.import_module("cdcolor.exact")
 
 
+def test_every_module_level_import_is_used():
+    """Each name a module imports at its top level is read somewhere in it."""
+    for path in sorted(Path(SRC, "cdcolor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                assert name in used, f"{path.name} never uses its import {name}"
+
+
 def test_unknown_name_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         cdcolor.no_such_name
@@ -68,7 +82,6 @@ def test_records_keep_fields_defaults_and_repr():
         (TdsCertificate, 3, 2),
         (KernelOutcome, "REDUCED", g, (0, 1), 4, None),
         (TypeWitness, 1, (0, 1), coloring),
-        (RecognitionResult, 2, [(3, witness)]),
         (DeletionSolution, 4, (("Type1", witness),), coloring),
         (GeneratedInstance, g, 1, 2, True, {"hub": "x"}, "setcover"),
     ]
@@ -85,7 +98,6 @@ def test_records_keep_fields_defaults_and_repr():
     assert KernelOutcome("NO", reason="k = 0") == KernelOutcome("NO", None, None, 0, "k = 0")
     assert coloring.q == 2
     assert DeletionSolution(0b101, (), coloring).size == 2
-    assert RecognitionResult(2, [(3, witness)]).coloring() == coloring
 
 
 def _loaded_after(code: str) -> set:

@@ -1,9 +1,6 @@
 import random
 
-import pytest
-
 from cdcolor.coloring import validate_cd_coloring
-from cdcolor.errors import PreconditionError
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.generate import (
     complete_graph,
@@ -16,7 +13,7 @@ from cdcolor.generate import (
     star_graph,
 )
 from cdcolor.graph import Graph, is_connected
-from cdcolor.partize import cd_recognize_upto3, recognize_type
+from cdcolor.partize import _TYPE_SOLVERS, _type0, cd_recognize_upto3
 from cdcolor.split import generate_from_partization
 
 
@@ -31,36 +28,45 @@ def connected_corpus(count, n_lo, n_hi, seed):
     return out
 
 
+def match(g, t):
+    """Type ``t``'s witness on all of ``g``: the closed form for Type 0,
+    the deletion matcher with budget k = 0 for Types 1-5."""
+    if t == 0:
+        return _type0(g, g.full_mask)
+    sol = _TYPE_SOLVERS[t - 1](g, 0)
+    return None if sol is None else sol.plan[0][1]
+
+
 def test_type0():
-    w = recognize_type(Graph(1, [0]), 0)
+    w = match(Graph(1, [0]), 0)
     assert w.type_id == 0 and w.coloring.q == 1
-    assert recognize_type(complete_graph(3), 0).coloring.q == 3
-    assert recognize_type(complete_graph(4), 0) is None
+    assert match(complete_graph(3), 0).coloring.q == 3
+    assert match(complete_graph(4), 0) is None
     # every connected graph on at most 3 vertices
     for g in (Graph(1, [0]), path_graph(2), path_graph(3), complete_graph(3)):
-        w = recognize_type(g, 0)
+        w = match(g, 0)
         assert w.coloring.q <= 3
         report = validate_cd_coloring(g, w.coloring)
         assert report.ok, report.problem
     k3 = complete_graph(3)
-    assert recognize_type(k3, 0).coloring == cd_chromatic_bruteforce(k3)[1]
+    assert match(k3, 0).coloring == cd_chromatic_bruteforce(k3)[1]
 
 
 def test_type1_c4():
     c4 = cycle_graph(4)
-    w = recognize_type(c4, 1)
+    w = match(c4, 1)
     assert w.dominators == (0, 1)
     assert validate_cd_coloring(c4, w.coloring).ok
     assert w.coloring.q == 2
 
 
 def test_type1_requires_bipartite_and_dedge():
-    assert recognize_type(cycle_graph(5), 1) is None
-    assert recognize_type(cycle_graph(6), 1) is None
+    assert match(cycle_graph(5), 1) is None
+    assert match(cycle_graph(6), 1) is None
 
 
 def test_type2_c5():
-    w = recognize_type(cycle_graph(5), 2)
+    w = match(cycle_graph(5), 2)
     assert w is not None and w.type_id == 2
     assert validate_cd_coloring(cycle_graph(5), w.coloring).ok
 
@@ -68,7 +74,7 @@ def test_type2_c5():
 def test_type3_positive():
     # x=0 adjacent to y=1 and to an edge {2,3}; y dominates the lone 4
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4)])
-    w = recognize_type(g, 3)
+    w = match(g, 3)
     assert w is not None
     assert validate_cd_coloring(g, w.coloring).ok
     assert cd_chromatic_bruteforce(g)[0] == 3
@@ -76,7 +82,7 @@ def test_type3_positive():
 
 def test_type4_net_graph():
     g = net_graph()
-    w = recognize_type(g, 4)
+    w = match(g, 4)
     assert w is not None and len(w.dominators) == 3
     assert validate_cd_coloring(g, w.coloring).ok
     assert cd_chromatic_bruteforce(g)[0] == 3
@@ -85,7 +91,7 @@ def test_type4_net_graph():
 def test_type5_path3():
     # x-z-y path: the pattern holds with two effective classes
     g = path_graph(3)
-    w = recognize_type(g, 5)
+    w = match(g, 5)
     assert w is not None
     assert validate_cd_coloring(g, w.coloring).ok
 
@@ -93,28 +99,23 @@ def test_type5_path3():
 def test_k4_matches_no_type():
     k4 = complete_graph(4)
     for t in range(6):
-        assert recognize_type(k4, t) is None
+        assert match(k4, t) is None
     assert cd_recognize_upto3(k4) is None
-
-
-def test_recognize_type_needs_connected():
-    with pytest.raises(PreconditionError):
-        recognize_type(Graph(2, [0, 0]), 1)
 
 
 def test_upto3_additivity():
     k1 = Graph(1, [0])
-    assert cd_recognize_upto3(disjoint_union(k1, k1, k1)).q == 3
-    assert cd_recognize_upto3(disjoint_union(cycle_graph(4), k1)).q == 3
+    assert cd_recognize_upto3(disjoint_union(k1, k1, k1)).coloring.q == 3
+    assert cd_recognize_upto3(disjoint_union(cycle_graph(4), k1)).coloring.q == 3
     assert cd_recognize_upto3(disjoint_union(path_graph(2), path_graph(2))) is None
     assert cd_recognize_upto3(disjoint_union(k1, k1, k1, k1)) is None
 
 
 def test_upto3_named():
-    assert cd_recognize_upto3(cycle_graph(5)).q == 3
+    assert cd_recognize_upto3(cycle_graph(5)).coloring.q == 3
     assert cd_recognize_upto3(cycle_graph(6)) is None
-    assert cd_recognize_upto3(star_graph(5)).q == 2
-    assert cd_recognize_upto3(Graph(1, [0])).q == 1
+    assert cd_recognize_upto3(star_graph(5)).coloring.q == 2
+    assert cd_recognize_upto3(Graph(1, [0])).coloring.q == 1
 
 
 def test_upto3_matches_oracle_connected():
@@ -122,8 +123,8 @@ def test_upto3_matches_oracle_connected():
         rec = cd_recognize_upto3(g)
         q_true = cd_chromatic_bruteforce(g)[0]
         if q_true <= 3:
-            assert rec is not None and rec.q == q_true, (g.adj, q_true)
-            report = validate_cd_coloring(g, rec.coloring())
+            assert rec is not None and rec.coloring.q == q_true, (g.adj, q_true)
+            report = validate_cd_coloring(g, rec.coloring)
             assert report.ok, report.problem
         else:
             assert rec is None, (g.adj, q_true)
@@ -136,7 +137,7 @@ def test_upto3_matches_oracle_disconnected():
         rec = cd_recognize_upto3(g)
         q_true = cd_chromatic_bruteforce(g)[0]
         if q_true <= 3:
-            assert rec is not None and rec.q == q_true
+            assert rec is not None and rec.coloring.q == q_true
         else:
             assert rec is None
 
@@ -145,7 +146,7 @@ def test_type1_equivalence_with_two_colorability():
     # connected, at least two vertices: 2-cd-colorable iff Type 1
     for g in connected_corpus(120, 2, 7, seed=107):
         assert is_connected(g)
-        w = recognize_type(g, 1)
+        w = match(g, 1)
         q_true = cd_chromatic_bruteforce(g)[0]
         assert (w is not None) == (q_true <= 2)
 
@@ -169,8 +170,8 @@ def test_upto3_matches_exact_beyond_oracle_cap():
         q_true = cd_chromatic_exact(g)[0]
         answers.add(q_true <= 3)
         if q_true <= 3:
-            assert rec is not None and rec.q == q_true, (g.adj, q_true)
-            report = validate_cd_coloring(g, rec.coloring())
+            assert rec is not None and rec.coloring.q == q_true, (g.adj, q_true)
+            report = validate_cd_coloring(g, rec.coloring)
             assert report.ok, report.problem
         else:
             assert rec is None, (g.adj, q_true)

@@ -25,7 +25,6 @@ from cdcolor.split import (
     cd_chromatic_split,
     generate_from_partization,
     generate_from_setcover,
-    split_cd_coloring,
     split_partization,
 )
 
@@ -33,13 +32,13 @@ from _brute import brute_vertex_cover_min, brute_oct_min
 
 
 def test_split_coloring_named():
-    q, col = split_cd_coloring(complete_graph(4))
+    q, col = cd_chromatic_split(complete_graph(4))
     assert q == 4 and validate_cd_coloring(complete_graph(4), col).ok
-    q, col = split_cd_coloring(star_graph(3))
+    q, col = cd_chromatic_split(star_graph(3))
     assert q == 2 and validate_cd_coloring(star_graph(3), col).ok
     # joining K3 completely to two independent vertices creates a K4
     g = complete_split_graph(3, 2)
-    q, col = split_cd_coloring(g)
+    q, col = cd_chromatic_split(g)
     assert q == cd_chromatic_bruteforce(g)[0] == 4
 
 
@@ -49,16 +48,14 @@ def test_split_coloring_shared_class_needs_shared_dominator():
     g = Graph.from_edges(
         6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 3), (5, 2)]
     )
-    q, col = split_cd_coloring(g)
+    q, col = cd_chromatic_split(g)
     assert q == 4
     assert validate_cd_coloring(g, col).ok
 
 
 def test_split_coloring_preconditions():
     with pytest.raises(NotSplitError):
-        split_cd_coloring(cycle_graph(4))
-    with pytest.raises(PreconditionError):
-        split_cd_coloring(disjoint_union(path2(), Graph(1, [0])))
+        cd_chromatic_split(cycle_graph(4))
 
 
 def path2():
@@ -106,7 +103,7 @@ def test_omega_equals_chi_on_split_corpus():
             continue
         count += 1
         clique, _ = split_partition(g)
-        q, col = split_cd_coloring(g)
+        q, col = cd_chromatic_split(g)
         assert q == clique.bit_count()
         assert q == cd_chromatic_bruteforce(g)[0]
         assert validate_cd_coloring(g, col).ok

@@ -21,17 +21,16 @@ from cdcolor.generate import (
 from cdcolor.graph import Graph, girth, is_connected, to_dimacs
 from cdcolor.tds import (
     TdsCertificate,
+    _coloring_from_set,
     _min_tds,
     cd_chromatic_girth5,
-    cd_coloring_from_tds,
     is_total_dominating,
     kernel_size_bound,
-    tds_bruteforce,
     tds_kernelize,
     tds_solve,
 )
 
-from _brute import brute_min_tds
+from _brute import brute_min_tds, tds_bruteforce
 
 
 def girth5_corpus(count, n_lo, n_hi, seed, connected=False):
@@ -202,29 +201,22 @@ def test_bruteforce_agrees_with_independent_search():
 
 def test_coloring_from_tds_c4():
     c4 = cycle_graph(4)
-    col = cd_coloring_from_tds(c4, TdsCertificate(mask_of([0, 1]), 2))
+    col = _coloring_from_set(c4, mask_of([0, 1]))
     assert col.classes == ((1, 3), (0, 2))
     assert col.dominators == (0, 1)
     assert validate_cd_coloring(c4, col).ok
 
 
 def test_coloring_from_tds_k2():
-    col = cd_coloring_from_tds(path_graph(2), TdsCertificate(0b11, 2))
+    col = _coloring_from_set(path_graph(2), 0b11)
     assert col.classes == ((1,), (0,))
 
 
 def test_coloring_from_tds_c5():
     c5 = cycle_graph(5)
     cert = tds_solve(c5, 3)
-    col = cd_coloring_from_tds(c5, cert)
+    col = _coloring_from_set(c5, cert.mask)
     assert col.q == 3 and validate_cd_coloring(c5, col).ok
-
-
-def test_coloring_from_tds_rejects_triangles():
-    g = complete_graph(3)
-    with pytest.raises(PreconditionError) as err:
-        cd_coloring_from_tds(g, TdsCertificate(0b111, 3))
-    assert "triangle" in str(err.value)
 
 
 def test_girth5_named():
