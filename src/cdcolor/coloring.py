@@ -9,7 +9,7 @@ open-neighborhood reading.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import iter_bits, mask_of
 from .graph import Graph, iter_components, label_lookup
@@ -42,6 +42,9 @@ class CdColoring(NamedTuple):
 
     @staticmethod
     def from_payload(payload: dict, g: Graph) -> "CdColoring":
+        for field in ("classes", "dominators"):
+            if field not in payload:
+                raise ValueError(f"certificate has no {field!r} field")
         vertex = label_lookup(g)
         try:
             classes = tuple(tuple(vertex(x) for x in cls) for cls in payload["classes"])
@@ -84,26 +87,18 @@ def solve_per_component(
     additive over components.  ``solve`` answers in ``g``'s vertex ids;
     the colorings are concatenated in component order (by lowest
     vertex).  A one-vertex component is its own class without a call to
-    ``solve``.  An empty vertex set has the empty coloring.  Components
-    are solved one at a time as the merge consumes them.
+    ``solve``.  An empty vertex set has the empty coloring.
     """
     if active is None:
         active = g.full_mask
-    total = 0
-
-    def parts() -> Iterator[CdColoring]:
-        nonlocal total
-        for comp in iter_components(g, active):
-            v = comp.bit_length() - 1
-            if g.adj[v] & active:
-                q, coloring = solve(g, comp)
-            else:
-                q, coloring = 1, CdColoring(((v,),), (v,))
-            total += q
-            yield coloring
-
-    merged = merge_colorings(parts())
-    return total, merged
+    answers: List[Tuple[int, CdColoring]] = []
+    for comp in iter_components(g, active):
+        v = comp.bit_length() - 1
+        if g.adj[v] & active:
+            answers.append(solve(g, comp))
+        else:
+            answers.append((1, CdColoring(((v,),), (v,))))
+    return sum(q for q, _ in answers), merge_colorings(c for _, c in answers)
 
 
 class ValidationReport(NamedTuple):

@@ -39,9 +39,9 @@ direct search over vertex partitions that never touches the tables.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .bits import iter_bits, lack_masks, lowest_bit
+from .bits import bit_list, iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
 from .errors import CapacityError
 from .graph import Graph
@@ -256,49 +256,52 @@ def cd_chromatic_exact(
 
 
 def _bruteforce_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
-    """Minimum partition of ``comp`` into dominated independent sets, on a copy.
+    """Minimum partition of ``comp`` into dominated independent sets, in place.
 
-    Vertices are assigned in index order to an existing block or a fresh
-    one; a block tracks the mask of vertices whose closed neighborhood
-    still covers it, so dead branches prune early.
+    The vertices of ``comp`` are assigned in index order to an existing
+    block or a fresh one; a block tracks the mask of vertices of ``comp``
+    whose closed neighborhood still covers it, so dead branches prune early.
     """
-    sub, ids = g.induced(comp)
-    n = sub.n
-    closed = [sub.closed(v) for v in range(n)]
+    order = bit_list(comp)
+    n = len(order)
+    closed = [g.closed(v) & comp for v in order]
     best_count = n + 1
     best: List[Tuple[int, int]] = []
     blocks: List[Tuple[int, int]] = []  # (member mask, candidate dominator mask)
 
-    def assign(v: int) -> None:
+    def assign(i: int) -> None:
         nonlocal best_count, best
         if len(blocks) >= best_count:
             return
-        if v == n:
+        if i == n:
             best_count = len(blocks)
             best = list(blocks)
             return
+        v = order[i]
         bit = 1 << v
         for idx, (members, cands) in enumerate(blocks):
-            if sub.adj[v] & members:
+            if g.adj[v] & members:
                 continue
-            new_cands = cands & closed[v]
+            new_cands = cands & closed[i]
             if not new_cands:
                 continue
             blocks[idx] = (members | bit, new_cands)
-            assign(v + 1)
+            assign(i + 1)
             blocks[idx] = (members, cands)
-        blocks.append((bit, closed[v]))
-        assign(v + 1)
+        blocks.append((bit, closed[i]))
+        assign(i + 1)
         blocks.pop()
 
     assign(0)
     class_masks = [members for members, _ in best]
     dominators = [lowest_bit(cands) for _, cands in best]
-    return best_count, make_coloring(class_masks, dominators).relabeled(ids)
+    return best_count, make_coloring(class_masks, dominators)
 
 
-def cd_chromatic_bruteforce(g: Graph, cap: int = BRUTEFORCE_CAP) -> Tuple[int, CdColoring]:
-    """Independent oracle for the cd-chromatic number (small graphs only)."""
+def cd_chromatic_bruteforce(
+    g: Graph, cap: int = BRUTEFORCE_CAP, active: Optional[int] = None
+) -> Tuple[int, CdColoring]:
+    """Independent oracle for the cd-chromatic number of ``g[active]`` (small ``g``)."""
     if g.n > cap:
         raise CapacityError(f"brute-force oracle capacity is {cap} vertices, got {g.n}")
-    return solve_per_component(g, _bruteforce_component)
+    return solve_per_component(g, _bruteforce_component, active)

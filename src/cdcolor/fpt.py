@@ -61,21 +61,14 @@ def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int
                     pendant_nb = lowest_bit(g.adj[v] & active)
                 if d > max_d:
                     max_v, max_d = v, d
-            if forced >= 0:
-                cover |= 1 << forced
-                active &= ~(1 << forced)
-                size += 1
-                if size >= best_size:
-                    return
-                continue
-            if pendant_nb >= 0:
-                cover |= 1 << pendant_nb
-                active &= ~(1 << pendant_nb)
-                size += 1
-                if size >= best_size:
-                    return
-                continue
-            break
+            pick = forced if forced >= 0 else pendant_nb
+            if pick < 0:
+                break
+            cover |= 1 << pick
+            active &= ~(1 << pick)
+            size += 1
+            if size >= best_size:
+                return
         if max_d == 0:
             best_size, best_mask = size, cover
             return

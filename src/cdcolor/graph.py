@@ -393,9 +393,9 @@ def split_partition(
 
     ``active`` defaults to all of ``g``.  Uses the degree-sequence
     characterization of split graphs (Hammer and Simeone, Combinatorica
-    1981) on degrees inside ``active``, then greedily moves independent
-    vertices that are complete to the clique so the clique side is a
-    maximum clique.
+    1981) on degrees inside ``active``.  The clique side, the ``m`` top
+    degrees, is maximum: an independent vertex complete to it would give
+    ``m + 1`` degrees of at least ``m`` and so a larger ``m``.
     """
     if active is None:
         active = g.full_mask
@@ -415,9 +415,4 @@ def split_partition(
     for u in iter_bits(indep):
         if g.adj[u] & indep:
             return None
-    # absorb an independent vertex complete to the clique (keeps it
-    # maximum); a second one would have to be adjacent to the first
-    for v in iter_bits(indep):
-        if g.adj[v] & clique == clique:
-            return clique | (1 << v), indep & ~(1 << v)
     return clique, indep

@@ -47,7 +47,6 @@ from .fpt import (
 from .graph import Graph, bipartition_within, iter_components, more_components_than
 
 BRUTE_N_CAP = 9
-BRUTE_K_CAP = 9  # deleting more than n vertices never helps; n is capped anyway
 
 
 class TypeWitness(NamedTuple):
@@ -503,8 +502,7 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     if q <= 3:
         return None
     warnings.warn(
-        f"q={q} runs the brute-force oracle "
-        f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})",
+        f"q={q} runs the brute-force oracle (capacity n <= {BRUTE_N_CAP})",
         stacklevel=2,
     )
     return partization_bruteforce(g, k, q)
@@ -524,17 +522,14 @@ def partization_bruteforce(g: Graph, k: int, q: int) -> Optional[DeletionSolutio
     """Exhaustive deletion oracle over all subsets of size <= k."""
     from .exact import cd_chromatic_bruteforce
 
-    if g.n > BRUTE_N_CAP or k > BRUTE_K_CAP:
-        raise CapacityError(
-            f"brute-force caps are n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP}"
-        )
+    if g.n > BRUTE_N_CAP:
+        raise CapacityError(f"brute-force cap is n <= {BRUTE_N_CAP}")
     if q < 0 or k < 0:
         return None
     for size in range(min(k, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             deleted = mask_of(combo)
-            sub, ids = g.without(deleted)
-            qq, coloring = cd_chromatic_bruteforce(sub)
+            qq, coloring = cd_chromatic_bruteforce(g, active=g.full_mask & ~deleted)
             if qq <= q:
-                return DeletionSolution(deleted, (), coloring.relabeled(ids))
+                return DeletionSolution(deleted, (), coloring)
     return None

@@ -51,13 +51,13 @@ def _split_component(g: Graph, comp: int, clique: int) -> Tuple[int, CdColoring]
     return omega, coloring
 
 
-def cd_chromatic_split(g: Graph) -> Tuple[int, CdColoring]:
-    """Split-graph cd-chromatic number; the one component with edges
-    holds the whole graph's maximum clique."""
-    parts = split_partition(g)
+def cd_chromatic_split(g: Graph, active: Optional[int] = None) -> Tuple[int, CdColoring]:
+    """Split-graph cd-chromatic number of ``g[active]`` (all of ``g`` by
+    default); the one component with edges holds the maximum clique."""
+    parts = split_partition(g, active)
     if parts is None:
         raise NotSplitError("graph is not a split graph")
-    return solve_per_component(g, lambda g, c: _split_component(g, c, parts[0] & c))
+    return solve_per_component(g, lambda g, c: _split_component(g, c, parts[0] & c), active)
 
 
 def _split_chi_parts(g: Graph, active: int) -> Tuple[int, int, int]:
@@ -105,11 +105,7 @@ def split_partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     deleted = rec(g.full_mask, k, 0)
     if deleted is None:
         return None
-    rest = g.full_mask & ~deleted
-    clique = split_partition(g, rest)[0]
-    _, coloring = solve_per_component(
-        g, lambda g, c: _split_component(g, c, clique & c), rest
-    )
+    _, coloring = cd_chromatic_split(g, g.full_mask & ~deleted)
     return DeletionSolution(deleted, (("Split", None),), coloring)
 
 

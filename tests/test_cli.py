@@ -9,7 +9,7 @@ from cdcolor.cli import main
 from cdcolor.exact import DEFAULT_EXACT_CAP
 from cdcolor.generate import complete_graph, cycle_graph, path_graph, petersen_graph
 from cdcolor.graph import Graph, parse_graph, to_dimacs
-from cdcolor.partize import BRUTE_K_CAP, BRUTE_N_CAP
+from cdcolor.partize import BRUTE_N_CAP
 
 
 def write_graph(tmp_path, name, g):
@@ -120,7 +120,7 @@ def test_partize_split_and_brute_routes(tmp_path, capsys):
     # q >= 4 falls back to the oracle with a warning, once on every call
     warning = (
         f"warning: q=4 runs the brute-force oracle "
-        f"(capacity n <= {BRUTE_N_CAP}, k <= {BRUTE_K_CAP})\n"
+        f"(capacity n <= {BRUTE_N_CAP})\n"
     )
     for _ in range(3):
         assert main(["partize", "--q", "4", "--k", "0", path]) == 0

@@ -13,6 +13,7 @@ from cdcolor.generate import (
     path_graph,
     petersen_graph,
     random_graph,
+    random_split_graph,
     star_graph,
 )
 from cdcolor.graph import (
@@ -273,8 +274,18 @@ def test_split_partition_named():
 
 def test_split_partition_matches_bruteforce():
     rng = random.Random(17)
-    for _ in range(150):
-        g = random_graph(rng.randint(1, 7), rng.choice([0.3, 0.6, 0.9]), rng)
+    graphs = [
+        random_graph(rng.randint(1, 7), rng.choice([0.3, 0.6, 0.9]), rng)
+        for _ in range(150)
+    ]
+    # shuffled split graphs: the clique side is the top of the degree
+    # order, with no independent vertex complete to it
+    graphs += [
+        relabeled(random_split_graph(rng.randint(1, 7), rng, p=p), rng)
+        for p in (0.6, 1.0)
+        for _ in range(75)
+    ]
+    for g in graphs:
         parts = split_partition(g)
         assert (parts is not None) == brute_split_partition_exists(g)
         if parts is not None:

@@ -14,7 +14,7 @@ import pytest
 from cdcolor.bits import iter_bits, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import PreconditionError
-from cdcolor.exact import cd_chromatic_exact
+from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.fpt import (
     oct_excluding,
     oct_with_forced_sides,
@@ -37,8 +37,8 @@ from cdcolor.graph import (
     iter_components,
     split_partition,
 )
-from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
-from cdcolor.split import cd_chromatic_split
+from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3, partization_bruteforce
+from cdcolor.split import cd_chromatic_split, split_partization
 from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
 
 from _brute import brute_is_bipartite
@@ -295,6 +295,36 @@ def test_split_partition_on_masks():
         assert got == (None if want is None else tuple(back(ids, m) for m in want))
         split += got is not None
     assert 150 < split < 300
+
+
+def test_bruteforce_oracle_on_masks():
+    for _, g, active in random_instances(200, 83):
+        sub, ids = g.induced(active)
+        q, coloring = cd_chromatic_bruteforce(sub, 10)
+        assert cd_chromatic_bruteforce(g, 10, active) == (q, coloring.relabeled(ids))
+
+
+def test_oracles_and_split_route_build_no_graph(monkeypatch):
+    rng = random.Random(97)
+    g = disjoint_union(path_graph(3), cycle_graph(4), Graph(1, [0]))
+    s = random_split_graph(9, rng, p=0.6)
+    mask = s.full_mask & ~0b101
+    built = []
+    init = Graph.__init__
+
+    def counting(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    assert cd_chromatic_bruteforce(g)[0] == 2 + 2 + 1
+    assert partization_bruteforce(g, 1, 4).size == 1
+    assert partization_bruteforce(g, 1, 1) is None
+    assert split_partization(s, 3, 2) is None
+    assert split_partization(s, 4, 2).size == 4
+    q, coloring = cd_chromatic_split(s, mask)
+    assert built == []
+    assert validate_cd_coloring(s, coloring, mask).ok
 
 
 def test_driver_never_hands_out_one_vertex_components():

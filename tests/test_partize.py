@@ -173,8 +173,20 @@ def test_bruteforce_examples():
     g = random_graph(5, 0.5, random.Random(3))
     sol = partization_bruteforce(g, 5, 0)
     assert sol is not None and sol.size == 5  # delete everything
+    sol = partization_bruteforce(path_graph(5), 12, 1)  # any k > n is fine
+    assert sol is not None and sol.size == 4 and sol.coloring.q == 1
     with pytest.raises(CapacityError):
         partization_bruteforce(random_graph(10, 0.5, random.Random(1)), 1, 3)
+
+
+def test_coloring_payload_names_a_missing_field():
+    g = path_graph(3)
+    payload = CdColoring(((0, 2), (1,)), (1, 1)).to_payload(g)
+    assert CdColoring.from_payload(payload, g) == CdColoring(((0, 2), (1,)), (1, 1))
+    for field in ("classes", "dominators"):
+        rest = {key: value for key, value in payload.items() if key != field}
+        with pytest.raises(ValueError, match=f"certificate has no '{field}' field"):
+            CdColoring.from_payload(rest, g)
 
 
 def corpus(count, seed, n_lo=3, n_hi=8):
