@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Subcommands: cdnumber, recognize, tds, partize, gen, validate.
-Exit codes: 0 solved/YES/valid, 1 NO, 2 error.  All certificates are
-JSON using the input file's vertex labels; a fixed seed reproduces
-generated instances byte for byte.
+Exit codes: 0 solved/YES/valid, 1 NO, 2 error, an internal one included.
+All certificates are JSON using the input file's vertex labels; a fixed
+seed reproduces generated instances byte for byte.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # never exit 1, the NO code, on a crash
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

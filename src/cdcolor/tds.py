@@ -10,12 +10,13 @@ number, and on each kept kernel mask from its forced set for ``tds_solve``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .graph import Graph, girth, iter_components
 
 
@@ -117,15 +118,34 @@ def _greedy_tds(g: Graph, sol: int, undom: int, active: int) -> Optional[int]:
     """Grow ``sol`` by the active vertex of largest gain until none is undominated.
 
     Gain counts newly dominated vertices; ties go to the lowest index.
-    None when an undominated vertex has no active neighbor.
+    None when an undominated vertex has no active neighbor.  Gains only
+    fall as ``undom`` shrinks, so a heap of stale ``(-gain, index)`` keys
+    re-scores just its top: a top whose key is unchanged is the best
+    vertex (Minoux's lazy greedy).
     """
+    adj = g.adj
+    heap = [(-(adj[w] & undom).bit_count(), w) for w in iter_bits(active)]
+    heapq.heapify(heap)
     while undom:
-        v = max(iter_bits(active), key=lambda w: (g.adj[w] & undom).bit_count())
-        if not g.adj[v] & undom:
+        stale, v = heap[0]
+        fresh = -(adj[v] & undom).bit_count()
+        if fresh != stale:
+            heapq.heapreplace(heap, (fresh, v))
+            continue
+        if not fresh:
             return None
+        heapq.heappop(heap)
         sol |= 1 << v
-        undom &= ~g.adj[v]
+        undom &= ~adj[v]
     return sol
+
+
+# Work cap of one search: the undominated vertices of its nodes, summed.
+# One Xeon core gets through 0.4-0.8 million a second, fewer on wider
+# graphs; the n=80 graphs of the README's capacity table use up to 7.8
+# million.  Long sparse components, where both lower bounds are weak,
+# end in CapacityError instead of running for hours.
+TDS_SEARCH_BUDGET = 8_000_000
 
 
 def _min_tds(
@@ -135,14 +155,17 @@ def _min_tds(
     containing ``forced``, or None.
 
     Only sets of size at most ``cap`` (when given) count.  Branch and
-    bound from a greedy incumbent: a node branches on the undominated
-    vertex with the fewest allowed neighbors and tries those neighbors
-    by falling gain (newly dominated vertices), banning each one from
-    its later siblings once its branch is done.  A node is pruned when
-    its size plus the larger of two lower bounds reaches the incumbent:
-    the fewest gains that add up to the undominated count, and a packing
-    of undominated vertices with pairwise disjoint allowed neighborhoods,
-    each of which needs its own set vertex.
+    bound from a greedy incumbent, run depth first on an explicit stack:
+    a node branches on the undominated vertex with the fewest allowed
+    neighbors and tries those neighbors by falling gain (newly dominated
+    vertices), banning each one from its later siblings.  Two lower
+    bounds prune a node as it is entered, before any gain is scored: a
+    packing of undominated vertices with pairwise disjoint allowed
+    neighborhoods, each of which needs its own set vertex, and then the
+    fewest gains that add up to the undominated count.  A child is
+    skipped once its parent's bound reaches the incumbent.  Once the
+    undominated vertices of the nodes entered add up to more than
+    ``TDS_SEARCH_BUDGET``, the search raises :class:`CapacityError`.
     """
     adj = g.adj
     undom = active = g.full_mask if active is None else active
@@ -152,18 +175,32 @@ def _min_tds(
     best_size = g.n + 1 if best is None else best.bit_count()
     if cap is not None and best_size > cap:
         best, best_size = None, cap + 1
-
-    def rec(sol: int, undom: int, allowed: int, size: int) -> None:
-        nonlocal best, best_size
+    budget = TDS_SEARCH_BUDGET
+    size = forced.bit_count()
+    # depth first: (set, undominated, allowed, size, the parent's bound)
+    stack = [(forced, undom, active, size, size)]
+    while stack:
+        sol, undom, allowed, size, parent_bound = stack.pop()
+        if parent_bound >= best_size:
+            continue
         if not undom:
             best, best_size = sol, size
-            return
+            continue
+        need = undom.bit_count()
+        budget -= need
+        if budget < 0:
+            raise CapacityError(
+                f"girth-5 search exceeded TDS_SEARCH_BUDGET={TDS_SEARCH_BUDGET} "
+                "(undominated vertices summed over its nodes)"
+            )
         cands = []
         for u in iter_bits(undom):
             cand = adj[u] & allowed
             if not cand:
-                return
+                break
             cands.append((cand.bit_count(), u, cand))
+        if not cand:  # an undominated vertex has no allowed neighbor left
+            continue
         cands.sort()
         reach = used = packing = 0
         for _, _, cand in cands:
@@ -171,21 +208,20 @@ def _min_tds(
             if not cand & used:
                 packing += 1
                 used |= cand
+        if size + packing >= best_size:
+            continue
         gains = {v: (adj[v] & undom).bit_count() for v in iter_bits(reach)}
-        need = undom.bit_count()
         ranked = itertools.accumulate(sorted(gains.values(), reverse=True))
         cover = next(i for i, total in enumerate(ranked, 1) if total >= need)
+        if size + cover >= best_size:
+            continue
         bound = size + max(cover, packing)
         pick = cands[0][1]
-        branches = sorted(iter_bits(adj[pick] & allowed), key=lambda w: (-gains[w], w))
-        for v in branches:
-            if bound >= best_size:
-                return
-            rec(sol | 1 << v, undom & ~adj[v], allowed, size + 1)
+        children = []
+        for v in sorted(iter_bits(adj[pick] & allowed), key=lambda w: (-gains[w], w)):
+            children.append((sol | 1 << v, undom & ~adj[v], allowed, size + 1, bound))
             allowed &= ~(1 << v)
-
-    if forced.bit_count() < best_size:
-        rec(forced, undom, active, forced.bit_count())
+        stack.extend(reversed(children))
     return best
 
 

@@ -9,7 +9,11 @@ the plain disjoint-union product of two tables that the exact engine's
 the families it multiplies, and ``fewer_than`` turns the engine's cover
 tables back into exact powers.  ``tds_bruteforce`` is the exhaustive
 total dominating set search that the kernel and branch and bound of
-``cdcolor.tds`` are checked against.  ``peel_every_level`` is the witness
+``cdcolor.tds`` are checked against, ``greedy_tds_rescoring`` the
+greedy that re-scores every candidate at each pick, against which the
+lazy greedy is checked, and ``tree_total_domination`` the linear-time
+total domination number of a forest, the girth-5 route's oracle at
+sizes no exhaustive search reaches.  ``peel_every_level`` is the witness
 peel that ``exact._peel`` is checked against, walking the subsets at
 every level, level 1 included.
 """
@@ -219,6 +223,68 @@ def tds_bruteforce(g: Graph, k: int):
             if is_total_dominating(g, mask):
                 return TdsCertificate(mask, size)
     return None
+
+
+def greedy_tds_rescoring(g: Graph, sol: int, undom: int, active: int):
+    """Grow ``sol`` by the active vertex of largest gain, re-scoring every
+    active vertex at each pick; ties go to the lowest index.  None when
+    an undominated vertex has no active neighbor."""
+    while undom:
+        v = max(iter_bits(active), key=lambda w: (g.adj[w] & undom).bit_count())
+        if not g.adj[v] & undom:
+            return None
+        sol |= 1 << v
+        undom &= ~g.adj[v]
+    return sol
+
+
+def tree_total_domination(g: Graph):
+    """Total domination number of a forest in linear time, or None when a
+    tree is a lone vertex (Laskar, Pfaff, Hedetniemi and Hedetniemi, "On
+    the algorithmic complexity of total domination", SIAM J. Algebraic
+    Discrete Methods 1984).
+
+    Each tree is rooted at its lowest vertex and walked leaves first,
+    without recursion.  A vertex ``v`` keeps the least set size in its
+    subtree, with every vertex below ``v`` dominated, in four states:
+    ``v`` in the set or not, and dominated by a child or left for its
+    parent to dominate.
+    """
+    inf = float("inf")
+    total = 0
+    seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        order, children = [root], {root: []}
+        for v in order:  # breadth first; the list grows as it is read
+            for u in iter_bits(g.adj[v] & ~seen):
+                seen |= 1 << u
+                children[v].append(u)
+                children[u] = []
+                order.append(u)
+        degrees = sum(g.adj[v].bit_count() for v in order)
+        assert degrees == 2 * (len(order) - 1), "not a forest"
+        cost = {}  # v -> (in, dominated), (in, open), (out, dominated), (out, open)
+        for v in reversed(order):
+            kids = [cost[u] for u in children[v]]
+            any_state = [min(c) for c in kids]
+            in_dom = 1 + sum(any_state) + min(
+                (min(c[0], c[1]) - a for c, a in zip(kids, any_state)), default=inf
+            )
+            in_open = 1 + sum(min(c[2], c[3]) for c in kids)
+            out_best = [min(c[0], c[2]) for c in kids]
+            out_dom = sum(out_best) + min(
+                (c[0] - b for c, b in zip(kids, out_best)), default=inf
+            )
+            out_open = sum(c[2] for c in kids)
+            cost[v] = (in_dom, in_open, out_dom, out_open)
+        best = min(cost[root][0], cost[root][2])
+        if best == inf:
+            return None
+        total += best
+    return total
 
 
 def brute_vertex_cover_min(g: Graph, k: int):

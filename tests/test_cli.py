@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from cdcolor import tds
 from cdcolor.cli import main
 from cdcolor.exact import DEFAULT_EXACT_CAP
 from cdcolor.generate import complete_graph, cycle_graph, path_graph, petersen_graph
@@ -376,6 +377,29 @@ def test_errors_exit_2(tmp_path, capsys):
     assert main(["cdnumber", str(tmp_path / "missing.dimacs")]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["partize", "--q", "3", str(bad)]) == 2  # missing --k
+
+
+@pytest.mark.parametrize(
+    "crash", [RecursionError("too deep"), AssertionError("broken"), MemoryError("full")]
+)
+def test_internal_errors_exit_2_not_the_no_code(c5, monkeypatch, capsys, crash):
+    def solver(g):
+        raise crash
+
+    monkeypatch.setattr(tds, "cd_chromatic_girth5", solver)
+    assert main(["cdnumber", "--girth5", c5]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: internal error: {type(crash).__name__}: {crash}\n"
+
+
+def test_girth5_search_budget_exits_2_with_its_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tds, "TDS_SEARCH_BUDGET", 5)
+    path = write_graph(tmp_path, "petersen.dimacs", petersen_graph())
+    for argv in (["cdnumber", "--girth5", path], ["tds", "--k", "4", path]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: girth-5 search exceeded TDS_SEARCH_BUDGET=5 ")
 
 
 def test_huge_vertex_name_exits_2_fast(tmp_path, capsys):

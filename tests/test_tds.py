@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from cdcolor.graph import Graph, girth, is_connected, to_dimacs
 from cdcolor.tds import (
     TdsCertificate,
     _coloring_from_set,
+    _greedy_tds,
     _min_tds,
     cd_chromatic_girth5,
     is_total_dominating,
@@ -30,7 +32,12 @@ from cdcolor.tds import (
     tds_solve,
 )
 
-from _brute import brute_min_tds, tds_bruteforce
+from _brute import (
+    brute_min_tds,
+    greedy_tds_rescoring,
+    tds_bruteforce,
+    tree_total_domination,
+)
 
 
 def girth5_corpus(count, n_lo, n_hi, seed, connected=False):
@@ -48,6 +55,15 @@ def girth5_corpus(count, n_lo, n_hi, seed, connected=False):
             continue
         out.append(g)
     return out
+
+
+def random_recursive_tree(n, rng):
+    """Vertex ``i`` joins a uniformly chosen earlier vertex."""
+    return Graph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def path_or_cycle_gamma_t(n):
+    return n // 2 + (n + 3) // 4 - n // 4
 
 
 def test_is_total_dominating():
@@ -318,6 +334,80 @@ def test_min_tds_forced_and_cap():
         assert found.bit_count() == want
         assert _min_tds(g, forced, want).bit_count() == want
         assert _min_tds(g, forced, want - 1) is None
+
+
+def test_lazy_greedy_matches_the_rescoring_greedy():
+    rng = random.Random(109)
+    nones = 0
+    for _ in range(2000):
+        g = random_girth5_graph(
+            rng.randint(1, 36), rng, density=rng.choice([0.2, 0.5, 0.9]),
+            hub=rng.random() < 0.3,
+        )
+        active = g.full_mask if rng.random() < 0.3 else rng.getrandbits(g.n)
+        forced = active & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+        undom = active
+        for v in bit_list(forced):
+            undom &= ~g.adj[v]
+        want = greedy_tds_rescoring(g, forced, undom, active)
+        assert _greedy_tds(g, forced, undom, active) == want, (g.adj, active, forced)
+        nones += want is None
+    assert 200 <= nones <= 1800
+
+
+def test_tree_oracle_matches_bruteforce():
+    rng = random.Random(113)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        # a forest: each vertex joins an earlier one, or starts a tree
+        g = Graph.from_edges(
+            n, [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.85]
+        )
+        want = None if any(not g.adj[v] for v in range(n)) else brute_min_tds(g, n)
+        got = tree_total_domination(g)
+        assert got == (None if want is None else want.bit_count()), g.adj
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_girth5_matches_the_tree_oracle(n, seed):
+    g = random_recursive_tree(n, random.Random(seed))
+    q, wit = cd_chromatic_girth5(g)
+    assert q == tree_total_domination(g)
+    report = validate_cd_coloring(g, wit)
+    assert report.ok, report.problem
+
+
+def test_girth5_on_paths_and_cycles():
+    for n in list(range(2, 41)) + [1000, 4000]:
+        g = path_graph(n)
+        want = path_or_cycle_gamma_t(n)
+        assert tree_total_domination(g) == want
+        assert cd_chromatic_girth5(g)[0] == want, n
+    for n in list(range(5, 41)) + [1001, 3001]:
+        assert cd_chromatic_girth5(cycle_graph(n))[0] == path_or_cycle_gamma_t(n), n
+
+
+def test_girth5_needs_no_recursion():
+    g = random_recursive_tree(800, random.Random(1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        q, wit = cd_chromatic_girth5(g)
+        cert = tds_solve(g, q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert q == tree_total_domination(g) == cert.size
+    assert validate_cd_coloring(g, wit).ok
+
+
+def test_search_budget_raises_a_named_capacity_error(monkeypatch):
+    monkeypatch.setattr(tds, "TDS_SEARCH_BUDGET", 5)
+    g = petersen_graph()
+    with pytest.raises(CapacityError, match="TDS_SEARCH_BUDGET=5 "):
+        cd_chromatic_girth5(g)
+    with pytest.raises(CapacityError, match="TDS_SEARCH_BUDGET=5 "):
+        tds_solve(g, 4)
 
 
 # The girth5-tds benchmark draws its graphs from this generator with
