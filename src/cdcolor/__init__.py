@@ -49,7 +49,6 @@ _EXPORTS = {
         "partization",
         "partization2",
         "partization3",
-        "partization_bruteforce",
         "validate_deletion",
     ),
     "split": (

@@ -11,18 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Optional
 
 from .bits import iter_bits, mask_of
-from .coloring import CdColoring, validate_cd_coloring
+from .coloring import CdColoring, label_reader, validate_cd_coloring
 from .errors import CdColorError
 from .graph import (
     MAX_VERTICES,
     Graph,
     detect_format,
-    label_lookup,
     parse_graph,
     to_dimacs,
 )
@@ -226,49 +224,40 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _certificate_problem(g: Graph, cert: dict) -> Optional[str]:
+    """What makes ``cert`` invalid for ``g``, or None; a label list of the
+    wrong shape or with an unknown label raises ValueError."""
+    read = label_reader(g)
+    if "set" in cert and "size" in cert:
+        from .tds import is_total_dominating
+
+        tds = mask_of(read(cert["set"]))
+        if type(cert["size"]) is not int or cert["size"] != tds.bit_count():
+            return "size field does not match the set"
+        return None if is_total_dominating(g, tds) else "set is not total dominating"
+    if "classes" not in cert or "dominators" not in cert:
+        raise CdColorError("unrecognized certificate shape")
+    active = g.full_mask & ~mask_of(read(cert.get("deleted", [])))
+    coloring = CdColoring.from_payload(cert, g)
+    report = validate_cd_coloring(g, coloring, active)
+    if not report.ok:
+        return report.problem
+    if type(cert.get("q")) is not int or cert["q"] != coloring.q:
+        return "q field does not match the class count"
+    return None
+
+
 def _cmd_validate(args) -> int:
     g = _load_graph(args.file)
     cert = json.loads(Path(args.cert).read_text())
     if not isinstance(cert, dict):
         raise CdColorError("certificate must be a JSON object")
-    vertex = label_lookup(g)
     try:
-        tds = mask_of(vertex(x) for x in cert.get("set", []))
-        deleted = mask_of(vertex(x) for x in cert.get("deleted", []))
-        classes = tuple(tuple(vertex(x) for x in cls) for cls in cert.get("classes", []))
-        dominators = tuple(vertex(x) for x in cert.get("dominators", []))
-    except KeyError as exc:
-        print(f"invalid: certificate references unknown vertex {exc}")
-        return 2
-    except TypeError:
-        print(
-            "invalid: certificate has the wrong shape: set, deleted, dominators "
-            "and each class must be lists of vertex labels"
-        )
-        return 2
-    if "set" in cert and "size" in cert:
-        from .tds import is_total_dominating
-
-        if type(cert["size"]) is not int or cert["size"] != tds.bit_count():
-            print("invalid: size field does not match the set")
-            return 2
-        if not is_total_dominating(g, tds):
-            print("invalid: set is not total dominating")
-            return 2
-        print("valid")
-        return 0
-    if "classes" not in cert or "dominators" not in cert:
-        raise CdColorError("unrecognized certificate shape")
-    coloring = CdColoring(classes, dominators)
-    report = validate_cd_coloring(g, coloring, g.full_mask & ~deleted)
-    if not report.ok:
-        print(f"invalid: {report.problem}")
-        return 2
-    if type(cert.get("q")) is not int or cert["q"] != coloring.q:
-        print("invalid: q field does not match the class count")
-        return 2
-    print("valid")
-    return 0
+        problem = _certificate_problem(g, cert)
+    except ValueError as exc:
+        problem = str(exc)
+    print("valid" if problem is None else f"invalid: {problem}")
+    return 0 if problem is None else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,10 +343,7 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        with warnings.catch_warnings():  # print each warning as it is raised
-            warnings.simplefilter("always", UserWarning)
-            warnings.showwarning = lambda m, *_: print(f"warning: {m}", file=sys.stderr)
-            return args.func(args)
+        return args.func(args)
     except CdColorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

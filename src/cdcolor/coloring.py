@@ -12,7 +12,38 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import iter_bits, mask_of
-from .graph import Graph, iter_components, label_lookup
+from .graph import Graph, iter_components
+
+
+_WRONG_SHAPE = (
+    "certificate has the wrong shape: set, deleted, dominators "
+    "and each class must be lists of vertex labels"
+)
+
+
+def label_reader(g: Graph) -> Callable[[object], Tuple[int, ...]]:
+    """Reader of a certificate's lists of ``g``'s labels, as read from
+    JSON: it returns a list's vertex ids, and raises ValueError for a
+    value that is no list of labels or for a label that names no vertex,
+    including one that equals a label but has another type (``True`` and
+    ``8.0`` hash like the labels ``1`` and ``8``)."""
+    index = {g.label(v): v for v in range(g.n)}
+
+    def vertex(x) -> int:
+        v = index[x]
+        if type(x) is not type(g.label(v)):
+            raise KeyError(x)
+        return v
+
+    def read(labels) -> Tuple[int, ...]:
+        try:
+            return tuple(map(vertex, labels))
+        except KeyError as exc:
+            raise ValueError(f"certificate references unknown vertex {exc}") from None
+        except TypeError:  # not iterable, or an unhashable label
+            raise ValueError(_WRONG_SHAPE) from None
+
+    return read
 
 
 class CdColoring(NamedTuple):
@@ -42,16 +73,15 @@ class CdColoring(NamedTuple):
 
     @staticmethod
     def from_payload(payload: dict, g: Graph) -> "CdColoring":
+        """The coloring a certificate names by ``g``'s labels; ValueError
+        names a missing field, a wrong shape or an unknown vertex."""
         for field in ("classes", "dominators"):
             if field not in payload:
                 raise ValueError(f"certificate has no {field!r} field")
-        vertex = label_lookup(g)
-        try:
-            classes = tuple(tuple(vertex(x) for x in cls) for cls in payload["classes"])
-            dominators = tuple(vertex(x) for x in payload["dominators"])
-        except KeyError as exc:
-            raise ValueError(f"certificate references unknown vertex {exc}") from None
-        return CdColoring(classes, dominators)
+        if not isinstance(payload["classes"], list):
+            raise ValueError(_WRONG_SHAPE)
+        read = label_reader(g)
+        return CdColoring(tuple(map(read, payload["classes"])), read(payload["dominators"]))
 
 
 def make_coloring(class_masks: Sequence[int], dominators: Sequence[int]) -> CdColoring:

@@ -241,15 +241,15 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
 
 
 def cd_chromatic_exact(
-    g: Graph, cap: int = DEFAULT_EXACT_CAP
+    g: Graph, cap: int = DEFAULT_EXACT_CAP, active: Optional[int] = None
 ) -> Tuple[int, CdColoring]:
-    """Exact cd-chromatic number with a certifying coloring.
+    """Exact cd-chromatic number of ``g[active]`` with a certifying coloring.
 
     Solved independently per connected component (the answers add) and
     capped at ``cap`` vertices per component with more than one vertex;
     each table costs ``2**n`` bits of memory.  The empty graph has q = 0.
     """
-    return solve_per_component(g, lambda g, comp: _exact_component(g, comp, cap))
+    return solve_per_component(g, lambda g, comp: _exact_component(g, comp, cap), active)
 
 
 # -- brute-force oracle -------------------------------------------------------

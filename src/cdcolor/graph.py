@@ -10,7 +10,7 @@ predicates here are pure functions, so concurrent readers are safe.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bits import bit_list, iter_bits, mask_of
 from .errors import ParseError
@@ -125,24 +125,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def label_lookup(g: Graph) -> Callable[[object], int]:
-    """Map a label value, as read from JSON, to its vertex id.
-
-    The returned function raises ``KeyError`` for a value that is no
-    label of ``g``, including one that equals a label but has another
-    type: ``True`` and ``8.0`` hash like the labels ``1`` and ``8``.
-    """
-    index = {g.label(v): v for v in range(g.n)}
-
-    def lookup(value) -> int:
-        v = index[value]
-        if type(value) is not type(g.label(v)):
-            raise KeyError(value)
-        return v
-
-    return lookup
 
 
 # -- parsing / serialization -------------------------------------------------

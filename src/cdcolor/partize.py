@@ -19,17 +19,15 @@ three vertices) is a closed form.
 
 ``partization(g, k, q)`` routes deletion for every q: a closed form for
 small remainders, three NO bounds, then the matchers (Type 1 for q = 2,
-Types 1-5 for q >= 3).  ``partization_bruteforce`` is the validation
-oracle: exhaustive over deletion sets, scoring remainders with the
-partition-search oracle.  Recognition is NP-hard for q >= 4, so there
-it runs as ``partization``'s last step, after the bounds and the q = 3
-route.
+Types 1-5 for q >= 3).  Recognition is NP-hard for q >= 4, so there the
+last step walks the deletion sets by size and decides each remainder
+mask with the exact engine, within ``EXACT_WALK_BUDGET``.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+from math import comb
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
@@ -46,7 +44,10 @@ from .fpt import (
 )
 from .graph import Graph, bipartition_within, iter_components, more_components_than
 
-BRUTE_N_CAP = 9
+# The q >= 4 walk's deletion sets times the table bits of g's components,
+# each charged at least 2**17 bits, one engine call's fixed cost; as no
+# deletion grows a component, this bounds the work of every remainder.
+EXACT_WALK_BUDGET = 1 << 34
 
 
 class TypeWitness(NamedTuple):
@@ -61,8 +62,9 @@ class DeletionSolution(NamedTuple):
     """Deleted vertex set plus a certified coloring of what remains.
 
     ``plan`` names the structure of each remaining component
-    (``IsolatedVertex`` or ``Type0``..``Type5``); the oracle returns an
-    empty plan.  ``coloring`` speaks in the input graph's vertex ids.
+    (``IsolatedVertex`` or ``Type0``..``Type5``), or the one route that
+    colored the whole remainder (``Exact``, ``Split``) with no witness.
+    ``coloring`` speaks in the input graph's vertex ids.
     """
 
     deleted: int
@@ -487,8 +489,7 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     type in order: Type 1 for q = 2, Types 1-5 for q >= 3; a lone vertex
     beside a Type 1 component is covered by the Type 2 pass, whose inner
     search may delete the retained vertex's neighborhood.  For q >= 4,
-    where recognition is NP-hard, the brute-force oracle decides last,
-    with a warning.
+    where recognition is NP-hard, ``_exact_walk`` decides last.
     """
     if k < 0 or q < 0:
         return None
@@ -499,13 +500,30 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
         sol = solver(g, k)
         if sol is not None:
             return sol
-    if q <= 3:
-        return None
-    warnings.warn(
-        f"q={q} runs the brute-force oracle (capacity n <= {BRUTE_N_CAP})",
-        stacklevel=2,
-    )
-    return partization_bruteforce(g, k, q)
+    return None if q <= 3 else _exact_walk(g, k, q)
+
+
+def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
+    """The first deletion set, by size and then in ``itertools.combinations``
+    order, whose remainder the exact engine colors with at most q classes.
+    CapacityError before any solve past the engine's cap or the budget."""
+    from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact
+
+    sizes = [comp.bit_count() for comp in iter_components(g, g.full_mask)]
+    if max(sizes, default=0) > DEFAULT_EXACT_CAP:
+        raise CapacityError(f"a component exceeds DEFAULT_EXACT_CAP={DEFAULT_EXACT_CAP}")
+    bits = sum(max(1 << size, 1 << 17) for size in sizes)
+    sets = itertools.accumulate(comb(g.n, size) for size in range(min(k, g.n) + 1))
+    if any(count * bits > EXACT_WALK_BUDGET for count in sets):  # stops at the first
+        raise CapacityError(
+            f"q >= 4 deletion walk exceeds EXACT_WALK_BUDGET={EXACT_WALK_BUDGET}"
+        )
+    for size in range(min(k, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            q_rest, coloring = cd_chromatic_exact(g, active=g.full_mask & ~mask_of(combo))
+            if q_rest <= q:
+                return DeletionSolution(mask_of(combo), (("Exact", None),), coloring)
+    return None
 
 
 def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
@@ -516,20 +534,3 @@ def partization3(g: Graph, k: int) -> Optional[DeletionSolution]:
 def partization2(g: Graph, k: int) -> Optional[DeletionSolution]:
     """``partization`` with q = 2."""
     return partization(g, k, 2)
-
-
-def partization_bruteforce(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
-    """Exhaustive deletion oracle over all subsets of size <= k."""
-    from .exact import cd_chromatic_bruteforce
-
-    if g.n > BRUTE_N_CAP:
-        raise CapacityError(f"brute-force cap is n <= {BRUTE_N_CAP}")
-    if q < 0 or k < 0:
-        return None
-    for size in range(min(k, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            deleted = mask_of(combo)
-            qq, coloring = cd_chromatic_bruteforce(g, active=g.full_mask & ~deleted)
-            if qq <= q:
-                return DeletionSolution(deleted, (), coloring)
-    return None

@@ -15,7 +15,9 @@ lazy greedy is checked, and ``tree_total_domination`` the linear-time
 total domination number of a forest, the girth-5 route's oracle at
 sizes no exhaustive search reaches.  ``peel_every_level`` is the witness
 peel that ``exact._peel`` is checked against, walking the subsets at
-every level, level 1 included.
+every level, level 1 included.  ``partization_bruteforce`` is the
+deletion oracle: every deletion set by size, each remainder scored by
+the partition-search oracle ``cd_chromatic_bruteforce``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from typing import List
 from cdcolor.bits import bit_list, iter_bits, lack_masks, mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
+from cdcolor.exact import cd_chromatic_bruteforce
 from cdcolor.graph import Graph
 from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
 from cdcolor.tds import TdsCertificate, is_total_dominating
 
 TDS_BRUTE_N_CAP = 20
 TDS_BRUTE_K_CAP = 6
+PARTIZATION_BRUTE_N_CAP = 9
 
 
 def subsets_of(vertices, min_size=0, max_size=None):
@@ -401,4 +405,20 @@ def type2_by_type1(g: Graph, k: int, active: int):
         else:
             plan = (("IsolatedVertex", _type0(g, 1 << x)), ("Type1", w1))
         return DeletionSolution(inner.deleted, plan, coloring)
+    return None
+
+
+def partization_bruteforce(g: Graph, k: int, q: int):
+    """Exhaustive deletion oracle over all subsets of size <= k, by size
+    and then in ``itertools.combinations`` order."""
+    if g.n > PARTIZATION_BRUTE_N_CAP:
+        raise CapacityError(f"brute-force cap is n <= {PARTIZATION_BRUTE_N_CAP}")
+    if q < 0 or k < 0:
+        return None
+    for size in range(min(k, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            deleted = mask_of(combo)
+            qq, coloring = cd_chromatic_bruteforce(g, active=g.full_mask & ~deleted)
+            if qq <= q:
+                return DeletionSolution(deleted, (), coloring)
     return None

@@ -33,7 +33,6 @@ from cdcolor.partize import (
     cd_recognize_upto3,
     partization2,
     partization3,
-    partization_bruteforce,
     validate_deletion,
 )
 from cdcolor.split import (
@@ -55,6 +54,7 @@ from _brute import (
     brute_forced_sides,
     brute_oct_min,
     brute_vertex_cover_min,
+    partization_bruteforce,
     random_family_masks,
     star_product,
     tds_bruteforce,

@@ -10,7 +10,6 @@ from cdcolor.cli import main
 from cdcolor.exact import DEFAULT_EXACT_CAP
 from cdcolor.generate import complete_graph, cycle_graph, path_graph, petersen_graph
 from cdcolor.graph import Graph, parse_graph, to_dimacs
-from cdcolor.partize import BRUTE_N_CAP
 
 
 def write_graph(tmp_path, name, g):
@@ -114,31 +113,47 @@ def test_partize_exit_codes(c5, k5, tmp_path, capsys):
     assert main(["partize", "--q", "2", "--k", "1", c5]) == 0
 
 
-def test_partize_split_and_brute_routes(tmp_path, capsys):
+def test_partize_split_and_exact_routes(tmp_path, capsys):
     path = write_graph(tmp_path, "k4.dimacs", complete_graph(4))
     assert main(["partize", "--q", "3", "--k", "1", "--split", path]) == 0
     capsys.readouterr()
-    # q >= 4 falls back to the oracle with a warning, once on every call
-    warning = (
-        f"warning: q=4 runs the brute-force oracle "
-        f"(capacity n <= {BRUTE_N_CAP})\n"
+    # q >= 4 ends in the exact walk, which names its route and warns of nothing
+    cert = tmp_path / "k4.json"
+    assert main(["partize", "--q", "4", "--k", "0", path, "--cert-out", str(cert)]) == 0
+    assert capsys.readouterr() == ("YES deleted=[] pattern=Exact q=4\n", "")
+    assert json.loads(cert.read_text())["pattern"] == ["Exact"]
+    b14 = str(tmp_path / "b14.dimacs")
+    gen = ["gen", "random", "--n", "14", "--p", "0.3", "--seed", "5", "--out", b14]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main(["partize", "--q", "4", "--k", "2", b14, "--cert-out", str(cert)]) == 0
+    assert capsys.readouterr() == ("YES deleted=[6] pattern=Exact q=4\n", "")
+    assert main(["validate", b14, str(cert)]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
+
+
+def test_partize_q_4_walk_budget_exits_2_with_its_name(tmp_path, capsys):
+    path = str(tmp_path / "b24.dimacs")
+    gen = ["gen", "random", "--n", "24", "--p", "0.3", "--seed", "1", "--out", path]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main(["partize", "--q", "4", "--k", "3", path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: q >= 4 deletion walk exceeds EXACT_WALK_BUDGET=17179869184\n"
     )
-    for _ in range(3):
-        assert main(["partize", "--q", "4", "--k", "0", path]) == 0
-        assert capsys.readouterr() == ("YES deleted=[] pattern=Empty q=4\n", warning)
 
 
 
 def test_partize_q_4_bounds_answer_no_past_the_oracle_cap(tmp_path, capsys):
-    # 39 kept vertices exceed 4 * max(Δ, 1) = 8, so the oracle never runs
+    # 39 kept vertices exceed 4 * max(Δ, 1) = 8, so the walk never runs
     path = tmp_path / "p40.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 40)))
     assert main(["partize", "--q", "4", "--k", "1", str(path)]) == 1
     assert capsys.readouterr() == ("NO\n", "")
 
 def test_partize_q_4_takes_the_3_color_route_past_the_oracle_cap(tmp_path, capsys):
-    # 14 vertices: beyond the brute-force oracle's cap, but 3 <= q colors
-    # suffice once 11 of them go
+    # 14 vertices, and 3 <= q colors suffice once 11 of them go: the
+    # small-remainder closed form answers before the walk
     path = str(tmp_path / "b.dimacs")
     gen = ["gen", "random", "--n", "14", "--p", "0.3", "--seed", "2", "--out", path]
     assert main(gen) == 0

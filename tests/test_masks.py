@@ -37,11 +37,11 @@ from cdcolor.graph import (
     iter_components,
     split_partition,
 )
-from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3, partization_bruteforce
+from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
 from cdcolor.split import cd_chromatic_split, split_partization
 from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
 
-from _brute import brute_is_bipartite
+from _brute import brute_is_bipartite, partization_bruteforce
 
 
 def random_instances(count, seed):
@@ -302,6 +302,13 @@ def test_bruteforce_oracle_on_masks():
         sub, ids = g.induced(active)
         q, coloring = cd_chromatic_bruteforce(sub, 10)
         assert cd_chromatic_bruteforce(g, 10, active) == (q, coloring.relabeled(ids))
+
+
+def test_exact_engine_on_masks():
+    for _, g, active in random_instances(200, 89):
+        sub, ids = g.induced(active)
+        q, coloring = cd_chromatic_exact(sub)
+        assert cd_chromatic_exact(g, active=active) == (q, coloring.relabeled(ids))
 
 
 def test_oracles_and_split_route_build_no_graph(monkeypatch):

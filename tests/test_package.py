@@ -29,7 +29,7 @@ PUBLIC = [
     "generate_from_partization", "generate_from_setcover", "girth",
     "is_total_dominating", "kernel_size_bound", "oct_excluding",
     "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
-    "partization", "partization2", "partization3", "partization_bruteforce",
+    "partization", "partization2", "partization3",
     "split_partition", "split_partization", "tds_kernelize", "tds_solve",
     "to_dimacs", "validate_cd_coloring", "validate_deletion", "vertex_cover",
 ]
@@ -123,6 +123,8 @@ def test_import_cdcolor_loads_no_submodule():
 def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
     c5 = tmp_path / "c5.dimacs"
     c5.write_text(to_dimacs(Graph(5, cycle_graph(5).adj, labels=(1, 2, 3, 4, 5))))
+    k4 = tmp_path / "k4.dimacs"
+    k4.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
     cert, tds_cert = tmp_path / "c.json", tmp_path / "t.json"
     b14 = tmp_path / "b14.dimacs"
     assert main(["gen", "random", "--n", "14", "--p", "0.3", "--seed", "2", "--out", str(b14)]) == 0
@@ -143,6 +145,7 @@ def test_each_subcommand_imports_only_its_solvers(tmp_path, capsys):
         (["partize", "--q", "3", "--k", "1", c5], {"fpt", "partize"}),
         (["partize", "--q", "4", "--k", "0", c5], None),
         (["partize", "--q", "4", "--k", "12", b14], {"fpt", "partize"}),
+        (["partize", "--q", "4", "--k", "0", k4], {"exact", "fpt", "partize"}),  # the walk
         (["gen", "setcover", "--universe", "2", "--sets", "1;2", "--k", "1", "--out", out], None),
     ]
     bare = _loaded_after("")

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from cdcolor import partize
+from cdcolor import exact, partize
 from cdcolor.bits import mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
@@ -29,12 +29,11 @@ from cdcolor.partize import (
     partization,
     partization2,
     partization3,
-    partization_bruteforce,
     validate_deletion,
 )
 from cdcolor.split import generate_from_partization
 
-from _brute import type2_by_type1
+from _brute import PARTIZATION_BRUTE_N_CAP, partization_bruteforce, type2_by_type1
 
 
 def check_yes(g, sol, k, q):
@@ -179,6 +178,20 @@ def test_bruteforce_examples():
         partization_bruteforce(random_graph(10, 0.5, random.Random(1)), 1, 3)
 
 
+def test_coloring_payload_names_a_wrong_shape():
+    g = path_graph(3)
+    for payload in (
+        {"classes": 5, "dominators": []},
+        {"classes": [1], "dominators": []},
+        {"classes": [[0]], "dominators": 0},
+        {"classes": [[[0]]], "dominators": [0]},
+    ):
+        with pytest.raises(ValueError, match="certificate has the wrong shape"):
+            CdColoring.from_payload(payload, g)
+    with pytest.raises(ValueError, match="certificate references unknown vertex 9"):
+        CdColoring.from_payload({"classes": [[0, 9]], "dominators": [1]}, g)
+
+
 def test_coloring_payload_names_a_missing_field():
     g = path_graph(3)
     payload = CdColoring(((0, 2), (1,)), (1, 1)).to_payload(g)
@@ -250,7 +263,7 @@ def test_component_bound_matches_oracle_on_unions():
     rng = random.Random(173)
     for _ in range(40):
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
-        while sum(sizes) > partize.BRUTE_N_CAP:
+        while sum(sizes) > PARTIZATION_BRUTE_N_CAP:
             sizes.pop()
         g = disjoint_union(*[random_graph(n, 0.6, rng) for n in sizes])
         for q, solver in ((3, partization3), (2, partization2)):
@@ -285,34 +298,72 @@ def test_degree_bound_matches_oracle():
 
 def test_bounds_match_oracle_for_q_4_and_5():
     # partization answers q >= 4 NO by these bounds, and YES by a small
-    # remainder or the 3-color route, before it runs the oracle
+    # remainder or the 3-color route, before it walks the deletion sets
     rng = random.Random(191)
     fired = clique = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(40):
-            g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 0.9]), rng)
-            for q in (4, 5):
-                least = partization_bruteforce(g, g.n, q).size
-                for k in range(g.n + 1):
-                    if partize._greedy_clique(g) - k > q:
-                        clique += 1
-                        assert k < least, (g.adj, k, q)
-                    if partize._ruled_out(g, k, q):
-                        fired += 1
-                        assert k < least, (g.adj, k, q)
-                    sol = partization(g, k, q)
-                    assert (sol is not None) == (k >= least), (g.adj, k, q)
-                    if sol is not None:
-                        check_yes(g, sol, k, q)
+    for _ in range(40):
+        g = random_graph(rng.randint(5, 9), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7, 0.9]), rng)
+        for q in (4, 5):
+            least = partization_bruteforce(g, g.n, q).size
+            for k in range(g.n + 1):
+                if partize._greedy_clique(g) - k > q:
+                    clique += 1
+                    assert k < least, (g.adj, k, q)
+                if partize._ruled_out(g, k, q):
+                    fired += 1
+                    assert k < least, (g.adj, k, q)
+                sol = partization(g, k, q)
+                assert (sol is not None) == (k >= least), (g.adj, k, q)
+                if sol is not None:
+                    check_yes(g, sol, k, q)
     assert fired >= 20 and clique >= 10, (fired, clique)
 
 
-def test_partization_warns_only_when_the_oracle_runs():
-    with pytest.warns(UserWarning, match=r"q=4 runs the brute-force oracle \(capacity"):
-        assert partization(complete_graph(4), 0, 4) is not None
+def test_exact_walk_matches_oracle_for_q_4_to_6():
+    # the oracle's deletion set for any k is its first set in the walk
+    # order, so one call with k = n settles every k
+    rng = random.Random(193)
+    walked = walked_no = 0
+    for _ in range(45):
+        g = random_graph(rng.randint(4, 9), rng.choice([0.4, 0.6, 0.8]), rng)
+        for q in (4, 5, 6):
+            want = partization_bruteforce(g, g.n, q).deleted
+            for k in range(5):
+                sol = partization(g, k, q)
+                assert (sol is not None) == (k >= want.bit_count()), (g.adj, k, q)
+                if sol is None:
+                    walked_no += not partize._ruled_out(g, k, q)
+                    continue
+                check_yes(g, sol, k, q)
+                if sol.plan == (("Exact", None),):
+                    walked += 1
+                    assert sol.deleted == want, (g.adj, k, q)
+    assert walked >= 100 and walked_no >= 3, (walked, walked_no)
+
+
+def test_exact_walk_refuses_past_its_budget_before_any_solve(monkeypatch):
+    def solve(g, comp, cap):
+        raise AssertionError("the exact engine ran")
+
+    monkeypatch.setattr(exact, "_exact_component", solve)
+    # 2325 deletion sets of at most 3 of 24 vertices, 2**24 bits each
+    g = random_graph(24, 0.3, random.Random(1))
+    with pytest.raises(CapacityError, match=r"EXACT_WALK_BUDGET=17179869184\b"):
+        partization(g, 3, 4)
+    # each of 5 components is charged 2**17 bits: 31931 sets exceed 2**34
+    rng = random.Random(1)
+    five = disjoint_union(*[random_graph(6, 0.5, rng) for _ in range(5)])
+    with pytest.raises(CapacityError, match="EXACT_WALK_BUDGET"):
+        partization(five, 4, 8)
+    with pytest.raises(CapacityError, match="exceeds DEFAULT_EXACT_CAP=26"):
+        partization(random_graph(27, 0.25, random.Random(1)), 0, 6)
+
+
+def test_partization_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        sol = partization(complete_graph(4), 0, 4)  # the walk
+        assert sol.plan == (("Exact", None),) and sol.coloring.q == 4
         assert partization(cycle_graph(5), 0, 4) is not None  # the Types
         assert partization(complete_graph(4), 1, 4) is not None  # 3 remain
         assert partization(Graph(0, []), 0, 5) is not None

@@ -18,7 +18,6 @@ from cdcolor.graph import Graph, is_connected, split_partition, to_dimacs
 from cdcolor.partize import (
     partization2,
     partization3,
-    partization_bruteforce,
     validate_deletion,
 )
 from cdcolor.split import (
@@ -28,7 +27,7 @@ from cdcolor.split import (
     split_partization,
 )
 
-from _brute import brute_vertex_cover_min, brute_oct_min
+from _brute import brute_oct_min, brute_vertex_cover_min, partization_bruteforce
 
 
 def test_split_coloring_named():
