@@ -110,13 +110,11 @@ def _cmd_tds(args) -> int:
     if args.kernel_out:
         outcome = tds_kernelize(g, args.k)
         if outcome.verdict == "REDUCED":
+            kernel, ids = g.induced(outcome.keep)
             comments = ["kernel of the total domination instance"]
-            comments += [
-                f"map {new + 1} {g.label(old)}"
-                for new, old in enumerate(outcome.back_map)
-            ]
+            comments += [f"map {new + 1} {g.label(old)}" for new, old in enumerate(ids)]
             comments += [f"forced {g.label(v)}" for v in iter_bits(outcome.forced)]
-            Path(args.kernel_out).write_text(to_dimacs(outcome.kernel, comments))
+            Path(args.kernel_out).write_text(to_dimacs(kernel, comments))
         else:
             print(f"kernelization answered NO: {outcome.reason}")
     cert = tds_solve(g, args.k)
@@ -201,8 +199,7 @@ def _cmd_gen(args) -> int:
             g = random_connected_graph(args.n, args.p, rng)
         else:
             g = random_graph(args.n, args.p, rng)
-        labeled = Graph(g.n, g.adj, labels=tuple(range(1, g.n + 1)))
-        Path(args.out).write_text(to_dimacs(labeled, [f"seed {args.seed}"]))
+        Path(args.out).write_text(to_dimacs(g, [f"seed {args.seed}"]))
         print(f"wrote {args.out}")
         return 0
     Path(args.out).write_text(to_dimacs(inst.graph, [f"source {inst.source}"]))
@@ -235,10 +232,8 @@ def _certificate_problem(g: Graph, cert: dict) -> Optional[str]:
         if type(cert["size"]) is not int or cert["size"] != tds.bit_count():
             return "size field does not match the set"
         return None if is_total_dominating(g, tds) else "set is not total dominating"
-    if "classes" not in cert or "dominators" not in cert:
-        raise CdColorError("unrecognized certificate shape")
-    active = g.full_mask & ~mask_of(read(cert.get("deleted", [])))
     coloring = CdColoring.from_payload(cert, g)
+    active = g.full_mask & ~mask_of(read(cert.get("deleted", [])))
     report = validate_cd_coloring(g, coloring, active)
     if not report.ok:
         return report.problem

@@ -255,7 +255,7 @@ def cd_chromatic_exact(
 # -- brute-force oracle -------------------------------------------------------
 
 
-def _bruteforce_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
+def _bruteforce_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     """Minimum partition of ``comp`` into dominated independent sets, in place.
 
     The vertices of ``comp`` are assigned in index order to an existing
@@ -264,6 +264,8 @@ def _bruteforce_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
     """
     order = bit_list(comp)
     n = len(order)
+    if n > cap:
+        raise CapacityError(f"brute-force oracle capacity is {cap} vertices, got {n}")
     closed = [g.closed(v) & comp for v in order]
     best_count = n + 1
     best: List[Tuple[int, int]] = []
@@ -301,7 +303,6 @@ def _bruteforce_component(g: Graph, comp: int) -> Tuple[int, CdColoring]:
 def cd_chromatic_bruteforce(
     g: Graph, cap: int = BRUTEFORCE_CAP, active: Optional[int] = None
 ) -> Tuple[int, CdColoring]:
-    """Independent oracle for the cd-chromatic number of ``g[active]`` (small ``g``)."""
-    if g.n > cap:
-        raise CapacityError(f"brute-force oracle capacity is {cap} vertices, got {g.n}")
-    return solve_per_component(g, _bruteforce_component, active)
+    """Independent oracle for the cd-chromatic number of ``g[active]``,
+    capped at ``cap`` vertices per component with more than one vertex."""
+    return solve_per_component(g, lambda g, comp: _bruteforce_component(g, comp, cap), active)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -35,14 +35,13 @@ class TdsCertificate(NamedTuple):
 class KernelOutcome(NamedTuple):
     """Result of kernelization: an immediate NO or a reduced instance.
 
-    ``forced`` lists original vertices (the high-degree set) that belong
-    to every solution of size at most ``k``; ``back_map`` sends kernel
-    vertex indices to original ones.
+    ``keep`` masks the vertices the kernel keeps and ``forced`` the
+    high-degree ones among them, which belong to every solution of size
+    at most ``k``; both are in the input graph's own vertex ids.
     """
 
     verdict: str  # "NO" or "REDUCED"
-    kernel: Optional[Graph] = None
-    back_map: Optional[Tuple[int, ...]] = None
+    keep: int = 0
     forced: int = 0
     reason: Optional[str] = None
 
@@ -62,7 +61,7 @@ def _require_girth5(g: Graph, who: str) -> None:
 
 
 def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
-    """Cubic kernel for total domination on girth >= 5 graphs.
+    """Cubic kernel for total domination on girth >= 5 graphs, in place.
 
     High-degree vertices (degree > k) are forced into any solution, the
     remainder's size is bounded, and a vertex of ``J*`` whose
@@ -73,32 +72,21 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     if k < 0:
         raise PreconditionError("parameter k must be non-negative")
     _require_girth5(g, "tds kernelization")
-    reduced = _kernelize(g, k, g.full_mask)
-    if isinstance(reduced, str):
-        return KernelOutcome("NO", reason=reduced)
-    keep, forced = reduced
-    kernel, ids = g.induced(keep)
-    return KernelOutcome("REDUCED", kernel=kernel, back_map=tuple(ids), forced=forced)
-
-
-def _kernelize(g: Graph, k: int, active: int) -> Union[str, Tuple[int, int]]:
-    """Rules of :func:`tds_kernelize` on ``g[active]`` for a caller that has
-    checked the girth: the kept and forced masks, or the reason for NO."""
-    h_mask = mask_of(v for v in iter_bits(active) if (g.adj[v] & active).bit_count() > k)
+    h_mask = mask_of(v for v in range(g.n) if g.adj[v].bit_count() > k)
     if h_mask.bit_count() > k:
-        return f"more than k={k} vertices of degree > k"
+        return KernelOutcome("NO", reason=f"more than k={k} vertices of degree > k")
     j_mask = 0
     for h in iter_bits(h_mask):
         j_mask |= g.adj[h]
-    j_mask &= active & ~h_mask
-    r_mask = active & ~(h_mask | j_mask)
+    j_mask &= ~h_mask
+    r_mask = g.full_mask & ~(h_mask | j_mask)
     if r_mask.bit_count() > k * k:
-        return "undominatable remainder: |R| > k^2"
+        return KernelOutcome("NO", reason="undominatable remainder: |R| > k^2")
     nr_mask = 0
     for v in iter_bits(r_mask):
         nr_mask |= g.adj[v]
     if (j_mask & nr_mask).bit_count() > k**3:
-        return "|J ∩ N(R)| exceeds k^3"
+        return KernelOutcome("NO", reason="|J ∩ N(R)| exceeds k^3")
     j_star = bit_list(j_mask & ~nr_mask)
     deleted = 0
     for u in j_star:
@@ -109,9 +97,9 @@ def _kernelize(g: Graph, k: int, active: int) -> Union[str, Tuple[int, int]]:
             if not hu & ~(g.adj[v] & h_mask):
                 deleted |= 1 << u
                 break
-    keep = active & ~deleted
+    keep = g.full_mask & ~deleted
     assert keep.bit_count() <= kernel_size_bound(k)
-    return keep, h_mask
+    return KernelOutcome("REDUCED", keep, h_mask)
 
 
 def _greedy_tds(g: Graph, sol: int, undom: int, active: int) -> Optional[int]:
@@ -228,22 +216,18 @@ def _min_tds(
 def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     """Minimum total dominating set of size <= k, or None.
 
-    Each component mask is kernelized in place, and the branch and bound
-    of :func:`_min_tds` runs on the kept vertices from the forced set,
-    capped by what is left of ``k``.  The sizes of the components add
-    up; a lone vertex has no total dominating set, and the empty graph
-    has the empty one, of size 0.
+    The graph is kernelized once, and on each component the branch and
+    bound of :func:`_min_tds` runs on the kept vertices from the forced
+    set, capped by what is left of ``k``.  The sizes of the components
+    add up; a lone vertex has no total dominating set, and the empty
+    graph has the empty one, of size 0.
     """
-    _require_girth5(g, "tds solving")
-    if k < 0:
+    outcome = tds_kernelize(g, max(k, 0))  # checks the girth also for k < 0
+    if k < 0 or outcome.verdict == "NO":
         return None
     total = 0
     for comp in iter_components(g, g.full_mask):
-        reduced = _kernelize(g, k, comp)
-        if isinstance(reduced, str):
-            return None
-        keep, forced = reduced
-        found = _min_tds(g, forced, k - total.bit_count(), keep)
+        found = _min_tds(g, outcome.forced & comp, k - total.bit_count(), outcome.keep & comp)
         if found is None:
             return None
         total |= found

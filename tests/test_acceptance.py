@@ -164,7 +164,7 @@ def test_criterion_5_girth5_path():
         if outcome.verdict == "NO":
             assert brute is None, (g.adj, k)
         else:
-            assert outcome.kernel.n <= kernel_size_bound(k)
+            assert outcome.keep.bit_count() <= kernel_size_bound(k)
             solved = tds_solve(g, k)
             assert (solved is not None) == (brute is not None), (g.adj, k)
             if solved is not None:

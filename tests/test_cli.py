@@ -251,6 +251,14 @@ def test_validate_reports_wrong_shapes_as_invalid(tmp_path, capsys):
         assert capsys.readouterr() == (WRONG_SHAPE, "")
 
 
+def test_validate_names_a_missing_coloring_field(c5, tmp_path, capsys):
+    cert = tmp_path / "partial.json"
+    for payload, field in (({"q": 1, "classes": [[1]]}, "dominators"), ({"set": [1]}, "classes")):
+        cert.write_text(json.dumps(payload))
+        assert main(["validate", c5, str(cert)]) == 2
+        assert capsys.readouterr() == (f"invalid: certificate has no {field!r} field\n", "")
+
+
 def random_json(rng, depth=0):
     kind = rng.randrange(8 if depth < 2 else 6)
     if kind == 0:

@@ -81,6 +81,15 @@ def test_oversized_component_is_refused_before_its_copy(monkeypatch):
         cd_chromatic_exact(path_graph(5), cap=4)
 
 
+def test_bruteforce_cap_counts_each_active_component():
+    g = path_graph(12)
+    assert cd_chromatic_bruteforce(g, active=0b111)[0] == 2
+    spread = disjoint_union(*[path_graph(4)] * 5)  # 20 vertices, 4 per component
+    assert cd_chromatic_bruteforce(spread, cap=4)[0] == cd_chromatic_exact(spread)[0] == 10
+    with pytest.raises(CapacityError, match="capacity is 9 vertices, got 10"):
+        cd_chromatic_bruteforce(g, active=(1 << 10) - 1)
+
+
 def test_a_connected_graph_is_solved_without_a_copy(monkeypatch):
     g = random_connected_graph(10, 0.3, random.Random(89))
     labeled = Graph(3, [0b010, 0b101, 0b010], labels="abc")

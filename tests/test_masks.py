@@ -8,9 +8,11 @@ component was solved on a relabeled copy.
 
 import hashlib
 import random
+from collections import namedtuple
 
 import pytest
 
+from cdcolor import tds
 from cdcolor.bits import iter_bits, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import PreconditionError
@@ -29,6 +31,7 @@ from cdcolor.generate import (
     random_girth5_graph,
     random_graph,
     random_split_graph,
+    star_graph,
 )
 from cdcolor.graph import (
     Graph,
@@ -39,7 +42,7 @@ from cdcolor.graph import (
 )
 from cdcolor.partize import _TYPE_SOLVERS, cd_recognize_upto3
 from cdcolor.split import cd_chromatic_split, split_partization
-from cdcolor.tds import _kernelize, _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
+from cdcolor.tds import _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
 
 from _brute import brute_is_bipartite, partization_bruteforce
 
@@ -264,19 +267,36 @@ def girth5_unions(count, seed):
         yield rng, disjoint_union(*parts)
 
 
-def test_kernelize_on_component_masks():
-    reduced = 0
-    for rng, g in girth5_unions(60, 78):
-        active = rng.getrandbits(g.n) | rng.getrandbits(g.n)
-        for comp in iter_components(g, active):
-            sub, ids = g.induced(comp)
-            for k in range(1, 5):
-                want = _kernelize(sub, k, sub.full_mask)
-                if not isinstance(want, str):
-                    want = tuple(back(ids, mask) for mask in want)
+def test_whole_graph_kernel_is_each_components_kernel():
+    reduced = no_by_union = 0
+    for _, g in girth5_unions(60, 78):
+        for k in range(0, 6):
+            whole = tds_kernelize(g, k)
+            own_no = False
+            for comp in iter_components(g, g.full_mask):
+                sub, ids = g.induced(comp)
+                own = tds_kernelize(sub, k)
+                own_no |= own.verdict == "NO"
+                if whole.verdict == "REDUCED":
+                    assert own.verdict == "REDUCED"
+                    assert back(ids, own.keep) == whole.keep & comp
+                    assert back(ids, own.forced) == whole.forced & comp
                     reduced += 1
-                assert _kernelize(g, k, comp) == want
-    assert reduced > 100
+            if own_no:
+                assert whole.verdict == "NO"
+            no_by_union += whole.verdict == "NO" and not own_no
+    assert reduced > 100 and no_by_union > 0
+
+
+def test_a_kernel_no_answers_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched past a kernel NO")
+
+    monkeypatch.setattr(tds, "_min_tds", no_search)
+    # each star alone kernelizes; together they have two hubs of degree 3 > k
+    stars = disjoint_union(star_graph(3), star_graph(3))
+    assert tds_kernelize(stars, 1).verdict == "NO"
+    assert tds_solve(stars, 1) is None
 
 
 def test_split_partition_on_masks():
@@ -370,7 +390,20 @@ def pinned_answers(route, seed):
     g = with_isolated(disjoint_union(*parts), seed % 3, rng)
     q, coloring = cd_chromatic_girth5(g)
     ks = (q - 1, q, q + 2)
-    return q, coloring, [tds_solve(g, k) for k in ks], [tds_kernelize(g, k) for k in ks]
+    kernels = [as_copied_kernel(g, tds_kernelize(g, k)) for k in ks]
+    return q, coloring, [tds_solve(g, k) for k in ks], kernels
+
+
+# The fields of a kernel that was a relabeled copy, which the digests
+# below were taken from.
+CopiedKernel = namedtuple("KernelOutcome", "verdict kernel back_map forced reason")
+
+
+def as_copied_kernel(g, outcome):
+    if outcome.verdict == "NO":
+        return CopiedKernel("NO", None, None, 0, outcome.reason)
+    kernel, ids = g.induced(outcome.keep)
+    return CopiedKernel("REDUCED", kernel, tuple(ids), outcome.forced, None)
 
 
 # SHA-256 of repr(pinned_answers(route, seed)), taken from routes that

@@ -80,7 +80,7 @@ def test_records_keep_fields_defaults_and_repr():
         (CdColoring, ((0, 1),), (0,)),
         (ValidationReport, False, "vertex 1 is uncolored"),
         (TdsCertificate, 3, 2),
-        (KernelOutcome, "REDUCED", g, (0, 1), 4, None),
+        (KernelOutcome, "REDUCED", 0b11, 0b01, None),
         (TypeWitness, 1, (0, 1), coloring),
         (DeletionSolution, 4, (("Type1", witness),), coloring),
         (GeneratedInstance, g, 1, 2, True, {"hub": "x"}, "setcover"),
@@ -95,7 +95,7 @@ def test_records_keep_fields_defaults_and_repr():
         ) + ")"
         assert rec != cls(*values[:-1], "other")
     assert ValidationReport(True) == ValidationReport(True, None)
-    assert KernelOutcome("NO", reason="k = 0") == KernelOutcome("NO", None, None, 0, "k = 0")
+    assert KernelOutcome("NO", reason="k = 0") == KernelOutcome("NO", 0, 0, "k = 0")
     assert coloring.q == 2
     assert DeletionSolution(0b101, (), coloring).size == 2
 

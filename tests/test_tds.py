@@ -77,14 +77,14 @@ def test_is_total_dominating():
 def test_kernel_c5_unchanged():
     out = tds_kernelize(cycle_graph(5), 3)
     assert out.verdict == "REDUCED"
-    assert out.kernel.n == 5 and out.forced == 0
+    assert out.keep == 0b11111 and out.forced == 0
 
 
 def test_kernel_star_forces_center():
     out = tds_kernelize(star_graph(3), 2)
     assert out.verdict == "REDUCED"
     assert out.forced == 1  # the center, degree 3 > k
-    assert out.kernel.n == 2  # two twin leaves dropped
+    assert out.keep.bit_count() == 2  # two twin leaves dropped
 
 
 def test_kernel_girth_precondition():
@@ -97,7 +97,7 @@ def test_kernel_girth_precondition():
 def test_kernel_with_k_zero():
     out = tds_kernelize(Graph(0, []), 0)
     assert out.verdict == "REDUCED"
-    assert out.kernel.n == 0 and out.back_map == () and out.forced == 0
+    assert out.keep == 0 and out.forced == 0
     for g in (Graph(1, [0]), Graph(2, [0, 0]), path_graph(2), cycle_graph(5)):
         out = tds_kernelize(g, 0)
         assert out.verdict == "NO" and out.reason
@@ -122,7 +122,7 @@ def test_kernel_size_bound_on_corpus():
         for k in (1, 2, 3, 4):
             out = tds_kernelize(g, k)
             if out.verdict == "REDUCED":
-                assert out.kernel.n <= kernel_size_bound(k)
+                assert out.keep.bit_count() <= kernel_size_bound(k)
 
 
 def test_kernel_preserves_answer():
@@ -142,13 +142,13 @@ def test_reduction_rule_safety():
     for g in girth5_corpus(30, 6, 12, seed=71):
         for k in (2, 3):
             out = tds_kernelize(g, k)
-            if out.verdict != "REDUCED" or out.kernel.n == g.n:
+            if out.verdict != "REDUCED" or out.keep == g.full_mask:
                 continue
-            kept = mask_of(out.back_map)
-            for u in bit_list(g.full_mask & ~kept):
-                sub, _ = g.induced(kept | (1 << u))
+            kernel, _ = g.induced(out.keep)
+            for u in bit_list(g.full_mask & ~out.keep):
+                sub, _ = g.induced(out.keep | (1 << u))
                 a = tds_bruteforce(sub, k)
-                b = tds_bruteforce(out.kernel, k)
+                b = tds_bruteforce(kernel, k)
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert a.size == b.size
