@@ -103,11 +103,11 @@ def _require_non_negative(args, *names: str) -> None:
 
 
 def _cmd_tds(args) -> int:
-    from .tds import tds_kernelize, tds_solve
+    from .tds import _solve_kernelized, tds_kernelize, tds_solve
 
     _require_non_negative(args, "k")
     g = _load_graph(args.file)
-    if args.kernel_out:
+    if args.kernel_out:  # the kernel written is the one solved
         outcome = tds_kernelize(g, args.k)
         if outcome.verdict == "REDUCED":
             kernel, ids = g.induced(outcome.keep)
@@ -117,7 +117,9 @@ def _cmd_tds(args) -> int:
             Path(args.kernel_out).write_text(to_dimacs(kernel, comments))
         else:
             print(f"kernelization answered NO: {outcome.reason}")
-    cert = tds_solve(g, args.k)
+        cert = _solve_kernelized(g, args.k, outcome)
+    else:
+        cert = tds_solve(g, args.k)
     if cert is None:
         if not args.json:
             print("NO")

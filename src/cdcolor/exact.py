@@ -18,15 +18,23 @@ bits wide.  ``D_1``, the family and the empty set, is built by the same
 call from ``D_0`` = {empty set} over :func:`maximal_classes`, read off
 the graph.
 
-The search meets in the middle: the full set lies in ``D_{a+b}``
-exactly when ``D_a`` meets the complemented table of ``D_b`` (bit ``d``
-moved to bit ``full ^ d``, a reversal of all ``2**n`` bits).  Testing
-``k = 2a - 1`` and ``k = 2a`` right after ``D_a`` is built finds ``q``
-with only ``ceil(q/2)`` tables past ``D_0``, and the build of ``D_a``
-stops at the first block that meets for ``k = 2a - 1``.  As the tests
-run in increasing ``k``, each set of the first meet needs exactly ``a``
-classes and its complement exactly ``b``: with fewer, a smaller ``k``
-would have met.  The witness is peeled inside each half.
+The search meets in the middle, split on the top vertex ``t = n - 1``:
+for ``b >= 1`` the full set lies in ``D_{a+b}`` exactly when ``D_a``
+holds a set without ``t`` whose complement lies in ``D_b``.  Of a
+partition into at most ``a + b`` classes, give the class that holds
+``t`` and up to ``b - 1`` others to the complement, the rest to the
+set.  So ``D_a`` meets a half table: the sets of ``D_b`` that hold
+``t`` (its top ``2**(n-1)`` bits), ``t`` taken out, complemented inside
+the other ``n - 1`` vertices (a reversal of ``2**(n-1)`` bits).  Every
+set without ``t`` lies below every set with it, so the lowest set of
+the half meet is the lowest of the full one.  Testing ``k = 2a - 1``
+and ``k = 2a`` right after ``D_a`` is built finds ``q`` with only
+``ceil(q/2)`` tables past ``D_0``, and the build of ``D_a`` stops at
+the first block that meets for ``k = 2a - 1``; the half table reaches
+no bit of ``t``'s block, the last one anyway.  As the tests run in
+increasing ``k``, each set of the first meet needs exactly ``a`` classes
+and its complement exactly ``b``: with fewer, a smaller ``k`` would have
+met.  The witness is peeled inside each half.
 
 The tests check each ``D_a`` of :func:`cover_power`, less its sets of
 fewer than ``a`` vertices, bit for bit against the plain disjoint-union
@@ -225,7 +233,9 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
         a = len(powers) - 1
         b, meet = a - 1, powers[a] & prev_comp  # k = 2a - 1
         if not meet:
-            prev_comp = complement(powers[a], sub.n) if a else 1 << full
+            # the sets of D_a that hold the top vertex, less it, complemented
+            # inside the other n - 1 vertices
+            prev_comp = complement(powers[a] >> (1 << (sub.n - 1)), sub.n - 1) if a else 1 << full
             b, meet = a, powers[a] & prev_comp  # k = 2a
         if meet:
             break

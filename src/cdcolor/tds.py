@@ -223,6 +223,11 @@ def tds_solve(g: Graph, k: int) -> Optional[TdsCertificate]:
     graph has the empty one, of size 0.
     """
     outcome = tds_kernelize(g, max(k, 0))  # checks the girth also for k < 0
+    return _solve_kernelized(g, k, outcome)
+
+
+def _solve_kernelized(g: Graph, k: int, outcome: KernelOutcome) -> Optional[TdsCertificate]:
+    """:func:`tds_solve` past its kernel: ``outcome`` is ``tds_kernelize(g, k)``."""
     if k < 0 or outcome.verdict == "NO":
         return None
     total = 0

@@ -656,6 +656,26 @@ def test_kernel_dump_with_k_zero(tmp_path, c5, capsys):
     assert not kern.exists()
 
 
+
+def test_kernel_dump_kernelizes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    kernelize = tds.tds_kernelize
+
+    def counting(g, k):
+        calls.append(k)
+        return kernelize(g, k)
+
+    monkeypatch.setattr(tds, "tds_kernelize", counting)
+    hub = tmp_path / "hub.txt"
+    hub.write_text("1 2\n1 3\n1 4\n1 5\n1 6\n6 7\n7 8\n8 9\n9 10\n")
+    kern = tmp_path / "hub.dimacs"
+    assert main(["tds", "--k", "4", str(hub), "--kernel-out", str(kern)]) == 0
+    assert capsys.readouterr().out == "size=4 set=[1, 6, 8, 9]\n"
+    assert calls == [4]
+    digest = hashlib.sha256(kern.read_bytes()).hexdigest()
+    assert digest == "92e8deee837de24cb5d0de9c55868b5c6d51dcda394ca0678f8382a800f6bc9e"
+
+
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan", "inf"])
 def test_gen_random_rejects_p_outside_the_unit_interval(tmp_path, capsys, p):
     out = tmp_path / "g.dimacs"

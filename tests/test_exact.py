@@ -428,6 +428,45 @@ def test_peel_matches_the_walk_over_every_level():
     assert peeled > 1000
 
 
+
+def test_half_meet_lacks_the_top_vertex_and_keeps_the_lowest_set():
+    """For b >= 1, D_a meets the complemented sets of D_b that hold the top
+    vertex, that vertex taken out, in the (n-1)-vertex universe exactly
+    when it meets the complemented D_b, and at the same lowest set."""
+    rng = random.Random(331)
+    met = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+        cuts = cover_cuts(maximal_classes(g), n)
+        down = [1]
+        for _ in range(cd_chromatic_exact(g)[0]):
+            down.append(cover_power(down[-1], cuts, 0))
+        for k in range(1, len(down)):
+            for a in range(k):
+                half = down[a] & complement(down[k - a] >> (1 << (n - 1)), n - 1)
+                whole = down[a] & complement(down[k - a], n)
+                assert bool(half) == bool(whole), (n, g.adj, a, k)
+                assert lowest_bit(half) == lowest_bit(whole), (n, g.adj, a, k)
+                met += bool(half)
+    assert met > 300
+
+
+def test_exact_complements_only_half_tables(monkeypatch):
+    widths = []
+
+    def recording(bits, n):
+        widths.append((bits.bit_length() <= 1 << n, n))
+        return complement(bits, n)
+
+    monkeypatch.setattr(exact, "complement", recording)
+    rng = random.Random(7)
+    for n in (2, 5, 9, 13):
+        widths.clear()
+        cd_chromatic_exact(random_connected_graph(n, 0.3, rng))
+        assert widths and set(widths) == {(True, n - 1)}, (n, widths)
+
+
 KNOWN_VALUES = [
     (cycle_graph(4), 2),
     (cycle_graph(5), 3),

@@ -359,6 +359,23 @@ def test_exact_walk_refuses_past_its_budget_before_any_solve(monkeypatch):
         partization(random_graph(27, 0.25, random.Random(1)), 0, 6)
 
 
+
+def test_exact_walk_solves_each_component_once(monkeypatch):
+    # four 6-vertex components: most deletion sets leave three untouched
+    calls = []
+    solve = exact._exact_component
+
+    def counting(g, comp, cap):
+        calls.append(comp)
+        return solve(g, comp, cap)
+
+    monkeypatch.setattr(exact, "_exact_component", counting)
+    rng = random.Random(1)
+    four = disjoint_union(*[random_graph(6, 0.5, rng) for _ in range(4)])
+    assert partization(four, 4, 6) is None
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_partization_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
