@@ -103,12 +103,12 @@ def _require_non_negative(args, *names: str) -> None:
 
 
 def _cmd_tds(args) -> int:
-    from .tds import _solve_kernelized, tds_kernelize, tds_solve
+    from .tds import _solve_kernelized, tds_kernelize
 
     _require_non_negative(args, "k")
     g = _load_graph(args.file)
-    if args.kernel_out:  # the kernel written is the one solved
-        outcome = tds_kernelize(g, args.k)
+    outcome = tds_kernelize(g, args.k)  # the kernel written is the one solved
+    if args.kernel_out:
         if outcome.verdict == "REDUCED":
             kernel, ids = g.induced(outcome.keep)
             comments = ["kernel of the total domination instance"]
@@ -117,9 +117,7 @@ def _cmd_tds(args) -> int:
             Path(args.kernel_out).write_text(to_dimacs(kernel, comments))
         else:
             print(f"kernelization answered NO: {outcome.reason}")
-        cert = _solve_kernelized(g, args.k, outcome)
-    else:
-        cert = tds_solve(g, args.k)
+    cert = _solve_kernelized(g, args.k, outcome)
     if cert is None:
         if not args.json:
             print("NO")

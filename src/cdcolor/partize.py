@@ -36,7 +36,6 @@ from .coloring import (
     ValidationReport,
     make_coloring,
     merge_colorings,
-    solve_per_component,
     validate_cd_coloring,
 )
 from .errors import CapacityError
@@ -507,33 +506,34 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
 def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     """The first deletion set, by size and then in ``itertools.combinations``
     order, whose remainder the exact engine colors with at most q classes.
-    Each component mask is solved once per walk: a deletion set leaves
-    most components untouched, and the budget bounds the memo to 2**17
-    entries.  CapacityError before any solve past the engine's cap or the
-    budget."""
-    from . import exact
+    Each component mask is solved once per walk, as a deletion set leaves
+    most components untouched; the memo keeps one cd-chromatic number per
+    distinct component mask met, and the winning remainder is solved once
+    more for its classes.  CapacityError before any solve past the
+    engine's cap or the budget."""
+    from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact
 
     sizes = [comp.bit_count() for comp in iter_components(g, g.full_mask)]
-    cap = exact.DEFAULT_EXACT_CAP
-    if max(sizes, default=0) > cap:
-        raise CapacityError(f"a component exceeds DEFAULT_EXACT_CAP={cap}")
+    if max(sizes, default=0) > DEFAULT_EXACT_CAP:
+        raise CapacityError(f"a component exceeds DEFAULT_EXACT_CAP={DEFAULT_EXACT_CAP}")
     bits = sum(max(1 << size, 1 << 17) for size in sizes)
     sets = itertools.accumulate(comb(g.n, size) for size in range(min(k, g.n) + 1))
     if any(count * bits > EXACT_WALK_BUDGET for count in sets):  # stops at the first
         raise CapacityError(
             f"q >= 4 deletion walk exceeds EXACT_WALK_BUDGET={EXACT_WALK_BUDGET}"
         )
-    solved: Dict[int, Tuple[int, CdColoring]] = {}
+    solved: Dict[int, int] = {}  # component mask -> cd-chromatic number
 
-    def solve(g: Graph, comp: int) -> Tuple[int, CdColoring]:
+    def number(comp: int) -> int:
         if comp not in solved:
-            solved[comp] = exact._exact_component(g, comp, cap)
+            solved[comp] = cd_chromatic_exact(g, active=comp)[0]
         return solved[comp]
 
     for size in range(min(k, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
-            q_rest, coloring = solve_per_component(g, solve, g.full_mask & ~mask_of(combo))
-            if q_rest <= q:
+            rest = g.full_mask & ~mask_of(combo)
+            if sum(number(comp) for comp in iter_components(g, rest)) <= q:
+                _, coloring = cd_chromatic_exact(g, active=rest)
                 return DeletionSolution(mask_of(combo), (("Exact", None),), coloring)
     return None
 

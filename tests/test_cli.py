@@ -674,6 +674,9 @@ def test_kernel_dump_kernelizes_once(tmp_path, capsys, monkeypatch):
     assert calls == [4]
     digest = hashlib.sha256(kern.read_bytes()).hexdigest()
     assert digest == "92e8deee837de24cb5d0de9c55868b5c6d51dcda394ca0678f8382a800f6bc9e"
+    assert main(["tds", "--k", "4", str(hub)]) == 0  # the same single path without the file
+    assert capsys.readouterr().out == "size=4 set=[1, 6, 8, 9]\n"
+    assert calls == [4, 4]
 
 
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan", "inf"])
