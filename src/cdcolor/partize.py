@@ -12,6 +12,15 @@ mandatory deletions.  Every matcher works on ``g[active]`` for an
 optional vertex mask ``active`` and hands sub-masks, never induced
 copies, to vertex cover and odd cycle transversal.
 
+The matchers of one ``partization`` call, and those of one component in
+recognition, share one memo of vertex cover facts per set: its cover
+number once a cover was found, else the largest budget at which it had
+none.  Types 1, 3 and 4 ask about sets ``N(a) \\ N[b]`` of edges (a, b)
+over and over, so most questions are settled by sizes alone; cover
+masks are built only for the tuple that matches.  Type 2 checks each of
+Type 1's edges once, then walks the retained vertices over the edges
+that passed.
+
 Recognition is deletion with budget k = 0: ``cd_recognize_upto3``
 matches each component of ``g[active]`` and returns the same deletion
 record, with the vertices outside ``active`` deleted.  Type 0 (at most
@@ -86,21 +95,49 @@ def validate_deletion(g: Graph, sol: DeletionSolution, q: int) -> ValidationRepo
     return validate_cd_coloring(g, sol.coloring, g.full_mask & ~sol.deleted)
 
 
-def _covers(g: Graph, budget: int, cands, failed: Dict[int, int]) -> Optional[int]:
+def _cover_number(g: Graph, cand: int, budget: int, memo: Dict[int, int]) -> Optional[int]:
+    """Vertex cover number of ``g[cand]`` when it is at most ``budget``,
+    else None.  ``memo`` holds what earlier calls learned about a set: its
+    cover number once a cover was found (``vertex_cover`` returns a
+    minimum one), or ``~b`` for the largest budget b at which it had none,
+    which settles every smaller budget too."""
+    known = memo.get(cand)
+    if known is not None:
+        if known >= 0:
+            return known if known <= budget else None
+        if budget <= ~known:
+            return None
+    if budget < 0:  # never recorded: ~b is negative only for b >= 0
+        return None
+    cover = vertex_cover(g, budget, cand)
+    if cover is None:
+        memo[cand] = ~budget
+        return None
+    memo[cand] = size = cover.bit_count()
+    return size
+
+
+def _fits(g: Graph, budget: int, cands, memo: Dict[int, int]) -> bool:
+    """Whether the cover numbers of the pairwise disjoint ``cands`` add up
+    to at most ``budget``."""
+    for cand in cands:
+        size = _cover_number(g, cand, budget, memo)
+        if size is None:
+            return False
+        budget -= size
+    return True
+
+
+def _covers(g: Graph, budget: int, cands, memo: Dict[int, int]) -> Optional[int]:
     """Union of ``vertex_cover`` calls on the pairwise disjoint ``cands``
-    in turn, each within what is left of ``budget``, or None.  ``failed``
-    maps a set to the largest budget at which it had no cover, which
-    settles every smaller budget too."""
+    in turn, each within what is left of ``budget``, or None.  The sizes
+    are settled first through ``memo``; the masks come from the calls
+    themselves, as the budget can change which minimum cover is found."""
+    if not _fits(g, budget, cands, memo):
+        return None
     union = 0
     for cand in cands:
-        left = budget - union.bit_count()
-        if left <= failed.get(cand, -1):
-            return None
-        cover = vertex_cover(g, left, cand)
-        if cover is None:
-            failed[cand] = left
-            return None
-        union |= cover
+        union |= vertex_cover(g, budget - union.bit_count(), cand)
     return union
 
 
@@ -133,15 +170,19 @@ def _priced_edges(
                 yield x, y, keep, rem
 
 
+def _type1_sides(g: Graph, x: int, y: int, keep: int) -> Tuple[int, int]:
+    """The vertices of ``keep`` beside x and beside y at Type 1's edge (x, y)."""
+    return keep & g.adj[x] & ~(1 << y), keep & g.adj[y] & ~(1 << x)
+
+
 def _type1_at(
     g: Graph, x: int, y: int, keep: int, budget: int, active: int,
-    failed: Dict[int, int],
+    memo: Dict[int, int],
 ) -> Optional[DeletionSolution]:
     """Type 1 on ``g[active]`` at edge (x, y), keeping ``keep`` and
     spending at most ``budget`` on the two sides' vertex covers."""
-    x_cand = keep & g.adj[x] & ~(1 << y)
-    y_cand = keep & g.adj[y] & ~(1 << x)
-    s = _covers(g, budget, (x_cand, y_cand), failed)
+    x_cand, y_cand = _type1_sides(g, x, y, keep)
+    s = _covers(g, budget, (x_cand, y_cand), memo)
     if s is None:
         return None
     return _matched(
@@ -151,7 +192,7 @@ def _type1_at(
 
 
 def delete_to_type1(
-    g: Graph, k: int, active: Optional[int] = None
+    g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving a bipartite remainder with a dominating edge.
 
@@ -162,16 +203,16 @@ def delete_to_type1(
     """
     if active is None:
         active = g.full_mask
-    failed: Dict[int, int] = {}
+    memo = {} if _memo is None else _memo
     for x, y, keep, rem in _priced_edges(g, k, active, 0):
-        sol = _type1_at(g, x, y, keep, rem, active, failed)
+        sol = _type1_at(g, x, y, keep, rem, active, memo)
         if sol is not None:
             return sol
     return None
 
 
 def delete_to_type2(
-    g: Graph, k: int, active: Optional[int] = None
+    g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving one retained vertex plus a Type 1 remainder.
 
@@ -181,29 +222,34 @@ def delete_to_type2(
     Each retained vertex v runs Type 1 on ``active`` minus v, over one
     list of Type 1's edges priced on ``active``.  Dropping v from
     ``active`` raises an edge's budget by one unless v is in its kept
-    set, so the list keeps edges one short of the budget.  An edge whose
-    kept set misses v has the same candidates and budget for every such
-    v; when its check fails there, it fails for every v, since taking v
-    out of a candidate set lowers that side's cover by at most one.
+    set, so the list keeps edges one short of the budget.  Each edge is
+    checked once, on its whole kept set at that raised budget, and only
+    the edges that pass are walked: one that fails there fails for every
+    v.  If v misses its kept set, v meets the same check; otherwise v
+    lies in exactly one side's candidates, and taking it out lowers that
+    side's cover number by at most one, against a budget one lower.
     """
     if active is None:
         active = g.full_mask
-    edges = list(_priced_edges(g, k, active, 1))
-    failed: Dict[int, int] = {}
-    dead = set()  # edges whose check fails for every retained vertex
+    memo = {} if _memo is None else _memo
+    edges = [
+        (x, y, keep, rem)
+        for x, y, keep, rem in _priced_edges(g, k, active, 1)
+        if _fits(g, rem + 1, _type1_sides(g, x, y, keep), memo)
+    ]
+    if not edges:
+        return None
     for v in iter_bits(active):
         bit = 1 << v
         rest = active & ~bit
         inner = None
-        for i, (x, y, keep, rem) in enumerate(edges):
-            if x == v or y == v or i in dead:
+        for x, y, keep, rem in edges:
+            if x == v or y == v:
                 continue
             if keep & bit:
-                inner = _type1_at(g, x, y, keep & ~bit, rem, rest, failed)
+                inner = _type1_at(g, x, y, keep & ~bit, rem, rest, memo)
             else:
-                inner = _type1_at(g, x, y, keep, rem + 1, rest, failed)
-                if inner is None:
-                    dead.add(i)
+                inner = _type1_at(g, x, y, keep, rem + 1, rest, memo)
             if inner is not None:
                 break
         if inner is None:
@@ -222,7 +268,7 @@ def delete_to_type2(
 
 
 def delete_to_type3(
-    g: Graph, k: int, active: Optional[int] = None
+    g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominating pair (x, y): an
     independent set around x and a non-edgeless bipartite part around y.
@@ -238,7 +284,7 @@ def delete_to_type3(
     if active is None:
         active = g.full_mask
     base = k - active.bit_count()
-    failed: Dict[int, int] = {}
+    memo = {} if _memo is None else _memo
     for x in iter_bits(active):
         b_cand = g.adj[x] & active  # candidate bipartite part, contains y
         x_keep = b_cand | (1 << x)
@@ -250,10 +296,10 @@ def delete_to_type3(
             if rem < 0:
                 continue
             y_cand = keep & ~x_keep
-            s1 = _covers(g, rem, (y_cand,), failed)
-            if s1 is None:
+            tau = _cover_number(g, y_cand, rem, memo)
+            if tau is None:
                 continue
-            budget = rem - s1.bit_count()
+            budget = rem - tau
             if budget <= no_oct:
                 continue
             if budget < has_oct:
@@ -272,6 +318,7 @@ def delete_to_type3(
             if not any(g.adj[v] & rest for v in iter_bits(rest)):
                 continue
             sides = bipartition_within(g, rest)
+            s1 = vertex_cover(g, rem, y_cand)
             return _matched(
                 3, (x, y), [(y_cand & ~s1) | (1 << x), *sides], [y, x, x],
                 (active & ~keep) | s1 | s2,
@@ -280,14 +327,14 @@ def delete_to_type3(
 
 
 def delete_to_type4(
-    g: Graph, k: int, active: Optional[int] = None
+    g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominator triangle (x, y, z) with
     three vertex-cover-cleaned independent parts."""
     if active is None:
         active = g.full_mask
     base = k - active.bit_count()
-    failed: Dict[int, int] = {}
+    memo = {} if _memo is None else _memo
     for x in iter_bits(active):
         ax = g.adj[x] & active
         # a triangle's rotations have the same parts, so x is its lowest vertex
@@ -302,7 +349,7 @@ def delete_to_type4(
                 rem = base + keep.bit_count()
                 if rem < 0:
                     continue
-                s = _covers(g, rem, (x_cand, y_cand, z_cand), failed)
+                s = _covers(g, rem, (x_cand, y_cand, z_cand), memo)
                 if s is None:
                     continue
                 xs, ys, zs = x_cand & ~s, y_cand & ~s, z_cand & ~s
@@ -314,7 +361,7 @@ def delete_to_type4(
 
 
 def delete_to_type5(
-    g: Graph, k: int, active: Optional[int] = None
+    g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving a non-adjacent dominator pair (x, y) plus a
     shared neighbor z: z's private part becomes independent via a vertex
@@ -329,7 +376,7 @@ def delete_to_type5(
         active = g.full_mask
     base = k - active.bit_count()
     top = max(((g.adj[v] & active).bit_count() for v in iter_bits(active)), default=0)
-    failed: Dict[int, int] = {}
+    memo = {} if _memo is None else _memo
     for x in iter_bits(active):
         ax = g.adj[x] & active
         reach = ax | (1 << x)
@@ -348,18 +395,17 @@ def delete_to_type5(
                 if rem < 0:
                     continue
                 z_cand = az & ~pair
-                s1 = _covers(g, rem, (z_cand,), failed)
-                if s1 is None:
+                tau = _cover_number(g, z_cand, rem, memo)
+                if tau is None:
                     continue
                 b_cand = (1 << z) | ((ax | ay) & ~knockout)
                 p_dem = ((1 << z) | (ay & ~ax & ~az)) & b_cand
                 q_dem = ((ax & ~ay & ~az) | (ax & az & ~ay) | (ax & ay & az)) & b_cand
-                res = oct_with_forced_sides(
-                    g, p_dem, q_dem, z, rem - s1.bit_count(), b_cand
-                )
+                res = oct_with_forced_sides(g, p_dem, q_dem, z, rem - tau, b_cand)
                 if res is None:
                     continue
                 s2, (y_side, x_side) = res
+                s1 = vertex_cover(g, rem, z_cand)
                 # demand-free vertices of b_cand lie in ax & ay, and
                 # the demands pin the rest
                 assert not (x_side & ~ax or y_side & ~ay)
@@ -397,14 +443,15 @@ def _type0(g: Graph, active: int) -> Optional[TypeWitness]:
 def _component_upto3(g: Graph, comp: int) -> Optional[Tuple[str, TypeWitness]]:
     if comp.bit_count() == 1:
         return "IsolatedVertex", _type0(g, comp)
-    sol = _TYPE_SOLVERS[0](g, 0, comp)
+    memo: Dict[int, int] = {}  # cover numbers, shared by the matchers
+    sol = _TYPE_SOLVERS[0](g, 0, comp, _memo=memo)
     if sol is not None:
         return sol.plan[0]
     w = _type0(g, comp)
     if w is not None:
         return "Type0", w
     for solver in _TYPE_SOLVERS[1:]:
-        sol = solver(g, 0, comp)
+        sol = solver(g, 0, comp, _memo=memo)
         if sol is not None:
             return sol.plan[0]
     return None
@@ -496,8 +543,9 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     small = _small_remainder(g, k, min(q, 3))
     if small is not None or q <= 1 or _ruled_out(g, k, q):
         return small
+    memo: Dict[int, int] = {}  # cover numbers, shared by the matchers
     for solver in _TYPE_SOLVERS[:1] if q == 2 else _TYPE_SOLVERS:
-        sol = solver(g, k)
+        sol = solver(g, k, _memo=memo)
         if sol is not None:
             return sol
     return None if q <= 3 else _exact_walk(g, k, q)

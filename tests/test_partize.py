@@ -8,6 +8,7 @@ from cdcolor import exact, partize
 from cdcolor.bits import mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
+from cdcolor.fpt import odd_cycle_transversal
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -510,3 +511,80 @@ def test_router_answers_are_pinned():
     ]
     assert 400 <= sum(a is not None for a in answers) <= 700
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == ROUTER_DIGEST
+
+
+def matchers_alone(g, k):
+    """``partization(g, k, 3)`` with each matcher on a fresh cover memo."""
+    small = partize._small_remainder(g, k, 3)
+    if small is not None or partize._ruled_out(g, k, 3):
+        return small
+    for solver in partize._TYPE_SOLVERS:
+        sol = solver(g, k)
+        if sol is not None:
+            return sol
+    return None
+
+
+def test_shared_cover_memo_answers_like_matchers_alone():
+    rng = random.Random(229)
+    answers = 0
+    for i in range(1000):
+        lift = i % 3 == 0  # a lift adds k + q_base + 3 vertices to its base
+        g = random_graph(rng.randint(2, 8 if lift else 16), rng.choice([0.2, 0.35, 0.5]), rng)
+        if lift:
+            g = generate_from_partization(g, rng.randint(0, 3), rng.choice([1, 2])).graph
+        assert g.n <= 16
+        k = i % 4
+        sol = partization(g, k, 3)
+        assert repr(sol) == repr(matchers_alone(g, k)), (g.adj, k)
+        answers += sol is not None
+    assert 200 <= answers <= 800
+
+
+def test_a_no_lift_makes_few_vertex_cover_calls(monkeypatch):
+    # a NO lift of a base with n = 30 and n(n-1)/8 edges: every Type runs
+    rng = random.Random(1)
+    pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    base = Graph.from_edges(30, rng.sample(pairs, 30 * 29 // 8))
+    assert odd_cycle_transversal(base, 2) is None
+    lift = generate_from_partization(base, 2, 2).graph
+    calls = []
+    cover = partize.vertex_cover
+
+    def counting(g, k, active=None):
+        calls.append(active)
+        return cover(g, k, active)
+
+    monkeypatch.setattr(partize, "vertex_cover", counting)
+    assert partization(lift, 2, 3) is None
+    assert len(calls) <= 400  # 741 before the matchers shared one memo
+
+
+# Type 5 at (x, y, z) = (2, 3, 0) deletes 8, a private neighbor of z, by
+# vertex cover, and 1, beside x, by the side-pinned transversal
+TYPE5_BOTH_PARTS = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 8), (1, 2), (1, 4), (1, 5),
+    (1, 8), (2, 5), (2, 7), (3, 6), (4, 5), (4, 6), (4, 8), (5, 8),
+]
+
+
+def test_type5_deletes_in_both_its_cover_and_transversal_parts(monkeypatch):
+    g = Graph.from_edges(9, TYPE5_BOTH_PARTS)
+    forced = []
+    solve = partize.oct_with_forced_sides
+
+    def recording(*args):
+        forced.append(solve(*args))
+        return forced[-1]
+
+    monkeypatch.setattr(partize, "oct_with_forced_sides", recording)
+    sol = partization(g, 2, 3)
+    check_yes(g, sol, 2, 3)
+    (name, witness), = sol.plan
+    assert name == "Type5" and witness.dominators == (2, 3, 0)
+    x, y, z = witness.dominators
+    z_part = g.adj[z] & ~(g.closed(x) | g.closed(y))
+    assert sol.deleted & z_part == 1 << 8
+    assert forced[-1][0] == 1 << 1 == sol.deleted & ~z_part
+    assert partization_bruteforce(g, 2, 3) is not None
+    assert partization_bruteforce(g, 1, 3) is None
