@@ -36,6 +36,21 @@ increasing ``k``, each set of the first meet needs exactly ``a`` classes
 and its complement exactly ``b``: with fewer, a smaller ``k`` would have
 met.  The witness is peeled inside each half.
 
+Before any table is built, each component merges its false twins,
+vertices with the same open neighborhood, into their highest member:
+if ``N(u) = N(v)`` and neither is isolated, ``G`` and ``G - v`` have the
+same cd-chromatic number (the types of neighborhood diversity, Lampis,
+Algorithmica 2012).  Put ``v`` into ``u``'s class: it stays independent,
+as ``v`` has ``u``'s neighbors, and its dominator ``y`` is adjacent to
+``u``, so to ``v``, unless ``y = u``; then the class is ``{u}``, and any
+neighbor of ``u`` dominates ``{u, v}``.  Conversely, drop ``v`` from its
+class: a class that ``v`` dominates is ``{v}`` or lies in ``N(v) =
+N(u)``, where ``u`` dominates it.  Removing ``v`` neither splits nor
+joins other twin classes (a vertex adjacent to ``v`` is adjacent to
+``u``), so one pass over the component merges them all.  The tables
+index what is left; each twin joins its member's class, and each class
+takes the lowest vertex of the component that dominates it.
+
 The tests check each ``D_a`` of :func:`cover_power`, less its sets of
 fewer than ``a`` vertices, bit for bit against the plain disjoint-union
 product of tables folded over copies of the family; that reference
@@ -183,8 +198,9 @@ def cover_power(down: int, cuts: Cuts, stop: int) -> int:
     return out
 
 
-def _dominator_of(g: Graph, class_mask: int) -> int:
-    for y in range(g.n):
+def _dominator_of(g: Graph, comp: int, class_mask: int) -> int:
+    """The lowest vertex of ``comp`` whose ``N[y]`` holds the class."""
+    for y in iter_bits(comp):
         if not class_mask & ~g.closed(y):
             return y
     raise AssertionError("class has no dominator")
@@ -217,14 +233,9 @@ def _peel(tables: List[bytes], want: int, parts: int) -> List[int]:
     return class_masks + [want] if parts else class_masks
 
 
-def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
-    """Solve ``comp`` on a compact copy, whose subsets the tables index
-    (``g`` itself when ``comp`` is all of it)."""
-    if comp.bit_count() > cap:
-        raise CapacityError(
-            f"exact solver capacity is {cap} vertices, got {comp.bit_count()}; raise the cap"
-        )
-    sub, ids = g.induced(comp)
+def _partition(sub: Graph) -> List[int]:
+    """The classes, as masks of ``sub``, of a cd-coloring of the connected
+    graph ``sub`` with the fewest classes, met and peeled in its tables."""
     full = sub.full_mask
     cuts = cover_cuts(maximal_classes(sub), sub.n)
     powers = [1]  # powers[a] is D_a; D_0 = {empty set}
@@ -245,9 +256,31 @@ def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
         powers.append(cover_power(powers[a], cuts, prev_comp))
     s = lowest_bit(meet)
     tables = [b""] + [p.to_bytes(((1 << sub.n) + 7) // 8, "little") for p in powers[1:a]]
-    class_masks = _peel(tables, s, a) + _peel(tables, full ^ s, b)
-    coloring = make_coloring(class_masks, [_dominator_of(sub, c) for c in class_masks])
-    return a + b, coloring.relabeled(ids)
+    return _peel(tables, s, a) + _peel(tables, full ^ s, b)
+
+
+def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
+    """Merge the false twins of ``comp`` into their highest member, solve
+    what is left on a compact copy, whose subsets the tables index (``g``
+    itself when nothing merges and ``comp`` is all of it), and put each
+    twin back into its member's class."""
+    twins = {}  # open neighborhood inside comp -> the vertices that have it
+    for v in iter_bits(comp):
+        key = g.adj[v] & comp
+        twins[key] = twins.get(key, 0) | 1 << v
+    kept = sum(1 << (c.bit_length() - 1) for c in twins.values())
+    m, n = len(twins), comp.bit_count()
+    if m > cap:
+        merged = f" ({n} before merging false twins)" if m != n else ""
+        raise CapacityError(
+            f"exact solver capacity is {cap} vertices, got {m}{merged}; raise the cap"
+        )
+    sub, ids = g.induced(kept)
+    class_masks = [
+        sum(twins[g.adj[ids[i]] & comp] for i in iter_bits(c)) for c in _partition(sub)
+    ]
+    coloring = make_coloring(class_masks, [_dominator_of(g, comp, c) for c in class_masks])
+    return len(class_masks), coloring
 
 
 def cd_chromatic_exact(
@@ -256,8 +289,9 @@ def cd_chromatic_exact(
     """Exact cd-chromatic number of ``g[active]`` with a certifying coloring.
 
     Solved independently per connected component (the answers add) and
-    capped at ``cap`` vertices per component with more than one vertex;
-    each table costs ``2**n`` bits of memory.  The empty graph has q = 0.
+    capped at ``cap`` vertices, counted after merging false twins, per
+    component with more than one vertex; each table costs ``2**n`` bits
+    of memory for the ``n`` vertices left.  The empty graph has q = 0.
     """
     return solve_per_component(g, lambda g, comp: _exact_component(g, comp, cap), active)
 

@@ -9,6 +9,7 @@ from cdcolor.bits import bit_list, lack_masks, lowest_bit, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import (
+    DEFAULT_EXACT_CAP,
     cd_chromatic_bruteforce,
     cd_chromatic_exact,
     complement,
@@ -79,6 +80,28 @@ def test_oversized_component_is_refused_before_its_copy(monkeypatch):
     monkeypatch.setattr(Graph, "induced", no_copy)
     with pytest.raises(CapacityError, match="capacity is 4 vertices, got 5"):
         cd_chromatic_exact(path_graph(5), cap=4)
+
+
+def test_cap_counts_the_vertices_left_after_merging_false_twins(monkeypatch):
+    # 20 base vertices, a hub and its 8 pendants, which merge into one: 22
+    lift = generate_from_partization(random_graph(20, 0.4, random.Random(1)), 4, 2).graph
+    assert lift.n == 29 > DEFAULT_EXACT_CAP
+    q, coloring = cd_chromatic_exact(lift)
+    assert q == 6 and validate_cd_coloring(lift, coloring).ok
+
+    def no_copy(self, mask):
+        raise AssertionError("component copied")
+
+    monkeypatch.setattr(Graph, "induced", no_copy)
+    twin = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])  # 0 and 5 are twins
+    with pytest.raises(CapacityError) as refused:
+        cd_chromatic_exact(twin, cap=4)
+    assert str(refused.value) == (
+        "exact solver capacity is 4 vertices, got 5 (6 before merging false twins); raise the cap"
+    )
+    with pytest.raises(CapacityError) as refused:
+        cd_chromatic_exact(path_graph(5), cap=4)
+    assert str(refused.value) == "exact solver capacity is 4 vertices, got 5; raise the cap"
 
 
 def test_bruteforce_cap_counts_each_active_component():
@@ -463,8 +486,10 @@ def test_exact_complements_only_half_tables(monkeypatch):
     rng = random.Random(7)
     for n in (2, 5, 9, 13):
         widths.clear()
-        cd_chromatic_exact(random_connected_graph(n, 0.3, rng))
-        assert widths and set(widths) == {(True, n - 1)}, (n, widths)
+        g = random_connected_graph(n, 0.3, rng)
+        merged = len(set(g.adj))  # one vertex per distinct open neighborhood
+        cd_chromatic_exact(g)
+        assert widths and set(widths) == {(True, merged - 1)}, (n, merged, widths)
 
 
 KNOWN_VALUES = [
