@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List
 
 _WEIGHT_MASK_CACHE: dict[int, List[int]] = {}
-_LACK_MASK_CACHE: dict[int, List[int]] = {}
+_LACK_MASKS: List[int] = []  # for the widest universe asked for so far
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -67,14 +67,14 @@ def weight_masks(n: int) -> List[int]:
 
 
 def lack_masks(n: int) -> List[int]:
-    """Vertex-absence masks for a size-``n`` universe.
+    """Vertex-absence masks for a universe of at least ``n`` vertices.
 
-    Entry ``i`` is a ``2**n``-bit integer whose bit ``d`` is set exactly
-    when bit ``i`` of ``d`` is clear: runs of ``2**i`` ones and zeros,
-    built by doubling one period.  Results are cached per ``n``.
+    Entry ``i`` has bit ``d`` set exactly when bit ``i`` of ``d`` is
+    clear: runs of ``2**i`` ones and zeros.  Only the widest list asked
+    for is kept; ``&`` with a ``2**n``-bit table costs that width.
     """
-    if n in _LACK_MASK_CACHE:
-        return _LACK_MASK_CACHE[n]
+    if len(_LACK_MASKS) >= n:
+        return _LACK_MASKS
     size = 1 << n
     masks = []
     for i in range(n):
@@ -83,5 +83,5 @@ def lack_masks(n: int) -> List[int]:
             pattern |= pattern << width
             width <<= 1
         masks.append(pattern)
-    _LACK_MASK_CACHE[n] = masks
-    return masks
+    _LACK_MASKS[:] = masks
+    return _LACK_MASKS

@@ -15,8 +15,8 @@ class of any cover holds the set's highest vertex ``u``, so the sets of
 ``u`` in ``D_a``, closed upward inside the maximal classes that hold
 ``u``: :func:`cover_power` builds block ``u`` with operations ``2**u``
 bits wide.  ``D_1``, the family and the empty set, is built by the same
-call from ``D_0`` = {empty set} over :func:`maximal_classes`, read off
-the graph.
+call from ``D_0`` = {empty set} over :func:`neighborhood_classes`, read
+off the graph.
 
 The search meets in the middle, split on the top vertex ``t = n - 1``:
 for ``b >= 1`` the full set lies in ``D_{a+b}`` exactly when ``D_a``
@@ -62,7 +62,7 @@ direct search over vertex partitions that never touches the tables.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lack_masks, lowest_bit
 from .coloring import CdColoring, make_coloring, solve_per_component
@@ -91,60 +91,48 @@ def complement(bits: int, n: int) -> int:
     return out >> (8 - (1 << n)) if n < 3 else out
 
 
-def maximal_classes(g: Graph) -> List[int]:
-    """Color classes of ``g`` that no other class contains, ascending.
-
-    A class is an independent set inside some ``N[y]``, so each maximal
-    class is a maximal independent subset of ``N[y]`` for each of its
-    dominators ``y``.  These are listed per ``y`` by Bron-Kerbosch on
-    the complement (Bron and Kerbosch, CACM 1973), pivoting on the
-    lowest free vertex.  Each branch carries the set's dominators and
-    its reach, the meet and the union of its members' ``N[v]``, so a set
-    is dropped at once unless ``y`` is its lowest dominator.  It is
-    maximal among all classes when no dominator's ``N[d]`` holds a
-    vertex outside the reach, which would extend it.
+def neighborhood_classes(g: Graph) -> List[int]:
+    """The maximal independent subsets of each ``N[y]``, ascending: each
+    maximal class is one, as a class is an independent set inside some
+    ``N[y]``.  Listed per ``y`` by Bron-Kerbosch on the complement (Bron
+    and Kerbosch, CACM 1973), pivoting on the lowest free vertex.
     """
     closed = [g.closed(v) for v in range(g.n)]
-    out = []
+    out = set()
     for y in range(g.n):
-        below = (1 << y) - 1
-        stack = [(0, closed[y], 0, -1, 0)]  # (chosen, free, done, dominators, reach) masks
+        stack = [(0, closed[y], 0)]  # (chosen, free, done) masks
         while stack:
-            s, free, done, dom, reach = stack.pop()
+            s, free, done = stack.pop()
             if free:  # a maximal set holds the pivot or a neighbor of it
                 for v in iter_bits(free & closed[lowest_bit(free)]):
                     c = closed[v]
-                    stack.append((s | 1 << v, free & ~c, done & ~c, dom & c, reach | c))
+                    stack.append((s | 1 << v, free & ~c, done & ~c))
                     free, done = free ^ 1 << v, done | 1 << v
                 continue
-            # a done vertex extends s; a lower dominator lists s itself
-            if not (done or dom & below or any(closed[d] & ~reach for d in iter_bits(dom))):
-                out.append(s)
+            if not done:  # a done vertex would extend s
+                out.add(s)
     return sorted(out)
 
 
-def cover_cuts(maximal: List[int], n: int) -> Cuts:
+def cover_cuts(classes: List[int], n: int) -> Cuts:
     """Per vertex ``u``, the lists :func:`cover_power` closes block ``u``
-    over: the cuts ``M ∩ {0..u-1}`` of the maximal members ``M`` holding
-    ``u`` that no other cut contains.  A list puts the vertices more
-    maximal members hold first (ties by index), and each block's lists
-    are sorted, so cuts sharing their most common vertices sit together.
-    One pass adds ``M ∩ {0..v-1}`` to block ``v`` for each ``v`` of each ``M``.
+    over: the cuts ``M ∩ {0..u-1}`` of the members ``M`` holding ``u``
+    that no other cut contains, ascending.  ``classes`` is any member
+    list that holds every maximal member, as a member inside a larger
+    one has its cut inside that one's.  One pass adds ``M ∩ {0..v-1}``
+    to block ``v`` for each ``v`` of each ``M``.
     """
-    held = [0] * n
     cuts: List[set] = [set() for _ in range(n)]
-    for m in maximal:
+    for m in classes:
         for v in iter_bits(m):
-            held[v] += 1
             cuts[v].add(m & ((1 << v) - 1))
-    rank = {v: i for i, v in enumerate(sorted(range(n), key=lambda v: -held[v]))}
     blocks = []
     for block in cuts:
         kept: List[int] = []
         for c in sorted(block, key=int.bit_count, reverse=True):  # only a larger cut holds c
             if not any(c | o == o for o in kept):
                 kept.append(c)
-        blocks.append(sorted(sorted(iter_bits(c), key=rank.__getitem__) for c in kept))
+        blocks.append(sorted(bit_list(c) for c in kept))
     return blocks
 
 
@@ -178,14 +166,14 @@ def cover_power(down: int, cuts: Cuts, stop: int) -> int:
     """``D_{a+1}`` of a family from its ``D_a``, block by block.
 
     The family must be closed under nonempty subsets; ``cuts`` is
-    :func:`cover_cuts` of its maximal members, one block per vertex of
-    the ``n = len(cuts)``-vertex universe.  ``D_a`` holds the sets, the
-    empty set included, that at most ``a`` members cover.  Block ``u``
-    of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is the low ``2**u`` bits
-    of ``D_a`` closed upward inside each cut of block ``u``, shifted up
-    by ``2**u``.  The blocks built so far are returned as soon as one
-    meets ``stop``: they hold the lowest nonempty set of ``D_{a+1}`` in
-    ``stop``.
+    :func:`cover_cuts` of a list holding its maximal members, one block
+    per vertex of the ``n = len(cuts)``-vertex universe.  ``D_a`` holds
+    the sets, the empty set included, that at most ``a`` members cover.
+    Block ``u`` of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is the low
+    ``2**u`` bits of ``D_a`` closed upward inside each cut of block
+    ``u``, shifted up by ``2**u``.  The blocks built so far are returned
+    as soon as one meets ``stop``: they hold the lowest nonempty set of
+    ``D_{a+1}`` in ``stop``.
     """
     lack = lack_masks(len(cuts) - 1)  # block u reads lack[i < u]
     out = 1  # the empty set
@@ -237,7 +225,7 @@ def _partition(sub: Graph) -> List[int]:
     """The classes, as masks of ``sub``, of a cd-coloring of the connected
     graph ``sub`` with the fewest classes, met and peeled in its tables."""
     full = sub.full_mask
-    cuts = cover_cuts(maximal_classes(sub), sub.n)
+    cuts = cover_cuts(neighborhood_classes(sub), sub.n)
     powers = [1]  # powers[a] is D_a; D_0 = {empty set}
     prev_comp = 0  # no k = -1 test
     while True:
@@ -259,15 +247,22 @@ def _partition(sub: Graph) -> List[int]:
     return _peel(tables, s, a) + _peel(tables, full ^ s, b)
 
 
+def false_twins(g: Graph, comp: int) -> Dict[int, int]:
+    """The vertices of ``comp`` by their open neighborhood inside it: the
+    engine indexes one per group, and its cap counts the groups."""
+    twins: Dict[int, int] = {}
+    for v in iter_bits(comp):
+        key = g.adj[v] & comp
+        twins[key] = twins.get(key, 0) | 1 << v
+    return twins
+
+
 def _exact_component(g: Graph, comp: int, cap: int) -> Tuple[int, CdColoring]:
     """Merge the false twins of ``comp`` into their highest member, solve
     what is left on a compact copy, whose subsets the tables index (``g``
     itself when nothing merges and ``comp`` is all of it), and put each
     twin back into its member's class."""
-    twins = {}  # open neighborhood inside comp -> the vertices that have it
-    for v in iter_bits(comp):
-        key = g.adj[v] & comp
-        twins[key] = twins.get(key, 0) | 1 << v
+    twins = false_twins(g, comp)
     kept = sum(1 << (c.bit_length() - 1) for c in twins.values())
     m, n = len(twins), comp.bit_count()
     if m > cap:

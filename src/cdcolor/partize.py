@@ -557,11 +557,11 @@ def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     Each component mask is solved once per walk, as a deletion set leaves
     most components untouched; the memo keeps one cd-chromatic number per
     distinct component mask met, and the winning remainder is solved once
-    more for its classes.  CapacityError before any solve past the
-    engine's cap or the budget."""
-    from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact
+    more for its classes.  CapacityError before any solve past the cap or
+    the budget, counted in false-twin groups, as twins stay in G - S."""
+    from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact, false_twins
 
-    sizes = [comp.bit_count() for comp in iter_components(g, g.full_mask)]
+    sizes = [len(false_twins(g, comp)) for comp in iter_components(g, g.full_mask)]
     if max(sizes, default=0) > DEFAULT_EXACT_CAP:
         raise CapacityError(f"a component exceeds DEFAULT_EXACT_CAP={DEFAULT_EXACT_CAP}")
     bits = sum(max(1 << size, 1 << 17) for size in sizes)

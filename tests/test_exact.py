@@ -15,7 +15,7 @@ from cdcolor.exact import (
     complement,
     cover_cuts,
     cover_power,
-    maximal_classes,
+    neighborhood_classes,
 )
 from cdcolor.generate import (
     complete_graph,
@@ -44,7 +44,7 @@ from _brute import (
 def family_of(g):
     """D_1, the color-class family and the empty set, built from
     D_0 = {empty set} as the engine builds it."""
-    cuts = cover_cuts(maximal_classes(g), g.n)
+    cuts = cover_cuts(neighborhood_classes(g), g.n)
     return cover_power(1, cuts, 0)
 
 
@@ -88,6 +88,9 @@ def test_cap_counts_the_vertices_left_after_merging_false_twins(monkeypatch):
     assert lift.n == 29 > DEFAULT_EXACT_CAP
     q, coloring = cd_chromatic_exact(lift)
     assert q == 6 and validate_cd_coloring(lift, coloring).ok
+    star = star_graph(1000)  # 1,001 vertices, 2 after merging
+    q, coloring = cd_chromatic_exact(star)
+    assert q == 2 and validate_cd_coloring(star, coloring).ok
 
     def no_copy(self, mask):
         raise AssertionError("component copied")
@@ -236,11 +239,12 @@ def test_products_of_tables_holding_the_empty_set_match_disjoint_unions():
 
 
 def test_lack_masks_and_fewer_than_match_their_definitions():
-    for n in range(9):
+    for n in [*range(9), 12, 3]:  # a small universe after a large one
         lack = lack_masks(n)
-        assert len(lack) == n
+        assert len(lack) >= n
+        low = (1 << (1 << n)) - 1
         for i in range(n):
-            assert lack[i] == mask_of(d for d in range(1 << n) if not d >> i & 1)
+            assert lack[i] & low == mask_of(d for d in range(1 << n) if not d >> i & 1)
         for a in range(n + 3):
             want = mask_of(d for d in range(1 << n) if d.bit_count() < a)
             assert fewer_than(n, a) == want, (n, a)
@@ -271,8 +275,15 @@ def test_maximal_classes_match_bruteforce():
         isolated = Graph(k, [0] * k)
         graphs += [g, disjoint_union(isolated, g), disjoint_union(g, isolated)]
     for g in graphs:
-        assert maximal_classes(g) == maximal_of(brute_family_masks(g)), (g.n, g.adj)
-    assert maximal_classes(Graph(0, [])) == []
+        family = brute_family_masks(g)
+        want = set()
+        for y in range(g.n):
+            want.update(maximal_of([m for m in family if not m & ~g.closed(y)]))
+        listing = neighborhood_classes(g)
+        assert listing == sorted(want), (g.n, g.adj)
+        assert maximal_of(listing) == maximal_of(family), (g.n, g.adj)
+        assert cover_cuts(listing, g.n) == cover_cuts(maximal_of(family), g.n), (g.n, g.adj)
+    assert neighborhood_classes(Graph(0, [])) == []
 
 
 def test_cover_powers_equal_the_star_powers():
@@ -281,7 +292,7 @@ def test_cover_powers_equal_the_star_powers():
     for n in range(1, 12):
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-            cuts = cover_cuts(maximal_classes(g), n)
+            cuts = cover_cuts(neighborhood_classes(g), n)
             cover = cover_power(1, cuts, 0)
             family = star = cover ^ 1
             for a in range(1, n):
@@ -295,20 +306,19 @@ def test_cover_powers_equal_the_star_powers():
     assert checked > 400
 
 
-def assert_cuts_match_their_definition(maximal, n):
-    """Block u of ``cover_cuts`` lists the cuts M ∩ {0..u-1} of the maximal
-    members M holding u that no other cut contains, sorted, each with the
-    vertices more members hold first (ties by index)."""
-    blocks = cover_cuts(maximal, n)
+def assert_cuts_match_their_definition(classes, n):
+    """Block u of ``cover_cuts`` lists the cuts M ∩ {0..u-1} of the
+    members M holding u that no other cut contains, sorted, each list
+    ascending."""
+    blocks = cover_cuts(classes, n)
     assert len(blocks) == n
-    held = [sum(m >> v & 1 for m in maximal) for v in range(n)]
     for u, lists in enumerate(blocks):
-        cuts = {m & ((1 << u) - 1) for m in maximal if m >> u & 1}
+        cuts = {m & ((1 << u) - 1) for m in classes if m >> u & 1}
         want = sorted(c for c in cuts if not any(c != o and not c & ~o for o in cuts))
         assert lists == sorted(lists)
         assert sorted(mask_of(c) for c in lists) == want
         assert not any(p == c[: len(p)] for p, c in zip(lists, lists[1:]))
-        assert all(c == sorted(c, key=lambda v: (-held[v], v)) for c in lists)
+        assert all(c == sorted(c) for c in lists)
 
 
 def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
@@ -316,7 +326,7 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
     for _ in range(40):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.random(), rng)
-        assert_cuts_match_their_definition(maximal_classes(g), n)
+        assert_cuts_match_their_definition(neighborhood_classes(g), n)
 
 
 def lifts_pendants_and_twins():
@@ -334,15 +344,17 @@ def lifts_pendants_and_twins():
 
 def test_maximal_classes_and_cuts_on_hub_lifts_pendants_and_twins():
     for g in lifts_pendants_and_twins():
-        maximal = maximal_classes(g)
-        assert maximal == maximal_of(brute_family_masks(g)), (g.n, g.adj)
-        assert_cuts_match_their_definition(maximal, g.n)
+        listing, maximal = neighborhood_classes(g), maximal_of(brute_family_masks(g))
+        assert maximal_of(listing) == maximal, (g.n, g.adj)
+        assert cover_cuts(listing, g.n) == cover_cuts(maximal, g.n), (g.n, g.adj)
+        assert_cuts_match_their_definition(listing, g.n)
 
 
 def top_vertex_families():
-    """D_1 of families, with their universe size and maximal members, whose
-    highest vertex is isolated, a pendant, adjacent to every vertex, or in
-    every maximal member, next to plain random ones."""
+    """D_1 of families, with their universe size and a member list that
+    holds their maximal members, whose highest vertex is isolated, a
+    pendant, adjacent to every vertex, or in every maximal member, next
+    to plain random ones."""
     rng = random.Random(73)
     for _ in range(12):
         base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -356,7 +368,7 @@ def top_vertex_families():
             Graph(n + 1, universal + [top - 1]),
             random_graph(n + 1, rng.random(), rng),
         ):
-            yield g.n, family_of(g), maximal_classes(g)
+            yield g.n, family_of(g), neighborhood_classes(g)
         masks = random_family_masks(n, rng.randint(1, 5), rng) + [1 << v for v in range(n)]
         masks = [m | top for m in masks]
         yield n + 1, down_closure(masks), maximal_of(masks)
@@ -364,8 +376,8 @@ def top_vertex_families():
 
 def test_cover_power_stops_at_the_lowest_meet():
     met = 0
-    for n, family, maximal in top_vertex_families():
-        cuts = cover_cuts(maximal, n)
+    for n, family, classes in top_vertex_families():
+        cuts = cover_cuts(classes, n)
         down = family
         for a in range(1, n):
             full = cover_power(down, cuts, 0)
@@ -394,7 +406,7 @@ def test_cover_tables_meet_and_peel_as_the_exact_powers():
     for _ in range(60):
         n = rng.randint(1, 11)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-        cuts = cover_cuts(maximal_classes(g), n)
+        cuts = cover_cuts(neighborhood_classes(g), n)
         down, powers = [1], [1]  # D_a and P_a, from D_0 = P_0 = {empty set}
         family = cover_power(1, cuts, 0) ^ 1
         for k in range(n + 1):
@@ -431,7 +443,7 @@ def test_peel_matches_the_walk_over_every_level():
     peeled = 0
     for g in graphs:
         n, q = g.n, cd_chromatic_exact(g)[0]
-        cuts = cover_cuts(maximal_classes(g), n)
+        cuts = cover_cuts(neighborhood_classes(g), n)
         down = [1]
         for _ in range(q):
             down.append(cover_power(down[-1], cuts, 0))
@@ -461,7 +473,7 @@ def test_half_meet_lacks_the_top_vertex_and_keeps_the_lowest_set():
     for _ in range(300):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-        cuts = cover_cuts(maximal_classes(g), n)
+        cuts = cover_cuts(neighborhood_classes(g), n)
         down = [1]
         for _ in range(cd_chromatic_exact(g)[0]):
             down.append(cover_power(down[-1], cuts, 0))

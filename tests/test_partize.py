@@ -360,6 +360,14 @@ def test_exact_walk_refuses_past_its_budget_before_any_solve(monkeypatch):
         partization(random_graph(27, 0.25, random.Random(1)), 0, 6)
 
 
+def test_exact_walk_counts_false_twins_as_the_engine_does():
+    # 29 vertices, 22 after the hub's 8 pendants merge: under the cap
+    lift = generate_from_partization(random_graph(20, 0.4, random.Random(1)), 4, 2).graph
+    assert lift.n == 29 > exact.DEFAULT_EXACT_CAP
+    sol = partization(lift, 0, 6)
+    assert sol.deleted == 0 and sol.plan == (("Exact", None),)
+    check_yes(lift, sol, 0, 6)
+
 
 def test_exact_walk_solves_each_component_once(monkeypatch):
     # four 6-vertex components: most deletion sets leave three untouched
