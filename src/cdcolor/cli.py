@@ -47,6 +47,8 @@ def _emit_certificate(args, payload: dict) -> None:
 
 
 def _cmd_cdnumber(args) -> int:
+    if args.cap is not None:
+        _require_non_negative(args, "cap")
     g = _load_graph(args.file)
     if args.brute:
         from .exact import cd_chromatic_bruteforce
@@ -318,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--p", type=float, default=0.5)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--girth5", action="store_true")
-    pr.add_argument("--split", dest="split_graph", action="store_true")
+    shape = pr.add_mutually_exclusive_group()
+    shape.add_argument("--girth5", action="store_true")
+    shape.add_argument("--split", dest="split_graph", action="store_true")
     pr.add_argument("--connected", action="store_true")
     pr.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -339,10 +342,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CdColorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CdColorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never exit 1, the NO code, on a crash

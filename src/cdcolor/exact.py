@@ -14,9 +14,9 @@ class of any cover holds the set's highest vertex ``u``, so the sets of
 ``D_{a+1}`` whose highest vertex is ``u`` come from the sets below
 ``u`` in ``D_a``, closed upward inside the maximal classes that hold
 ``u``: :func:`cover_power` builds block ``u`` with operations ``2**u``
-bits wide.  ``D_1``, the family and the empty set, is built by the same
-call from ``D_0`` = {empty set} over :func:`neighborhood_classes`, read
-off the graph.
+bits wide, over the cuts of those classes below ``u`` that
+:func:`cover_cuts` reads off the graph.  ``D_1``, the family and the
+empty set, is built by the same call from ``D_0`` = {empty set}.
 
 The search meets in the middle, split on the top vertex ``t = n - 1``:
 for ``b >= 1`` the full set lies in ``D_{a+b}`` exactly when ``D_a``
@@ -91,43 +91,32 @@ def complement(bits: int, n: int) -> int:
     return out >> (8 - (1 << n)) if n < 3 else out
 
 
-def neighborhood_classes(g: Graph) -> List[int]:
-    """The maximal independent subsets of each ``N[y]``, ascending: each
-    maximal class is one, as a class is an independent set inside some
-    ``N[y]``.  Listed per ``y`` by Bron-Kerbosch on the complement (Bron
-    and Kerbosch, CACM 1973), pivoting on the lowest free vertex.
+def cover_cuts(g: Graph) -> Cuts:
+    """Per vertex ``u``, the lists :func:`cover_power` closes block ``u``
+    over: the cuts ``M ∩ {0..u-1}`` of the classes ``M`` holding ``u``
+    that no other cut contains, ascending.  A class holding ``u`` lies in
+    some ``N[y]`` with ``y`` in ``N[u]``, so its cut is an independent
+    subset of ``N[y] ∩ {0..u-1}`` outside ``N[u]``, and each such subset
+    is the cut of a class.  Listed per ``(u, y)`` by Bron-Kerbosch on the
+    complement (Bron and Kerbosch, CACM 1973), pivoting on the lowest
+    free vertex, with no maximality test: a cut inside another drops.
     """
     closed = [g.closed(v) for v in range(g.n)]
-    out = set()
-    for y in range(g.n):
-        stack = [(0, closed[y], 0)]  # (chosen, free, done) masks
-        while stack:
-            s, free, done = stack.pop()
-            if free:  # a maximal set holds the pivot or a neighbor of it
-                for v in iter_bits(free & closed[lowest_bit(free)]):
-                    c = closed[v]
-                    stack.append((s | 1 << v, free & ~c, done & ~c))
-                    free, done = free ^ 1 << v, done | 1 << v
-                continue
-            if not done:  # a done vertex would extend s
-                out.add(s)
-    return sorted(out)
-
-
-def cover_cuts(classes: List[int], n: int) -> Cuts:
-    """Per vertex ``u``, the lists :func:`cover_power` closes block ``u``
-    over: the cuts ``M ∩ {0..u-1}`` of the members ``M`` holding ``u``
-    that no other cut contains, ascending.  ``classes`` is any member
-    list that holds every maximal member, as a member inside a larger
-    one has its cut inside that one's.  One pass adds ``M ∩ {0..v-1}``
-    to block ``v`` for each ``v`` of each ``M``.
-    """
-    cuts: List[set] = [set() for _ in range(n)]
-    for m in classes:
-        for v in iter_bits(m):
-            cuts[v].add(m & ((1 << v) - 1))
     blocks = []
-    for block in cuts:
+    for u in range(g.n):
+        below = ((1 << u) - 1) & ~closed[u]
+        block = set()
+        for y in iter_bits(closed[u]):
+            stack = [(0, closed[y] & below)]  # (chosen, free) masks
+            while stack:
+                s, free = stack.pop()
+                if not free:
+                    block.add(s)
+                    continue
+                # a maximal set holds the pivot or a neighbor of it
+                for v in iter_bits(free & closed[lowest_bit(free)]):
+                    stack.append((s | 1 << v, free & ~closed[v]))
+                    free ^= 1 << v
         kept: List[int] = []
         for c in sorted(block, key=int.bit_count, reverse=True):  # only a larger cut holds c
             if not any(c | o == o for o in kept):
@@ -165,9 +154,10 @@ def _close_up(down: int, chains: List[List[int]], lack: List[int]) -> int:
 def cover_power(down: int, cuts: Cuts, stop: int) -> int:
     """``D_{a+1}`` of a family from its ``D_a``, block by block.
 
-    The family must be closed under nonempty subsets; ``cuts`` is
-    :func:`cover_cuts` of a list holding its maximal members, one block
-    per vertex of the ``n = len(cuts)``-vertex universe.  ``D_a`` holds
+    The family must be closed under nonempty subsets; block ``u`` of
+    ``cuts``, one per vertex of the ``n = len(cuts)``-vertex universe,
+    lists the maximal cuts ``M ∩ {0..u-1}`` of the members ``M`` holding
+    ``u``, as :func:`cover_cuts` lists them for the classes.  ``D_a`` holds
     the sets, the empty set included, that at most ``a`` members cover.
     Block ``u`` of ``D_{a+1}``, bits ``[2**u, 2**(u+1))``, is the low
     ``2**u`` bits of ``D_a`` closed upward inside each cut of block
@@ -225,7 +215,7 @@ def _partition(sub: Graph) -> List[int]:
     """The classes, as masks of ``sub``, of a cd-coloring of the connected
     graph ``sub`` with the fewest classes, met and peeled in its tables."""
     full = sub.full_mask
-    cuts = cover_cuts(neighborhood_classes(sub), sub.n)
+    cuts = cover_cuts(sub)
     powers = [1]  # powers[a] is D_a; D_0 = {empty set}
     prev_comp = 0  # no k = -1 test
     while True:

@@ -563,7 +563,10 @@ def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
 
     sizes = [len(false_twins(g, comp)) for comp in iter_components(g, g.full_mask)]
     if max(sizes, default=0) > DEFAULT_EXACT_CAP:
-        raise CapacityError(f"a component exceeds DEFAULT_EXACT_CAP={DEFAULT_EXACT_CAP}")
+        raise CapacityError(
+            f"a component exceeds DEFAULT_EXACT_CAP={DEFAULT_EXACT_CAP}: "
+            f"{max(sizes)} vertices after merging false twins"
+        )
     bits = sum(max(1 << size, 1 << 17) for size in sizes)
     sets = itertools.accumulate(comb(g.n, size) for size in range(min(k, g.n) + 1))
     if any(count * bits > EXACT_WALK_BUDGET for count in sets):  # stops at the first

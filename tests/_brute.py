@@ -6,8 +6,9 @@ check.  The one exception is ``type2_by_type1``, Type 2 written the way
 the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
 the plain disjoint-union product of two tables that the exact engine's
 ``cover_power`` is checked against, ``random_family_masks`` draws
-the families it multiplies, and ``fewer_than`` turns the engine's cover
-tables back into exact powers.  ``tds_bruteforce`` is the exhaustive
+the families it multiplies, ``fewer_than`` turns the engine's cover
+tables back into exact powers, and ``cuts_of`` lists the cuts the
+engine's ``cover_cuts`` must read off the graph.  ``tds_bruteforce`` is the exhaustive
 total dominating set search that the kernel and branch and bound of
 ``cdcolor.tds`` are checked against, ``greedy_tds_rescoring`` the
 greedy that re-scores every candidate at each pick, against which the
@@ -167,6 +168,18 @@ def fewer_than(n: int, a: int) -> int:
         lo = max(0, a - (n - m - 1))
         rows = {b: rows[b] | rows.get(b - 1, 0) << half for b in range(lo, a + 1)}
     return rows[a]
+
+
+def cuts_of(members, n: int) -> List[List[List[int]]]:
+    """Per vertex ``u`` of an n-element universe, the maximal sets among
+    the cuts ``M ∩ {0..u-1}`` of the members ``M`` that hold ``u``, each
+    an ascending list, sorted."""
+    blocks = []
+    for u in range(n):
+        cuts = {m & ((1 << u) - 1) for m in members if m >> u & 1}
+        maximal = [c for c in cuts if not any(c != o and not c & ~o for o in cuts)]
+        blocks.append(sorted(bit_list(c) for c in maximal))
+    return blocks
 
 
 def peel_every_level(tables, want: int, parts: int) -> List[int]:

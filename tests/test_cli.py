@@ -505,12 +505,22 @@ def test_negative_parameters_exit_2_with_a_named_reason(c5, tmp_path, capsys):
         (["partize", "--split", "--q", "-1", "--k", "1", c5], "--q must be non-negative"),
         (["tds", "--k", "-1", c5], "--k must be non-negative"),
         (["tds", "--k", "-1", c5, "--kernel-out", str(kernel)], "--k must be non-negative"),
+        # refused before the graph is read: the file does not exist
+        (["cdnumber", "--cap", "-1", str(tmp_path / "absent.txt")], "--cap must be non-negative"),
     ]
     for argv, reason in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and reason in captured.err, argv
     assert not kernel.exists()
+
+
+def test_gen_random_refuses_girth5_with_split(tmp_path, capsys):
+    out = tmp_path / "g.dimacs"
+    argv = ["gen", "random", "--n", "5", "--girth5", "--split", "--out", str(out)]
+    assert main(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_random_rejects_n_above_the_vertex_limit(tmp_path, capsys):

@@ -15,7 +15,6 @@ from cdcolor.exact import (
     complement,
     cover_cuts,
     cover_power,
-    neighborhood_classes,
 )
 from cdcolor.generate import (
     complete_graph,
@@ -34,6 +33,7 @@ from _brute import (
     brute_disjoint_union_masks,
     brute_family_masks,
     brute_partition_into_family,
+    cuts_of,
     fewer_than,
     peel_every_level,
     random_family_masks,
@@ -44,8 +44,7 @@ from _brute import (
 def family_of(g):
     """D_1, the color-class family and the empty set, built from
     D_0 = {empty set} as the engine builds it."""
-    cuts = cover_cuts(neighborhood_classes(g), g.n)
-    return cover_power(1, cuts, 0)
+    return cover_power(1, cover_cuts(g), 0)
 
 
 def test_family_path3():
@@ -261,11 +260,6 @@ def down_closure(masks):
     return bits
 
 
-def maximal_of(masks):
-    """The masks that no other mask contains, ascending."""
-    return sorted(m for m in set(masks) if not any(o != m and not m & ~o for o in masks))
-
-
 def test_maximal_classes_match_bruteforce():
     rng = random.Random(61)
     graphs = [complete_graph(n) for n in range(1, 10)] + [star_graph(n) for n in range(1, 9)]
@@ -275,15 +269,8 @@ def test_maximal_classes_match_bruteforce():
         isolated = Graph(k, [0] * k)
         graphs += [g, disjoint_union(isolated, g), disjoint_union(g, isolated)]
     for g in graphs:
-        family = brute_family_masks(g)
-        want = set()
-        for y in range(g.n):
-            want.update(maximal_of([m for m in family if not m & ~g.closed(y)]))
-        listing = neighborhood_classes(g)
-        assert listing == sorted(want), (g.n, g.adj)
-        assert maximal_of(listing) == maximal_of(family), (g.n, g.adj)
-        assert cover_cuts(listing, g.n) == cover_cuts(maximal_of(family), g.n), (g.n, g.adj)
-    assert neighborhood_classes(Graph(0, [])) == []
+        assert cover_cuts(g) == cuts_of(brute_family_masks(g), g.n), (g.n, g.adj)
+    assert cover_cuts(Graph(0, [])) == []
 
 
 def test_cover_powers_equal_the_star_powers():
@@ -292,7 +279,7 @@ def test_cover_powers_equal_the_star_powers():
     for n in range(1, 12):
         for _ in range(12 if n < 9 else 4):
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-            cuts = cover_cuts(neighborhood_classes(g), n)
+            cuts = cover_cuts(g)
             cover = cover_power(1, cuts, 0)
             family = star = cover ^ 1
             for a in range(1, n):
@@ -306,17 +293,14 @@ def test_cover_powers_equal_the_star_powers():
     assert checked > 400
 
 
-def assert_cuts_match_their_definition(classes, n):
+def assert_cuts_match_their_definition(g):
     """Block u of ``cover_cuts`` lists the cuts M ∩ {0..u-1} of the
-    members M holding u that no other cut contains, sorted, each list
-    ascending."""
-    blocks = cover_cuts(classes, n)
-    assert len(blocks) == n
-    for u, lists in enumerate(blocks):
-        cuts = {m & ((1 << u) - 1) for m in classes if m >> u & 1}
-        want = sorted(c for c in cuts if not any(c != o and not c & ~o for o in cuts))
+    color classes M holding u that no other cut contains, sorted, each
+    list ascending, none a prefix of the next."""
+    blocks = cover_cuts(g)
+    assert blocks == cuts_of(brute_family_masks(g), g.n), (g.n, g.adj)
+    for lists in blocks:
         assert lists == sorted(lists)
-        assert sorted(mask_of(c) for c in lists) == want
         assert not any(p == c[: len(p)] for p, c in zip(lists, lists[1:]))
         assert all(c == sorted(c) for c in lists)
 
@@ -325,8 +309,7 @@ def test_cover_cuts_share_prefixes_and_list_every_maximal_cut():
     rng = random.Random(71)
     for _ in range(40):
         n = rng.randint(1, 12)
-        g = random_graph(n, rng.random(), rng)
-        assert_cuts_match_their_definition(neighborhood_classes(g), n)
+        assert_cuts_match_their_definition(random_graph(n, rng.random(), rng))
 
 
 def lifts_pendants_and_twins():
@@ -344,17 +327,13 @@ def lifts_pendants_and_twins():
 
 def test_maximal_classes_and_cuts_on_hub_lifts_pendants_and_twins():
     for g in lifts_pendants_and_twins():
-        listing, maximal = neighborhood_classes(g), maximal_of(brute_family_masks(g))
-        assert maximal_of(listing) == maximal, (g.n, g.adj)
-        assert cover_cuts(listing, g.n) == cover_cuts(maximal, g.n), (g.n, g.adj)
-        assert_cuts_match_their_definition(listing, g.n)
+        assert_cuts_match_their_definition(g)
 
 
 def top_vertex_families():
-    """D_1 of families, with their universe size and a member list that
-    holds their maximal members, whose highest vertex is isolated, a
-    pendant, adjacent to every vertex, or in every maximal member, next
-    to plain random ones."""
+    """D_1 of families, with their universe size and their cuts, whose
+    highest vertex is isolated, a pendant, adjacent to every vertex, or
+    in every maximal member, next to plain random ones."""
     rng = random.Random(73)
     for _ in range(12):
         base = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -368,16 +347,15 @@ def top_vertex_families():
             Graph(n + 1, universal + [top - 1]),
             random_graph(n + 1, rng.random(), rng),
         ):
-            yield g.n, family_of(g), neighborhood_classes(g)
+            yield g.n, family_of(g), cover_cuts(g)
         masks = random_family_masks(n, rng.randint(1, 5), rng) + [1 << v for v in range(n)]
         masks = [m | top for m in masks]
-        yield n + 1, down_closure(masks), maximal_of(masks)
+        yield n + 1, down_closure(masks), cuts_of(masks, n + 1)
 
 
 def test_cover_power_stops_at_the_lowest_meet():
     met = 0
-    for n, family, classes in top_vertex_families():
-        cuts = cover_cuts(classes, n)
+    for n, family, cuts in top_vertex_families():
         down = family
         for a in range(1, n):
             full = cover_power(down, cuts, 0)
@@ -406,7 +384,7 @@ def test_cover_tables_meet_and_peel_as_the_exact_powers():
     for _ in range(60):
         n = rng.randint(1, 11)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-        cuts = cover_cuts(neighborhood_classes(g), n)
+        cuts = cover_cuts(g)
         down, powers = [1], [1]  # D_a and P_a, from D_0 = P_0 = {empty set}
         family = cover_power(1, cuts, 0) ^ 1
         for k in range(n + 1):
@@ -443,7 +421,7 @@ def test_peel_matches_the_walk_over_every_level():
     peeled = 0
     for g in graphs:
         n, q = g.n, cd_chromatic_exact(g)[0]
-        cuts = cover_cuts(neighborhood_classes(g), n)
+        cuts = cover_cuts(g)
         down = [1]
         for _ in range(q):
             down.append(cover_power(down[-1], cuts, 0))
@@ -473,7 +451,7 @@ def test_half_meet_lacks_the_top_vertex_and_keeps_the_lowest_set():
     for _ in range(300):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-        cuts = cover_cuts(neighborhood_classes(g), n)
+        cuts = cover_cuts(g)
         down = [1]
         for _ in range(cd_chromatic_exact(g)[0]):
             down.append(cover_power(down[-1], cuts, 0))

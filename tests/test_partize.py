@@ -356,8 +356,9 @@ def test_exact_walk_refuses_past_its_budget_before_any_solve(monkeypatch):
     five = disjoint_union(*[random_graph(6, 0.5, rng) for _ in range(5)])
     with pytest.raises(CapacityError, match="EXACT_WALK_BUDGET"):
         partization(five, 4, 8)
-    with pytest.raises(CapacityError, match="exceeds DEFAULT_EXACT_CAP=26"):
+    with pytest.raises(CapacityError, match="exceeds DEFAULT_EXACT_CAP=26") as refused:
         partization(random_graph(27, 0.25, random.Random(1)), 0, 6)
+    assert str(refused.value).endswith(": 27 vertices after merging false twins")
 
 
 def test_exact_walk_counts_false_twins_as_the_engine_does():
