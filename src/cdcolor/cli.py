@@ -38,16 +38,26 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_certificate(args, payload: dict) -> None:
+def _answer(args) -> int:
+    """Run ``args.solve``, which returns (line, payload) with a None payload
+    for a NO.  A YES writes ``--cert-out`` before anything is printed; a NO
+    writes no certificate and exits 1."""
+    line, payload = args.solve(args)
+    if payload is None:
+        if not args.json:
+            print(line)
+        return 1
     text = _dump_json(payload)
-    if getattr(args, "cert_out", None):
+    if args.cert_out:
         Path(args.cert_out).write_text(text + "\n")
-    if getattr(args, "json", False):
-        print(text)
+    print(text if args.json else line)
+    return 0
 
 
-def _cmd_cdnumber(args) -> int:
+def _cmd_cdnumber(args) -> tuple:
     if args.cap is not None:
+        if args.brute or args.girth5 or args.split:
+            raise CdColorError("--cap applies only to the exact engine")
         _require_non_negative(args, "cap")
     g = _load_graph(args.file)
     if args.brute:
@@ -67,22 +77,16 @@ def _cmd_cdnumber(args) -> int:
 
         cap = DEFAULT_EXACT_CAP if args.cap is None else args.cap
         q, coloring = cd_chromatic_exact(g, cap=cap)
-    payload = coloring.to_payload(g)
-    if not args.json:
-        print(f"q={q}")
-    _emit_certificate(args, payload)
-    return 0
+    return f"q={q}", coloring.to_payload(g)
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args) -> tuple:
     from .partize import cd_recognize_upto3
 
     g = _load_graph(args.file)
     sol = cd_recognize_upto3(g)
     if sol is None or sol.coloring.q > args.q:
-        if not args.json:
-            print(f"NO: cd-chromatic number exceeds {args.q}")
-        return 1
+        return f"NO: cd-chromatic number exceeds {args.q}", None
     payload = sol.coloring.to_payload(g)
     payload["components"] = [
         {
@@ -92,10 +96,7 @@ def _cmd_recognize(args) -> int:
         }
         for _, w in sol.plan
     ]
-    if not args.json:
-        print(f"q={sol.coloring.q}")
-    _emit_certificate(args, payload)
-    return 0
+    return f"q={sol.coloring.q}", payload
 
 
 def _require_non_negative(args, *names: str) -> None:
@@ -104,12 +105,13 @@ def _require_non_negative(args, *names: str) -> None:
             raise CdColorError(f"--{name} must be non-negative")
 
 
-def _cmd_tds(args) -> int:
+def _cmd_tds(args) -> tuple:
     from .tds import _solve_kernelized, tds_kernelize
 
     _require_non_negative(args, "k")
     g = _load_graph(args.file)
     outcome = tds_kernelize(g, args.k)  # the kernel written is the one solved
+    no = "NO"
     if args.kernel_out:
         if outcome.verdict == "REDUCED":
             kernel, ids = g.induced(outcome.keep)
@@ -118,20 +120,15 @@ def _cmd_tds(args) -> int:
             comments += [f"forced {g.label(v)}" for v in iter_bits(outcome.forced)]
             Path(args.kernel_out).write_text(to_dimacs(kernel, comments))
         else:
-            print(f"kernelization answered NO: {outcome.reason}")
+            no = f"kernelization answered NO: {outcome.reason}\nNO"
     cert = _solve_kernelized(g, args.k, outcome)
     if cert is None:
-        if not args.json:
-            print("NO")
-        return 1
-    payload = {"size": cert.size, "set": g.label_list(cert.mask)}
-    if not args.json:
-        print(f"size={cert.size} set={g.label_list(cert.mask)}")
-    _emit_certificate(args, payload)
-    return 0
+        return no, None
+    tds = g.label_list(cert.mask)
+    return f"size={cert.size} set={tds}", {"size": cert.size, "set": tds}
 
 
-def _cmd_partize(args) -> int:
+def _cmd_partize(args) -> tuple:
     _require_non_negative(args, "q", "k")
     g = _load_graph(args.file)
     if args.split:
@@ -143,19 +140,15 @@ def _cmd_partize(args) -> int:
 
         sol = partization(g, args.k, args.q)
     if sol is None:
-        if not args.json:
-            print("NO")
-        return 1
+        return "NO", None
     payload = sol.coloring.to_payload(g)
     payload["deleted"] = g.label_list(sol.deleted)
     payload["pattern"] = [name for name, _ in sol.plan]
-    if not args.json:
-        print(
-            f"YES deleted={payload['deleted']} "
-            f"pattern={'+'.join(payload['pattern']) or 'Empty'} q={sol.coloring.q}"
-        )
-    _emit_certificate(args, payload)
-    return 0
+    line = (
+        f"YES deleted={payload['deleted']} "
+        f"pattern={'+'.join(payload['pattern']) or 'Empty'} q={sol.coloring.q}"
+    )
+    return line, payload
 
 
 def _parse_sets(text: str):
@@ -264,8 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cdnumber", help="cd-chromatic number with certificate")
-    p.add_argument("file")
+    answer = argparse.ArgumentParser(add_help=False)
+    answer.add_argument("file")
+    answer.add_argument("--json", action="store_true")
+    answer.add_argument("--cert-out")
+
+    p = sub.add_parser("cdnumber", parents=[answer], help="cd-chromatic number with certificate")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="subset-table engine (default)")
     mode.add_argument("--girth5", action="store_true", help="total-domination fast path")
@@ -274,33 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap", type=int, help="exact engine's vertex cap per component (default 26)"
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cert-out")
-    p.set_defaults(func=_cmd_cdnumber)
+    p.set_defaults(func=_answer, solve=_cmd_cdnumber)
 
-    p = sub.add_parser("recognize", help="is the graph q-cd-colorable, q <= 3")
-    p.add_argument("file")
+    p = sub.add_parser("recognize", parents=[answer], help="is the graph q-cd-colorable, q <= 3")
     p.add_argument("--q", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cert-out")
-    p.set_defaults(func=_cmd_recognize)
+    p.set_defaults(func=_answer, solve=_cmd_recognize)
 
-    p = sub.add_parser("tds", help="total dominating set of size at most k")
-    p.add_argument("file")
+    p = sub.add_parser("tds", parents=[answer], help="total dominating set of size at most k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kernel-out", help="dump the reduced instance as DIMACS")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cert-out")
-    p.set_defaults(func=_cmd_tds)
+    p.set_defaults(func=_answer, solve=_cmd_tds)
 
-    p = sub.add_parser("partize", help="delete k vertices to reach q cd-colors")
-    p.add_argument("file")
+    p = sub.add_parser("partize", parents=[answer], help="delete k vertices to reach q cd-colors")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--split", action="store_true", help="split-graph brancher")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cert-out")
-    p.set_defaults(func=_cmd_partize)
+    p.set_defaults(func=_answer, solve=_cmd_partize)
 
     p = sub.add_parser("gen", help="generate instances")
     gsub = p.add_subparsers(dest="kind", required=True)

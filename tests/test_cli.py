@@ -707,3 +707,63 @@ def test_single_vertex_paths(tmp_path, capsys):
     assert main(["partize", "--q", "2", "--k", "0", str(path)]) == 0
     assert main(["cdnumber", "--split", str(path)]) == 0
     assert main(["cdnumber", "--girth5", str(path)]) == 0
+
+
+YES_CASES = {
+    "cdnumber": ["cdnumber"],
+    "recognize": ["recognize", "--q", "3"],
+    "tds": ["tds", "--k", "3"],
+    "partize": ["partize", "--q", "2", "--k", "1"],
+}
+NO_CASES = {
+    "recognize": (["recognize", "--q", "2"], "NO: cd-chromatic number exceeds 2\n"),
+    "tds": (["tds", "--k", "2"], "NO\n"),
+    "partize": (["partize", "--q", "1", "--k", "0"], "NO\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(YES_CASES))
+def test_json_yes_prints_exactly_the_certificate_file(command, c5, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(YES_CASES[command] + [c5, "--json", "--cert-out", str(cert)]) == 0
+    assert capsys.readouterr() == (cert.read_text(), "")
+    assert main(["validate", c5, str(cert)]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(NO_CASES))
+def test_no_writes_no_certificate_and_one_line_at_most(command, c5, tmp_path, capsys):
+    argv, line = NO_CASES[command]
+    cert = tmp_path / "cert.json"
+    assert main(argv + [c5, "--cert-out", str(cert)]) == 1
+    assert capsys.readouterr() == (line, "")
+    assert main(argv + [c5, "--json", "--cert-out", str(cert)]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("route", ["--girth5", "--split", "--brute"])
+def test_cap_applies_only_to_the_exact_engine(route, tmp_path, capsys):
+    # refused before the graph is read: the file does not exist
+    absent = str(tmp_path / "absent.txt")
+    for cap in ("1", "30", "-1"):
+        assert main(["cdnumber", route, "--cap", cap, absent]) == 2
+        assert capsys.readouterr() == ("", "error: --cap applies only to the exact engine\n")
+
+
+def test_a_failed_certificate_write_prints_nothing(c5, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "cert.json")
+    for extra in ([], ["--json"]):
+        assert main(["cdnumber", c5, "--cert-out", missing, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "cert.json" in err
+
+
+def test_kernel_no_under_json_prints_nothing(c5, tmp_path, capsys):
+    kern = tmp_path / "kernel.dimacs"
+    argv = ["tds", "--k", "0", c5, "--kernel-out", str(kern)]
+    assert main(argv + ["--json"]) == 1
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == 1
+    reason = "more than k=0 vertices of degree > k"
+    assert capsys.readouterr() == (f"kernelization answered NO: {reason}\nNO\n", "")
+    assert not kern.exists()
