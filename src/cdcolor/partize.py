@@ -35,6 +35,7 @@ mask with the exact engine, within ``EXACT_WALK_BUDGET``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
@@ -45,6 +46,7 @@ from .coloring import (
     ValidationReport,
     make_coloring,
     merge_colorings,
+    solve_per_component,
     validate_cd_coloring,
 )
 from .errors import CapacityError
@@ -554,11 +556,11 @@ def partization(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
 def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
     """The first deletion set, by size and then in ``itertools.combinations``
     order, whose remainder the exact engine colors with at most q classes.
-    Each component mask is solved once per walk, as a deletion set leaves
-    most components untouched; the memo keeps one cd-chromatic number per
-    distinct component mask met, and the winning remainder is solved once
-    more for its classes.  CapacityError before any solve past the cap or
-    the budget, counted in false-twin groups, as twins stay in G - S."""
+    Each remainder runs through ``solve_per_component`` over one cache of
+    engine answers per component mask, as a deletion set leaves most
+    components untouched; the winner keeps the coloring that call merged.
+    CapacityError before any solve past the cap or the budget, counted in
+    false-twin groups, as twins stay in G - S."""
     from .exact import DEFAULT_EXACT_CAP, cd_chromatic_exact, false_twins
 
     sizes = [len(false_twins(g, comp)) for comp in iter_components(g, g.full_mask)]
@@ -573,18 +575,12 @@ def _exact_walk(g: Graph, k: int, q: int) -> Optional[DeletionSolution]:
         raise CapacityError(
             f"q >= 4 deletion walk exceeds EXACT_WALK_BUDGET={EXACT_WALK_BUDGET}"
         )
-    solved: Dict[int, int] = {}  # component mask -> cd-chromatic number
-
-    def number(comp: int) -> int:
-        if comp not in solved:
-            solved[comp] = cd_chromatic_exact(g, active=comp)[0]
-        return solved[comp]
-
+    answers = functools.cache(lambda comp: cd_chromatic_exact(g, active=comp))
     for size in range(min(k, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             rest = g.full_mask & ~mask_of(combo)
-            if sum(number(comp) for comp in iter_components(g, rest)) <= q:
-                _, coloring = cd_chromatic_exact(g, active=rest)
+            number, coloring = solve_per_component(g, lambda _, comp: answers(comp), rest)
+            if number <= q:
                 return DeletionSolution(mask_of(combo), (("Exact", None),), coloring)
     return None
 

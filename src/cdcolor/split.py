@@ -20,7 +20,7 @@ from .bits import bit_list, iter_bits, mask_of
 from .coloring import CdColoring, make_coloring, solve_per_component, validate_cd_coloring
 from .errors import NotSplitError, PreconditionError
 from .fpt import odd_cycle_transversal, vertex_cover
-from .graph import Graph, split_partition
+from .graph import MAX_VERTICES, Graph, split_partition
 from .partize import DeletionSolution
 
 
@@ -133,6 +133,11 @@ def _bruteforce_set_cover(universe: int, sets: Sequence[frozenset], k: int) -> b
     return False
 
 
+def _require_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
 def generate_from_setcover(
     universe_size: int, sets: Sequence, k: int
 ) -> GeneratedInstance:
@@ -152,6 +157,7 @@ def generate_from_setcover(
         raise PreconditionError("set elements must lie in the universe")
     if not 0 <= k <= m:
         raise PreconditionError("k must lie between 0 and the number of sets")
+    _require_vertex_count(2 * m + universe_size + 3)
     k2 = m - k
     q = k + 1
     pendants = k + k2 + 2
@@ -192,6 +198,7 @@ def generate_from_partization(g: Graph, k: int, q_base: int) -> GeneratedInstanc
         raise PreconditionError("q_base must be 1 or 2")
     if k < 0:
         raise PreconditionError("k must be non-negative")
+    _require_vertex_count(g.n + k + q_base + 3)
     pendants = k + q_base + 2
     base_labels = [str(g.label(v)) for v in range(g.n)]
     labels = base_labels + ["u"] + [f"p{t + 1}" for t in range(pendants)]

@@ -82,11 +82,9 @@ def tds_kernelize(g: Graph, k: int) -> KernelOutcome:
     r_mask = g.full_mask & ~(h_mask | j_mask)
     if r_mask.bit_count() > k * k:
         return KernelOutcome("NO", reason="undominatable remainder: |R| > k^2")
-    nr_mask = 0
+    nr_mask = 0  # |N(R)| <= k|R| <= k^3, as R has no vertex of degree > k
     for v in iter_bits(r_mask):
         nr_mask |= g.adj[v]
-    if (j_mask & nr_mask).bit_count() > k**3:
-        return KernelOutcome("NO", reason="|J ∩ N(R)| exceeds k^3")
     j_star = bit_list(j_mask & ~nr_mask)
     deleted = 0
     for u in j_star:

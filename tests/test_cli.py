@@ -497,6 +497,28 @@ def test_gen_rejects_negative_k(tmp_path, c5, capsys):
         assert not out.exists() and not (tmp_path / "n.dimacs.json").exists()
 
 
+def test_gen_setcover_and_lift_refuse_more_than_max_vertices(tmp_path, c5, capsys):
+    out = tmp_path / "big.dimacs"
+    setcover = ["setcover", "--universe", "70000", "--sets", "1", "--k", "1"]
+    lift = ["lift", c5, "--base", "vc", "--k", "100000000"]
+    for args, count in ((setcover, 70005), (lift, 100000009)):
+        start = time.perf_counter()
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"vertex count {count} exceeds the limit of 65536" in captured.err
+        assert not out.exists() and not (tmp_path / "big.dimacs.json").exists()
+
+
+def test_validate_refuses_a_certificate_that_is_no_json_object(c5, tmp_path, capsys):
+    cert = tmp_path / "list.json"
+    cert.write_text("[]\n")
+    assert main(["validate", c5, str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "certificate must be a JSON object" in captured.err
+
+
 def test_negative_parameters_exit_2_with_a_named_reason(c5, tmp_path, capsys):
     kernel = tmp_path / "kernel.dimacs"
     cases = [

@@ -89,12 +89,29 @@ def test_parse_edgelist_cycle():
         ("e 1 2\n", "dimacs", 1),
         ("1 1\n", "edgelist", 1),
         ("c comment\n1 2 3\n", "edgelist", 2),
+        ("p edge 2 0\np edge 2 0\n", "dimacs", 2),
+        ("p edge 3\n", "dimacs", 1),
+        ("p edge -1 0\n", "dimacs", 1),
+        ("p edge 2 1\ne 1\n", "dimacs", 2),
+        ("p edge 2 1\nx 1 2\n", "dimacs", 2),
+        ("c only a comment\n", "dimacs", None),
+        ("1 x\n", "edgelist", 1),
+        ("0 1\n", "edgelist", 1),
+        ("c only a comment\n", "edgelist", None),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fmt, lineno):
     with pytest.raises(ParseError) as err:
         parse_graph(text, fmt)
     assert err.value.line == lineno
+
+
+@pytest.mark.parametrize(
+    "fmt,reason", [("dimacs", "missing problem line"), ("edgelist", "no edges found")]
+)
+def test_parse_names_what_a_comment_only_file_lacks(fmt, reason):
+    with pytest.raises(ParseError, match=f"^{reason}$"):
+        parse_graph("c only a comment\n\n", fmt)
 
 
 def test_detect_format():

@@ -386,6 +386,24 @@ def test_exact_walk_solves_each_component_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_exact_walk_solves_the_winning_remainder_once(monkeypatch):
+    # one connected component at q = its cd-chromatic number and k = 0:
+    # the walk scores the whole graph and keeps that answer's coloring
+    calls = []
+    solve = exact.cd_chromatic_exact
+
+    def counting(g, cap=exact.DEFAULT_EXACT_CAP, active=None):
+        calls.append(active)
+        return solve(g, cap, active)
+
+    monkeypatch.setattr(exact, "cd_chromatic_exact", counting)
+    lift = generate_from_partization(random_graph(20, 0.4, random.Random(1)), 4, 2).graph
+    sol = partization(lift, 0, 6)
+    assert sol.deleted == 0 and sol.plan == (("Exact", None),)
+    assert calls == [lift.full_mask]
+    check_yes(lift, sol, 0, 6)
+
+
 def test_partization_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -14,7 +14,7 @@ from cdcolor.generate import (
     random_split_graph,
     star_graph,
 )
-from cdcolor.graph import Graph, is_connected, split_partition, to_dimacs
+from cdcolor.graph import MAX_VERTICES, Graph, is_connected, split_partition, to_dimacs
 from cdcolor.partize import (
     partization2,
     partization3,
@@ -115,6 +115,24 @@ def test_split_partization_named():
     assert split_partization(star_graph(3), 0, 2).deleted == 0
     with pytest.raises(NotSplitError):
         split_partization(cycle_graph(4), 1, 2)
+
+
+def test_split_partization_refuses_negative_parameters():
+    assert split_partization(complete_graph(4), -1, 2) is None
+    assert split_partization(complete_graph(4), 1, -1) is None
+
+
+def test_generators_refuse_more_than_max_vertices():
+    # the counts the messages name are the vertex counts of the instances
+    sets = [{1, 2}, {2, 3}, {3}]
+    assert generate_from_setcover(3, sets, 1).graph.n == 2 * len(sets) + 3 + 3
+    assert generate_from_partization(cycle_graph(5), 4, 2).graph.n == 5 + 4 + 2 + 3
+    with pytest.raises(PreconditionError, match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+        generate_from_setcover(MAX_VERTICES - 4, [{1}], 1)
+    with pytest.raises(PreconditionError, match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+        generate_from_partization(cycle_graph(5), MAX_VERTICES - 8, 1)
+    with pytest.raises(PreconditionError, match=f"the limit of {MAX_VERTICES}$"):
+        generate_from_partization(cycle_graph(5), 10**8, 2)
 
 
 def test_split_partization_counts_stranded_singletons():
