@@ -152,13 +152,10 @@ def _cmd_partize(args) -> tuple:
 
 
 def _parse_sets(text: str):
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        out.append({int(x) for x in chunk.split(",")})
-    return out
+    try:
+        return [{int(x) for x in chunk.split(",")} for chunk in text.split(";") if chunk.strip()]
+    except ValueError:
+        raise CdColorError(f"--sets {text!r} must be integer sets such as '1,2;2,3'") from None
 
 
 def _cmd_gen(args) -> int:
@@ -172,6 +169,7 @@ def _cmd_gen(args) -> int:
         g = _load_graph(args.file)
         inst = generate_from_partization(g, args.k, 1 if args.base == "vc" else 2)
     else:  # random
+        _require_non_negative(args, "n")
         if args.n > MAX_VERTICES:
             raise CdColorError(f"--n {args.n} exceeds the limit of {MAX_VERTICES}")
         if not 0 <= args.p <= 1:

@@ -10,11 +10,13 @@ uncarried vertices; each side labeling only opens its own source and
 sink arcs, and a labeling with nothing to separate needs no flow.
 
 The compression also takes a set of undeletable vertices: they never get
-the "delete" label and their cut arc has infinite capacity.  That answers
+the "delete" label and their cut arc has infinite capacity.  It takes two
+side demands too: a labeling that puts a demand vertex on the wrong side
+is skipped, the base two-coloring of the uncarried vertices meets the
+demands, and the demand vertices among them must keep it.  That answers
 both constrained queries exactly, on the graph itself: a transversal
 avoiding one vertex, and one whose residual bipartition puts two demand
-sets on opposite sides, asked with two undeletable adjacent terminals
-joined to the two sets.
+sets on opposite sides.
 
 A subproblem is a vertex mask of the input graph: the routines take an
 optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
@@ -169,13 +171,14 @@ def _min_vertex_cut(net: tuple, sources: int, sinks: int, budget: int) -> Option
 
 
 def _compress(
-    g: Graph, prefix: int, carried: int, undeletable: int, k: int
+    g: Graph, prefix: int, carried: int, undeletable: int, k: int, first: int, second: int
 ) -> Optional[int]:
     """Turn an OCT of ``g[prefix]`` into one of size <= k that avoids
-    ``undeletable``."""
+    ``undeletable`` and leaves surviving ``first`` and ``second`` on
+    sides one and two."""
     members = bit_list(carried)
     rest = prefix & ~carried
-    base = bipartition_within(g, rest)
+    base = bipartition_within(g, rest, first, second)
     assert base is not None
     c1, c2 = base
     net = None  # built when the first labeling needs a flow
@@ -190,8 +193,8 @@ def _compress(
             else:
                 side2 |= 1 << v
         budget = k - deleted.bit_count()
-        if budget < 0:
-            continue
+        if budget < 0 or side1 & second or side2 & first:
+            continue  # over budget, or a demand vertex on the wrong side
         if any(g.adj[v] & side1 for v in iter_bits(side1)):
             continue
         if any(g.adj[v] & side2 for v in iter_bits(side2)):
@@ -203,7 +206,8 @@ def _compress(
             force2 |= g.adj[v]
         force1 &= rest
         force2 &= rest
-        keep0 = (force1 & c1) | (force2 & c2)  # demand: keep base coloring
+        # demand: keep the base coloring, which already meets the side demands
+        keep0 = (force1 & c1) | (force2 & c2) | ((first | second) & rest)
         keep1 = (force1 & c2) | (force2 & c1)  # demand: flip base coloring
         if not keep0 or not keep1:
             return deleted  # nothing to separate
@@ -217,23 +221,26 @@ def _compress(
     return None
 
 
-def _minimalize_oct(g: Graph, oct_mask: int, active: int) -> int:
+def _minimalize_oct(g: Graph, oct_mask: int, active: int, first: int, second: int) -> int:
     """Drop removable vertices, ascending, so the OCT of ``g[active]`` is
     minimal.  One pass suffices: a vertex that cannot leave the
     transversal cannot leave a smaller one, whose remainder is larger."""
     for v in iter_bits(oct_mask):
         cand = oct_mask & ~(1 << v)
-        if bipartition_within(g, active & ~cand) is not None:
+        if bipartition_within(g, active & ~cand, first, second) is not None:
             oct_mask = cand
     return oct_mask
 
 
-def _oct_avoiding(g: Graph, undeletable: int, k: int, active: int) -> Optional[int]:
+def _oct_avoiding(
+    g: Graph, undeletable: int, k: int, active: int, first: int = 0, second: int = 0
+) -> Optional[int]:
     """Minimal odd cycle transversal of ``g[active]`` of size <= k that
-    avoids ``undeletable``."""
+    avoids ``undeletable`` and leaves surviving ``first`` and ``second``
+    on opposite sides."""
     if k < 0:
         return None
-    if bipartition_within(g, active) is not None:
+    if bipartition_within(g, active, first, second) is not None:
         return 0
     x = prefix = 0
     for v in iter_bits(active):
@@ -241,10 +248,10 @@ def _oct_avoiding(g: Graph, undeletable: int, k: int, active: int) -> Optional[i
         prefix |= 1 << v
         # an undeletable vertex must leave the carried set as soon as it joins
         if x.bit_count() > k or x & undeletable:
-            x = _compress(g, prefix, x, undeletable, k)
+            x = _compress(g, prefix, x, undeletable, k, first, second)
             if x is None:
                 return None
-    return _minimalize_oct(g, x, active)
+    return _minimalize_oct(g, x, active, first, second)
 
 
 def _vertex_bit(g: Graph, v: int, active: int) -> int:
@@ -283,27 +290,18 @@ def oct_with_forced_sides(
     whose residual bipartition keeps surviving ``p`` and ``q`` on opposite
     fixed sides.
 
-    Returns ``(oct, (p_side, q_side))``.  The transversal is computed on
-    ``g`` plus two adjacent undeletable terminals P and Q, with P joined
-    to every ``p`` vertex and Q to every ``q`` vertex: once P and Q sit
-    on opposite sides, a bipartition of the rest exists exactly when the
-    demands can be met, so the answer is exact and minimal.
+    Returns ``(oct, (p_side, q_side))``.  The demands enter the
+    compression itself, so the answer is exact and minimal.
     """
     if p_mask & q_mask:
         raise PreconditionError("forced side sets must be disjoint")
+    stray = (p_mask | q_mask) >> g.n
+    if stray:
+        raise PreconditionError(f"forced side vertex {g.n + lowest_bit(stray)} not in the graph")
     if active is None:
         active = g.full_mask
     undeletable = 0 if exclude is None else _vertex_bit(g, exclude, active)
-    P, Q = g.n, g.n + 1
-    adj = [
-        row | (((p_mask >> u) & 1) << P) | (((q_mask >> u) & 1) << Q)
-        for u, row in enumerate(g.adj)
-    ]
-    adj += [p_mask | (1 << Q), q_mask | (1 << P)]
-    terminals = (1 << P) | (1 << Q)
-    found = _oct_avoiding(
-        Graph(g.n + 2, adj), undeletable | terminals, k, active | terminals
-    )
+    found = _oct_avoiding(g, undeletable, k, active, p_mask, q_mask)
     if found is None:
         return None
     sides = bipartition_within(g, active & ~found, p_mask, q_mask)

@@ -2,8 +2,10 @@
 
 Everything here enumerates directly from definitions (subsets,
 partitions, colorings) and never calls the solver paths it is used to
-check.  The one exception is ``type2_by_type1``, Type 2 written the way
-the pattern reads: Type 1 once per retained vertex.  ``star_product`` is
+check.  The two exceptions are ``type2_by_type1``, Type 2 written the
+way the pattern reads: Type 1 once per retained vertex, and
+``forced_sides_via_terminals``, the side-pinned transversal asked of
+the plain one on a graph with two terminals.  ``star_product`` is
 the plain disjoint-union product of two tables that the exact engine's
 ``cover_power`` is checked against, ``random_family_masks`` draws
 the families it multiplies, ``fewer_than`` turns the engine's cover
@@ -31,7 +33,8 @@ from cdcolor.bits import bit_list, iter_bits, lack_masks, mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import cd_chromatic_bruteforce
-from cdcolor.graph import Graph
+from cdcolor.fpt import _oct_avoiding
+from cdcolor.graph import Graph, bipartition_within
 from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
 from cdcolor.tds import TdsCertificate, is_total_dominating
 
@@ -369,6 +372,29 @@ def brute_forced_sides(g: Graph, p_mask: int, q_mask: int, exclude, k: int):
                 s0 = mask_of(v for v in active if side[v] == 0)
                 return removed, (s0, mask_of(active) & ~s0)
     return None
+
+
+def forced_sides_via_terminals(g: Graph, p_mask: int, q_mask: int, exclude, k: int, active=None):
+    """``oct_with_forced_sides`` with no demands passed to the
+    compression: the transversal avoiding ``exclude`` is found on ``g``
+    plus two adjacent undeletable terminals P and Q, P joined to every
+    ``p`` vertex and Q to every ``q`` vertex.  With P and Q on opposite
+    sides, a bipartition of the rest exists exactly when the demands can
+    be met."""
+    if active is None:
+        active = g.full_mask
+    P, Q = g.n, g.n + 1
+    adj = [
+        row | (((p_mask >> u) & 1) << P) | (((q_mask >> u) & 1) << Q)
+        for u, row in enumerate(g.adj)
+    ]
+    adj += [p_mask | (1 << Q), q_mask | (1 << P)]
+    terminals = (1 << P) | (1 << Q)
+    undeletable = terminals | (0 if exclude is None else 1 << exclude)
+    found = _oct_avoiding(Graph(g.n + 2, adj), undeletable, k, active | terminals)
+    if found is None:
+        return None
+    return found, bipartition_within(g, active & ~found, p_mask, q_mask)
 
 
 def _reach(g: Graph, mask: int, start: int) -> int:

@@ -497,6 +497,19 @@ def test_gen_rejects_negative_k(tmp_path, c5, capsys):
         assert not out.exists() and not (tmp_path / "n.dimacs.json").exists()
 
 
+def test_gen_names_the_flag_it_refuses(tmp_path, capsys):
+    out = tmp_path / "bad.dimacs"
+    cases = [
+        (["random", "--n", "-1"], "--n must be non-negative"),
+        (["setcover", "--universe", "3", "--sets", "1,x", "--k", "1"], "--sets '1,x'"),
+    ]
+    for args, reason in cases:
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and reason in captured.err
+        assert not out.exists()
+
+
 def test_gen_setcover_and_lift_refuse_more_than_max_vertices(tmp_path, c5, capsys):
     out = tmp_path / "big.dimacs"
     setcover = ["setcover", "--universe", "70000", "--sets", "1", "--k", "1"]

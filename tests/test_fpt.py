@@ -25,6 +25,7 @@ from _brute import (
     brute_min_separators,
     brute_oct_min,
     brute_vertex_cover_min,
+    forced_sides_via_terminals,
 )
 
 
@@ -159,6 +160,10 @@ def test_forced_sides_trivial_cases():
         oct_with_forced_sides(c4, 0b0001, 0b0010, 4, 1)
     with pytest.raises(PreconditionError):
         oct_excluding(c4, 4, 1)
+    # demand bits past the graph: n, n + 1 and beyond are named, not dropped
+    for p, q, v in ((1 << 4, 0b0010, 4), (0b0001, 1 << 5, 5), (1 << 9 | 1 << 7, 0, 7)):
+        with pytest.raises(PreconditionError, match=f"vertex {v} "):
+            oct_with_forced_sides(c4, p, q, None, 1)
 
 
 def test_forced_sides_c5():
@@ -192,6 +197,35 @@ def test_forced_sides_matches_bruteforce():
                 assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) is not None
                 assert sp | sq == g.full_mask & ~oct_mask
                 assert not sp & sq
+
+
+def test_forced_sides_match_the_terminal_graph_past_the_oracle():
+    # n = 8-14 lies past the exhaustive oracle; the reference asks the plain
+    # transversal on the graph plus two terminals that pin the demands
+    rng = random.Random(367)
+    yes = no = 0
+    for _ in range(1000):
+        n = rng.randint(8, 14)
+        g = random_graph(n, rng.choice([0.2, 0.3, 0.5]), rng)
+        active = rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n)
+        p = rng.getrandbits(n) & rng.getrandbits(n)
+        q = rng.getrandbits(n) & rng.getrandbits(n) & ~p
+        exclude = rng.choice([None, *bit_list(active)])
+        k = rng.randint(0, 3)
+        got = oct_with_forced_sides(g, p, q, exclude, k, active)
+        want = forced_sides_via_terminals(g, p, q, exclude, k, active)
+        assert (got is None) == (want is None), (g.adj, p, q, exclude, k, active)
+        if got is None:
+            no += 1
+            continue
+        yes += 1
+        oct_mask, sides = got
+        assert oct_mask.bit_count() <= k and not oct_mask & ~active
+        assert exclude is None or not (oct_mask >> exclude) & 1
+        assert bipartition_within(g, active & ~oct_mask, p, q) == sides
+        for v in bit_list(oct_mask):  # no vertex can go back
+            assert bipartition_within(g, active & ~oct_mask | 1 << v, p, q) is None
+    assert yes >= 400 and no >= 400, (yes, no)
 
 
 def test_forced_sides_exclude_inside_p():

@@ -605,7 +605,16 @@ def test_type5_deletes_in_both_its_cover_and_transversal_parts(monkeypatch):
         return forced[-1]
 
     monkeypatch.setattr(partize, "oct_with_forced_sides", recording)
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
     sol = partization(g, 2, 3)
+    assert built == []  # the transversal answers on g itself, building no graph
     check_yes(g, sol, 2, 3)
     (name, witness), = sol.plan
     assert name == "Type5" and witness.dominators == (2, 3, 0)
