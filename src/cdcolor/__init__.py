@@ -23,12 +23,7 @@ _EXPORTS = {
         "PreconditionError",
     ),
     "exact": ("cd_chromatic_bruteforce", "cd_chromatic_exact"),
-    "fpt": (
-        "oct_excluding",
-        "oct_with_forced_sides",
-        "odd_cycle_transversal",
-        "vertex_cover",
-    ),
+    "fpt": ("odd_cycle_transversal", "vertex_cover"),
     "graph": (
         "Graph",
         "connected_components",

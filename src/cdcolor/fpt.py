@@ -13,9 +13,10 @@ The compression also takes a set of undeletable vertices: they never get
 the "delete" label and their cut arc has infinite capacity.  It takes two
 side demands too: a labeling that puts a demand vertex on the wrong side
 is skipped, the base two-coloring of the uncarried vertices meets the
-demands, and the demand vertices among them must keep it.  That answers
-both constrained queries exactly, on the graph itself: a transversal
-avoiding one vertex, and one whose residual bipartition puts two demand
+demands, and the demand vertices among them must keep it.  So one
+routine, ``odd_cycle_transversal``, answers all three queries of the
+deletion solvers exactly, on the graph itself: a plain transversal, one
+avoiding a vertex, and one whose residual bipartition puts two demand
 sets on opposite sides.
 
 A subproblem is a vertex mask of the input graph: the routines take an
@@ -29,7 +30,7 @@ and orients each component to meet the demands.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Optional
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .errors import PreconditionError
@@ -232,12 +233,30 @@ def _minimalize_oct(g: Graph, oct_mask: int, active: int, first: int, second: in
     return oct_mask
 
 
-def _oct_avoiding(
-    g: Graph, undeletable: int, k: int, active: int, first: int = 0, second: int = 0
+def odd_cycle_transversal(
+    g: Graph,
+    k: int,
+    active: Optional[int] = None,
+    undeletable: int = 0,
+    first: int = 0,
+    second: int = 0,
 ) -> Optional[int]:
-    """Minimal odd cycle transversal of ``g[active]`` of size <= k that
-    avoids ``undeletable`` and leaves surviving ``first`` and ``second``
-    on opposite sides."""
+    """Minimal odd cycle transversal of ``g[active]`` of size <= k as a
+    mask, or None.  It avoids ``undeletable`` and leaves surviving
+    ``first`` and ``second`` on opposite sides: the compression meets
+    the demands itself, so the answer is exact, and
+    ``bipartition_within(g, active & ~oct, first, second)`` reads the
+    sides."""
+    if first & second:
+        raise PreconditionError("forced side sets must be disjoint")
+    stray = (first | second) >> g.n
+    if stray:
+        raise PreconditionError(f"forced side vertex {g.n + lowest_bit(stray)} not in the graph")
+    if active is None:
+        active = g.full_mask
+    if undeletable & ~active:
+        v = lowest_bit(undeletable & ~active)
+        raise PreconditionError(f"vertex {v} not among the active vertices")
     if k < 0:
         return None
     if bipartition_within(g, active, first, second) is not None:
@@ -252,58 +271,3 @@ def _oct_avoiding(
             if x is None:
                 return None
     return _minimalize_oct(g, x, active, first, second)
-
-
-def _vertex_bit(g: Graph, v: int, active: int) -> int:
-    if not 0 <= v < g.n or not (active >> v) & 1:
-        raise PreconditionError(f"vertex {v} not among the active vertices")
-    return 1 << v
-
-
-def odd_cycle_transversal(
-    g: Graph, k: int, active: Optional[int] = None
-) -> Optional[int]:
-    """Minimal odd cycle transversal of ``g[active]`` of size <= k as a
-    mask, or None."""
-    return _oct_avoiding(g, 0, k, g.full_mask if active is None else active)
-
-
-def oct_excluding(
-    g: Graph, v: int, k: int, active: Optional[int] = None
-) -> Optional[int]:
-    """Minimal odd cycle transversal of ``g[active]`` of size <= k that
-    avoids vertex ``v``."""
-    if active is None:
-        active = g.full_mask
-    return _oct_avoiding(g, _vertex_bit(g, v, active), k, active)
-
-
-def oct_with_forced_sides(
-    g: Graph,
-    p_mask: int,
-    q_mask: int,
-    exclude: Optional[int],
-    k: int,
-    active: Optional[int] = None,
-) -> Optional[Tuple[int, Tuple[int, int]]]:
-    """Minimal OCT of ``g[active]`` of size <= k avoiding ``exclude``
-    whose residual bipartition keeps surviving ``p`` and ``q`` on opposite
-    fixed sides.
-
-    Returns ``(oct, (p_side, q_side))``.  The demands enter the
-    compression itself, so the answer is exact and minimal.
-    """
-    if p_mask & q_mask:
-        raise PreconditionError("forced side sets must be disjoint")
-    stray = (p_mask | q_mask) >> g.n
-    if stray:
-        raise PreconditionError(f"forced side vertex {g.n + lowest_bit(stray)} not in the graph")
-    if active is None:
-        active = g.full_mask
-    undeletable = 0 if exclude is None else _vertex_bit(g, exclude, active)
-    found = _oct_avoiding(g, undeletable, k, active, p_mask, q_mask)
-    if found is None:
-        return None
-    sides = bipartition_within(g, active & ~found, p_mask, q_mask)
-    assert sides is not None
-    return found, sides

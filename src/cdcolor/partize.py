@@ -50,9 +50,7 @@ from .coloring import (
     validate_cd_coloring,
 )
 from .errors import CapacityError
-from .fpt import (
-    oct_excluding, oct_with_forced_sides, odd_cycle_transversal, vertex_cover
-)
+from .fpt import odd_cycle_transversal, vertex_cover
 from .graph import Graph, bipartition_within, iter_components, more_components_than
 
 # The q >= 4 walk's deletion sets times the table bits of g's components,
@@ -310,7 +308,7 @@ def delete_to_type3(
                     no_oct = budget
                     continue
                 has_oct = found.bit_count()
-            s2 = oct_excluding(g, y, budget, b_cand)
+            s2 = odd_cycle_transversal(g, budget, b_cand, 1 << y)
             if s2 is None:
                 continue
             rest = b_cand & ~s2
@@ -403,10 +401,10 @@ def delete_to_type5(
                 b_cand = (1 << z) | ((ax | ay) & ~knockout)
                 p_dem = ((1 << z) | (ay & ~ax & ~az)) & b_cand
                 q_dem = ((ax & ~ay & ~az) | (ax & az & ~ay) | (ax & ay & az)) & b_cand
-                res = oct_with_forced_sides(g, p_dem, q_dem, z, rem - tau, b_cand)
-                if res is None:
+                s2 = odd_cycle_transversal(g, rem - tau, b_cand, 1 << z, p_dem, q_dem)
+                if s2 is None:
                     continue
-                s2, (y_side, x_side) = res
+                y_side, x_side = bipartition_within(g, b_cand & ~s2, p_dem, q_dem)
                 s1 = vertex_cover(g, rem, z_cand)
                 # demand-free vertices of b_cand lie in ax & ay, and
                 # the demands pin the rest

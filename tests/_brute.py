@@ -33,7 +33,7 @@ from cdcolor.bits import bit_list, iter_bits, lack_masks, mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
 from cdcolor.exact import cd_chromatic_bruteforce
-from cdcolor.fpt import _oct_avoiding
+from cdcolor.fpt import odd_cycle_transversal
 from cdcolor.graph import Graph, bipartition_within
 from cdcolor.partize import DeletionSolution, TypeWitness, _type0, delete_to_type1
 from cdcolor.tds import TdsCertificate, is_total_dominating
@@ -375,12 +375,12 @@ def brute_forced_sides(g: Graph, p_mask: int, q_mask: int, exclude, k: int):
 
 
 def forced_sides_via_terminals(g: Graph, p_mask: int, q_mask: int, exclude, k: int, active=None):
-    """``oct_with_forced_sides`` with no demands passed to the
-    compression: the transversal avoiding ``exclude`` is found on ``g``
-    plus two adjacent undeletable terminals P and Q, P joined to every
-    ``p`` vertex and Q to every ``q`` vertex.  With P and Q on opposite
-    sides, a bipartition of the rest exists exactly when the demands can
-    be met."""
+    """The side-pinned ``odd_cycle_transversal`` and its sides, with no
+    demands passed to the compression: the transversal avoiding
+    ``exclude`` is found on ``g`` plus two adjacent undeletable terminals
+    P and Q, P joined to every ``p`` vertex and Q to every ``q`` vertex.
+    With P and Q on opposite sides, a bipartition of the rest exists
+    exactly when the demands can be met."""
     if active is None:
         active = g.full_mask
     P, Q = g.n, g.n + 1
@@ -391,7 +391,7 @@ def forced_sides_via_terminals(g: Graph, p_mask: int, q_mask: int, exclude, k: i
     adj += [p_mask | (1 << Q), q_mask | (1 << P)]
     terminals = (1 << P) | (1 << Q)
     undeletable = terminals | (0 if exclude is None else 1 << exclude)
-    found = _oct_avoiding(Graph(g.n + 2, adj), undeletable, k, active | terminals)
+    found = odd_cycle_transversal(Graph(g.n + 2, adj), k, active | terminals, undeletable)
     if found is None:
         return None
     return found, bipartition_within(g, active & ~found, p_mask, q_mask)

@@ -14,7 +14,7 @@ from cdcolor.bits import bit_list, mask_of
 from cdcolor.cli import main
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
-from cdcolor.fpt import oct_excluding, oct_with_forced_sides
+from cdcolor.fpt import odd_cycle_transversal
 from cdcolor.generate import (
     complete_graph,
     cycle_graph,
@@ -248,7 +248,7 @@ def test_criterion_7_partization():
         for v in range(g.n):
             for k in (0, 1, 2):
                 direct = brute_oct_min(g, k, avoid=v)
-                got = oct_excluding(g, v, k)
+                got = odd_cycle_transversal(g, k, None, 1 << v)
                 assert (got is None) == (direct is None)
     for _ in range(12):
         g = random_graph(rng2.randint(3, 8), 0.5, rng2)
@@ -257,8 +257,9 @@ def test_criterion_7_partization():
         qpool = [v for v in vs if not (p >> v) & 1]
         q = mask_of(rng2.sample(qpool, min(len(qpool), 2)))
         exclude = rng2.choice([None] + vs)
+        undeletable = 0 if exclude is None else 1 << exclude
         for k in (0, 1, 2):
-            got = oct_with_forced_sides(g, p, q, exclude, k)
+            got = odd_cycle_transversal(g, k, None, undeletable, p, q)
             want = brute_forced_sides(g, p, q, exclude, k)
             assert (got is None) == (want is None), (g.adj, p, q, exclude, k)
     report(7, f"partization q=2,3 = oracle on {len(graphs)} graphs x 4 budgets; constrained OCT = oracle")

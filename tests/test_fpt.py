@@ -7,8 +7,6 @@ from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
     _min_vertex_cut,
     _split_network,
-    oct_excluding,
-    oct_with_forced_sides,
     odd_cycle_transversal,
     vertex_cover,
 )
@@ -124,11 +122,11 @@ def test_min_vertex_cut_matches_bruteforce():
 
 
 def test_oct_excluding_examples():
-    got = oct_excluding(complete_graph(3), 0, 1)
+    got = odd_cycle_transversal(complete_graph(3), 1, None, 1 << 0)
     assert got.bit_count() == 1 and not got & 1
-    got = oct_excluding(cycle_graph(5), 2, 1)
+    got = odd_cycle_transversal(cycle_graph(5), 1, None, 1 << 2)
     assert got.bit_count() == 1 and not (got >> 2) & 1
-    assert oct_excluding(cycle_graph(4), 0, 0) == 0
+    assert odd_cycle_transversal(cycle_graph(4), 0, None, 1 << 0) == 0
 
 
 def test_oct_excluding_matches_bruteforce():
@@ -137,7 +135,7 @@ def test_oct_excluding_matches_bruteforce():
         g = random_graph(rng.randint(2, 7), rng.choice([0.4, 0.7]), rng)
         v = rng.randrange(g.n)
         for k in (0, 1, 2, 3):
-            got = oct_excluding(g, v, k)
+            got = odd_cycle_transversal(g, k, None, 1 << v)
             want = brute_oct_min(g, k, avoid=v)
             assert (got is None) == (want is None)
             if got is not None:
@@ -147,29 +145,28 @@ def test_oct_excluding_matches_bruteforce():
 
 
 def test_forced_sides_trivial_cases():
-    res = oct_with_forced_sides(path_graph(2), 0b01, 0b10, None, 0)
-    assert res == (0, (0b01, 0b10))
+    p2 = path_graph(2)
+    assert odd_cycle_transversal(p2, 0, first=0b01, second=0b10) == 0
+    assert bipartition_within(p2, p2.full_mask, 0b01, 0b10) == (0b01, 0b10)
     c4 = cycle_graph(4)
-    res = oct_with_forced_sides(c4, 0b0001, 0b0010, None, 0)
-    assert res is not None and res[0] == 0
-    p_side, q_side = res[1]
+    assert odd_cycle_transversal(c4, 0, first=0b0001, second=0b0010) == 0
+    p_side, q_side = bipartition_within(c4, c4.full_mask, 0b0001, 0b0010)
     assert p_side == 0b0101 and q_side == 0b1010
     with pytest.raises(PreconditionError):
-        oct_with_forced_sides(c4, 0b0001, 0b0001, None, 1)
+        odd_cycle_transversal(c4, 1, first=0b0001, second=0b0001)
     with pytest.raises(PreconditionError):
-        oct_with_forced_sides(c4, 0b0001, 0b0010, 4, 1)
+        odd_cycle_transversal(c4, 1, None, 1 << 4, 0b0001, 0b0010)
     with pytest.raises(PreconditionError):
-        oct_excluding(c4, 4, 1)
+        odd_cycle_transversal(c4, 1, None, 1 << 4)
     # demand bits past the graph: n, n + 1 and beyond are named, not dropped
     for p, q, v in ((1 << 4, 0b0010, 4), (0b0001, 1 << 5, 5), (1 << 9 | 1 << 7, 0, 7)):
         with pytest.raises(PreconditionError, match=f"vertex {v} "):
-            oct_with_forced_sides(c4, p, q, None, 1)
+            odd_cycle_transversal(c4, 1, first=p, second=q)
 
 
 def test_forced_sides_c5():
-    res = oct_with_forced_sides(cycle_graph(5), 0b00001, 0b00010, None, 1)
-    assert res is not None
-    oct_mask, (p_side, q_side) = res
+    oct_mask = odd_cycle_transversal(cycle_graph(5), 1, first=0b00001, second=0b00010)
+    assert oct_mask is not None
     assert oct_mask.bit_count() <= 1
     g = cycle_graph(5)
     check = bipartition_within(g, g.full_mask & ~oct_mask, 0b00001, 0b00010)
@@ -185,16 +182,18 @@ def test_forced_sides_matches_bruteforce():
         q_pool = [v for v in vs if not (p >> v) & 1]
         q = mask_of(rng.sample(q_pool, min(len(q_pool), rng.randint(0, 2))))
         exclude = rng.choice([None] + vs)
+        undeletable = 0 if exclude is None else 1 << exclude
         for k in (0, 1, 2):
-            got = oct_with_forced_sides(g, p, q, exclude, k)
+            oct_mask = odd_cycle_transversal(g, k, None, undeletable, p, q)
             want = brute_forced_sides(g, p, q, exclude, k)
-            assert (got is None) == (want is None), (g.adj, p, q, exclude, k)
-            if got is not None:
-                oct_mask, (sp, sq) = got
+            assert (oct_mask is None) == (want is None), (g.adj, p, q, exclude, k)
+            if oct_mask is not None:
                 assert oct_mask.bit_count() <= k
                 if exclude is not None:
                     assert not (oct_mask >> exclude) & 1
-                assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) is not None
+                sides = bipartition_within(g, g.full_mask & ~oct_mask, p, q)
+                assert sides is not None
+                sp, sq = sides
                 assert sp | sq == g.full_mask & ~oct_mask
                 assert not sp & sq
 
@@ -211,18 +210,18 @@ def test_forced_sides_match_the_terminal_graph_past_the_oracle():
         p = rng.getrandbits(n) & rng.getrandbits(n)
         q = rng.getrandbits(n) & rng.getrandbits(n) & ~p
         exclude = rng.choice([None, *bit_list(active)])
+        undeletable = 0 if exclude is None else 1 << exclude
         k = rng.randint(0, 3)
-        got = oct_with_forced_sides(g, p, q, exclude, k, active)
+        oct_mask = odd_cycle_transversal(g, k, active, undeletable, p, q)
         want = forced_sides_via_terminals(g, p, q, exclude, k, active)
-        assert (got is None) == (want is None), (g.adj, p, q, exclude, k, active)
-        if got is None:
+        assert (oct_mask is None) == (want is None), (g.adj, p, q, exclude, k, active)
+        if oct_mask is None:
             no += 1
             continue
         yes += 1
-        oct_mask, sides = got
         assert oct_mask.bit_count() <= k and not oct_mask & ~active
         assert exclude is None or not (oct_mask >> exclude) & 1
-        assert bipartition_within(g, active & ~oct_mask, p, q) == sides
+        assert bipartition_within(g, active & ~oct_mask, p, q) is not None
         for v in bit_list(oct_mask):  # no vertex can go back
             assert bipartition_within(g, active & ~oct_mask | 1 << v, p, q) is None
     assert yes >= 400 and no >= 400, (yes, no)
@@ -231,9 +230,9 @@ def test_forced_sides_match_the_terminal_graph_past_the_oracle():
 def test_forced_sides_exclude_inside_p():
     # pinning the excluded vertex itself: survivors still orient around it
     g = cycle_graph(5)
-    res = oct_with_forced_sides(g, 0b00001, 0b00010, 0, 1)
-    assert res is not None
-    oct_mask, (sp, sq) = res
+    oct_mask = odd_cycle_transversal(g, 1, None, 1 << 0, 0b00001, 0b00010)
+    assert oct_mask is not None
+    sp, sq = bipartition_within(g, g.full_mask & ~oct_mask, 0b00001, 0b00010)
     assert not oct_mask & 1
     assert (sp >> 0) & 1  # the pinned excluded vertex survives on the p side
     assert not (sq & 0b00001) and not (sp & 0b00010 & ~oct_mask)
@@ -242,13 +241,12 @@ def test_forced_sides_exclude_inside_p():
     g = Graph(5, (8, 20, 26, 21, 14))
     p, q = 0b01100, 0b00011
     for k in (0, 1):
-        assert oct_with_forced_sides(g, p, q, 1, k) is None
+        assert odd_cycle_transversal(g, k, None, 1 << 1, p, q) is None
         assert brute_forced_sides(g, p, q, 1, k) is None
-    res = oct_with_forced_sides(g, p, q, 1, 2)
-    assert res is not None and brute_forced_sides(g, p, q, 1, 2) is not None
-    oct_mask, sides = res
+    oct_mask = odd_cycle_transversal(g, 2, None, 1 << 1, p, q)
+    assert oct_mask is not None and brute_forced_sides(g, p, q, 1, 2) is not None
     assert oct_mask.bit_count() <= 2 and not (oct_mask >> 1) & 1
-    assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) == sides
+    assert bipartition_within(g, g.full_mask & ~oct_mask, p, q) is not None
 
 
 def test_bipartition_within_demands_clash_inside_a_component():

@@ -17,12 +17,7 @@ from cdcolor.bits import iter_bits, mask_of
 from cdcolor.coloring import CdColoring, solve_per_component, validate_cd_coloring
 from cdcolor.errors import PreconditionError
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
-from cdcolor.fpt import (
-    oct_excluding,
-    oct_with_forced_sides,
-    odd_cycle_transversal,
-    vertex_cover,
-)
+from cdcolor.fpt import odd_cycle_transversal, vertex_cover
 from cdcolor.generate import (
     cycle_graph,
     disjoint_union,
@@ -92,8 +87,8 @@ def test_vertex_cover_and_oct_on_masks():
             None if found is None else back(ids, found)
         )
         v = rng.choice(ids)
-        found = oct_excluding(sub, ids.index(v), k)
-        assert oct_excluding(g, v, k, active) == (
+        found = odd_cycle_transversal(sub, k, None, 1 << ids.index(v))
+        assert odd_cycle_transversal(g, k, active, 1 << v) == (
             None if found is None else back(ids, found)
         )
 
@@ -135,15 +130,16 @@ def test_oct_with_forced_sides_on_masks():
             p |= (side == 1) << v
             q |= (side == 2) << v
         z = rng.choice(ids + [None])
-        got = oct_with_forced_sides(g, p, q, z, k, active)
-        res = oct_with_forced_sides(
-            sub, local(ids, p), local(ids, q), None if z is None else ids.index(z), k
-        )
-        if res is None:
+        undeletable = 0 if z is None else 1 << z
+        got = odd_cycle_transversal(g, k, active, undeletable, p, q)
+        sub_p, sub_q = local(ids, p), local(ids, q)
+        found = odd_cycle_transversal(sub, k, None, local(ids, undeletable), sub_p, sub_q)
+        if found is None:
             assert got is None
         else:
-            found, (a, b) = res
-            assert got == (back(ids, found), (back(ids, a), back(ids, b)))
+            a, b = bipartition_within(sub, sub.full_mask & ~found, sub_p, sub_q)
+            assert got == back(ids, found)
+            assert bipartition_within(g, active & ~got, p, q) == (back(ids, a), back(ids, b))
 
 
 @pytest.mark.parametrize("t", range(1, 6))
@@ -242,9 +238,9 @@ def test_excluded_vertex_outside_active_is_rejected():
     active = 0b011110
     for v in (0, 5):
         with pytest.raises(PreconditionError):
-            oct_excluding(g, v, 2, active)
+            odd_cycle_transversal(g, 2, active, 1 << v)
         with pytest.raises(PreconditionError):
-            oct_with_forced_sides(g, 0, 0, v, 2, active)
+            odd_cycle_transversal(g, 2, active, 1 << v, 0b000010, 0b000100)
 
 
 def test_min_tds_on_masks():

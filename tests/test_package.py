@@ -27,8 +27,8 @@ PUBLIC = [
     "connected_components", "delete_to_type1",
     "delete_to_type2", "delete_to_type3", "delete_to_type4", "delete_to_type5",
     "generate_from_partization", "generate_from_setcover", "girth",
-    "is_total_dominating", "kernel_size_bound", "oct_excluding",
-    "oct_with_forced_sides", "odd_cycle_transversal", "parse_graph",
+    "is_total_dominating", "kernel_size_bound", "odd_cycle_transversal",
+    "parse_graph",
     "partization", "partization2", "partization3",
     "split_partition", "split_partization", "tds_kernelize", "tds_solve",
     "to_dimacs", "validate_cd_coloring", "validate_deletion", "vertex_cover",

@@ -26,7 +26,6 @@ from cdcolor.partize import (
     delete_to_type3,
     delete_to_type4,
     delete_to_type5,
-    oct_excluding,
     partization,
     partization2,
     partization3,
@@ -119,16 +118,37 @@ def test_type3_skips_oct_excluding_when_no_transversal_fits(monkeypatch):
     passes the vertex cover step holds a K7, which has no odd cycle
     transversal of size 2, so no y-avoiding one is ever asked for."""
     calls = []
+    solve = partize.odd_cycle_transversal
 
-    def counted(*args):
-        calls.append(args)
-        return oct_excluding(*args)
+    def counted(g, k, active=None, undeletable=0, *demands):
+        if undeletable:
+            calls.append((k, active, undeletable))
+        return solve(g, k, active, undeletable, *demands)
 
-    monkeypatch.setattr(partize, "oct_excluding", counted)
+    monkeypatch.setattr(partize, "odd_cycle_transversal", counted)
     inst = generate_from_partization(complete_graph(7), 2, 2)
     assert inst.expected is False
     assert partization3(inst.graph, 2) is None
     assert calls == []
+
+
+# Type 3 at (x, y) = (2, 4) deletes 5, a vertex of N(2), by the
+# y-avoiding transversal of the bipartite part
+TYPE3_TRANSVERSAL = [
+    (0, 2), (0, 7), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (3, 4),
+    (3, 5), (4, 5), (4, 6), (4, 7), (5, 6), (5, 8),
+]
+
+
+def test_type3_deletes_inside_the_neighborhood_of_x():
+    g = Graph.from_edges(9, TYPE3_TRANSVERSAL)
+    sol = partization(g, 1, 3)
+    check_yes(g, sol, 1, 3)
+    (name, witness), = sol.plan
+    assert name == "Type3" and witness.dominators == (2, 4)
+    assert sol.deleted == 1 << 5 and (g.adj[2] >> 5) & 1
+    assert partization_bruteforce(g, 1, 3) is not None
+    assert partization_bruteforce(g, 0, 3) is None
 
 
 def test_type4_k3_and_net():
@@ -598,13 +618,15 @@ TYPE5_BOTH_PARTS = [
 def test_type5_deletes_in_both_its_cover_and_transversal_parts(monkeypatch):
     g = Graph.from_edges(9, TYPE5_BOTH_PARTS)
     forced = []
-    solve = partize.oct_with_forced_sides
+    solve = partize.odd_cycle_transversal
 
-    def recording(*args):
-        forced.append(solve(*args))
-        return forced[-1]
+    def recording(g, k, active=None, undeletable=0, first=0, second=0):
+        found = solve(g, k, active, undeletable, first, second)
+        if first | second:
+            forced.append(found)
+        return found
 
-    monkeypatch.setattr(partize, "oct_with_forced_sides", recording)
+    monkeypatch.setattr(partize, "odd_cycle_transversal", recording)
     built = []
     init = Graph.__init__
 
@@ -621,6 +643,6 @@ def test_type5_deletes_in_both_its_cover_and_transversal_parts(monkeypatch):
     x, y, z = witness.dominators
     z_part = g.adj[z] & ~(g.closed(x) | g.closed(y))
     assert sol.deleted & z_part == 1 << 8
-    assert forced[-1][0] == 1 << 1 == sol.deleted & ~z_part
+    assert forced[-1] == 1 << 1 == sol.deleted & ~z_part
     assert partization_bruteforce(g, 2, 3) is not None
     assert partization_bruteforce(g, 1, 3) is None
