@@ -160,10 +160,12 @@ def _parse_sets(text: str):
 
 def _cmd_gen(args) -> int:
     if args.kind == "setcover":
+        _require_non_negative(args, "k")
         from .split import generate_from_setcover
 
         inst = generate_from_setcover(args.universe, _parse_sets(args.sets), args.k)
     elif args.kind == "lift":
+        _require_non_negative(args, "k")
         from .split import generate_from_partization
 
         g = _load_graph(args.file)

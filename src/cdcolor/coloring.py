@@ -56,13 +56,6 @@ class CdColoring(NamedTuple):
     def q(self) -> int:
         return len(self.classes)
 
-    def relabeled(self, mapping: Sequence[int]) -> "CdColoring":
-        """Apply a vertex renaming (index -> mapping[index])."""
-        return CdColoring(
-            tuple(tuple(mapping[v] for v in cls) for cls in self.classes),
-            tuple(mapping[d] for d in self.dominators),
-        )
-
     def to_payload(self, g: Graph) -> dict:
         """JSON-shaped certificate using the graph's vertex labels."""
         return {

@@ -1,4 +1,4 @@
-"""Named graph families and seeded random instance builders.
+"""Seeded random instance builders and the disjoint union of graphs.
 
 Every random builder takes an explicit :class:`random.Random` so that a
 fixed seed reproduces instances byte for byte.
@@ -11,44 +11,6 @@ from typing import List, Tuple
 
 from .bits import iter_bits
 from .graph import Graph, connected_components
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Star with the center at vertex 0."""
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
-
-
-def net_graph() -> Graph:
-    """Triangle with one pendant vertex hanging off each corner."""
-    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-
-
-def complete_split_graph(clique: int, independent: int) -> Graph:
-    """Clique fully joined to an independent set."""
-    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
-    edges += [(u, clique + w) for u in range(clique) for w in range(independent)]
-    return Graph.from_edges(clique + independent, edges)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -76,9 +76,6 @@ class Graph:
         """Closed neighborhood mask of ``u`` (neighbors plus ``u``)."""
         return self.adj[u] | (1 << u)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def edges(self) -> List[Tuple[int, int]]:
         """All edges ``(u, v)`` with ``u < v`` in lexicographic order."""
         out = []
@@ -90,10 +87,8 @@ class Graph:
     def label(self, v: int):
         return self.labels[v] if self.labels is not None else v
 
-    def label_list(self, mask_or_vertices) -> list:
-        if isinstance(mask_or_vertices, int):
-            mask_or_vertices = bit_list(mask_or_vertices)
-        return [self.label(v) for v in mask_or_vertices]
+    def label_list(self, mask: int) -> list:
+        return [self.label(v) for v in iter_bits(mask)]
 
     def induced(self, mask: int) -> Tuple["Graph", List[int]]:
         """Induced subgraph on ``mask`` with the old vertex ids; ``self`` on the full mask."""
@@ -306,10 +301,6 @@ def more_components_than(g: Graph, active: int, count: int) -> bool:
     """Whether ``g[active]`` has more than ``count`` components; stops
     after walking ``count + 1`` of them."""
     return next(islice(iter_components(g, active), count, None), None) is not None
-
-
-def is_connected(g: Graph) -> bool:
-    return not more_components_than(g, g.full_mask, 1)
 
 
 # -- cycles and colorings ----------------------------------------------------

@@ -96,7 +96,7 @@ def brute_max_clique(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):
         for combo in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+            if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)):
                 return size
     return best
 
@@ -106,7 +106,7 @@ def brute_split_partition_exists(g: Graph) -> bool:
         clique = mask_of(combo)
         rest = g.full_mask & ~clique
         if all(
-            g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)
+            g.adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)
         ) and is_independent(g, rest):
             return True
     return False

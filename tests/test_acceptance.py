@@ -16,19 +16,13 @@ from cdcolor.coloring import validate_cd_coloring
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.fpt import odd_cycle_transversal
 from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
     disjoint_union,
-    net_graph,
-    path_graph,
-    petersen_graph,
     random_connected_graph,
     random_girth5_graph,
     random_graph,
     random_split_graph,
-    star_graph,
 )
-from cdcolor.graph import Graph, girth, is_connected, split_partition
+from cdcolor.graph import Graph, girth, split_partition
 from cdcolor.partize import (
     cd_recognize_upto3,
     partization2,
@@ -58,6 +52,15 @@ from _brute import (
     random_family_masks,
     star_product,
     tds_bruteforce,
+)
+from _shapes import (
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    net_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
 )
 
 GiB = 1 << 30

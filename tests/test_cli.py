@@ -8,8 +8,9 @@ import pytest
 from cdcolor import tds
 from cdcolor.cli import main
 from cdcolor.exact import DEFAULT_EXACT_CAP
-from cdcolor.generate import complete_graph, cycle_graph, path_graph, petersen_graph
 from cdcolor.graph import Graph, parse_graph, to_dimacs
+
+from _shapes import complete_graph, cycle_graph, path_graph, petersen_graph
 
 
 def write_graph(tmp_path, name, g):
@@ -502,6 +503,15 @@ def test_gen_names_the_flag_it_refuses(tmp_path, capsys):
     cases = [
         (["random", "--n", "-1"], "--n must be non-negative"),
         (["setcover", "--universe", "3", "--sets", "1,x", "--k", "1"], "--sets '1,x'"),
+        (
+            ["setcover", "--universe", "3", "--sets", "1,2;2,3", "--k", "-1"],
+            "--k must be non-negative",
+        ),
+        # the file is absent: --k is refused before any file is read
+        (
+            ["lift", str(tmp_path / "absent.dimacs"), "--base", "vc", "--k", "-1"],
+            "--k must be non-negative",
+        ),
     ]
     for args, reason in cases:
         assert main(["gen", *args, "--out", str(out)]) == 2

@@ -10,15 +10,12 @@ import random
 
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.exact import cd_chromatic_exact
-from cdcolor.generate import (
-    complete_split_graph,
-    petersen_graph,
-    random_girth5_graph,
-    random_split_graph,
-)
-from cdcolor.graph import is_connected, split_partition
+from cdcolor.generate import random_girth5_graph, random_split_graph
+from cdcolor.graph import split_partition
 from cdcolor.split import cd_chromatic_split
 from cdcolor.tds import cd_chromatic_girth5
+
+from _shapes import complete_split_graph, is_connected, petersen_graph
 
 
 def test_exact_agrees_with_girth5_route_midsize():

@@ -16,16 +16,7 @@ from cdcolor.exact import (
     cover_cuts,
     cover_power,
 )
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    petersen_graph,
-    random_connected_graph,
-    random_graph,
-    star_graph,
-)
+from cdcolor.generate import disjoint_union, random_connected_graph, random_graph
 from cdcolor.graph import Graph
 from cdcolor.split import generate_from_partization
 
@@ -39,6 +30,7 @@ from _brute import (
     random_family_masks,
     star_product,
 )
+from _shapes import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
 
 def family_of(g):

@@ -10,12 +10,7 @@ from cdcolor.fpt import (
     odd_cycle_transversal,
     vertex_cover,
 )
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_graph,
-)
+from cdcolor.generate import random_graph
 from cdcolor.graph import Graph, bipartition_within
 
 from _brute import (
@@ -25,6 +20,7 @@ from _brute import (
     brute_vertex_cover_min,
     forced_sides_via_terminals,
 )
+from _shapes import complete_graph, cycle_graph, path_graph
 
 
 def is_vertex_cover(g, mask):

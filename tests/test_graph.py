@@ -6,16 +6,7 @@ import pytest
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.errors import ParseError
 from cdcolor.exact import cd_chromatic_exact
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    petersen_graph,
-    random_graph,
-    random_split_graph,
-    star_graph,
-)
+from cdcolor.generate import disjoint_union, random_graph, random_split_graph
 from cdcolor.graph import (
     MAX_VERTICES,
     Graph,
@@ -36,6 +27,7 @@ from _brute import (
     brute_split_partition_exists,
     is_independent,
 )
+from _shapes import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
 
 def test_parse_dimacs_triangle():

@@ -19,14 +19,11 @@ from cdcolor.errors import PreconditionError
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
 from cdcolor.fpt import odd_cycle_transversal, vertex_cover
 from cdcolor.generate import (
-    cycle_graph,
     disjoint_union,
-    path_graph,
     random_connected_graph,
     random_girth5_graph,
     random_graph,
     random_split_graph,
-    star_graph,
 )
 from cdcolor.graph import (
     Graph,
@@ -40,6 +37,7 @@ from cdcolor.split import cd_chromatic_split, split_partization
 from cdcolor.tds import _min_tds, cd_chromatic_girth5, tds_kernelize, tds_solve
 
 from _brute import brute_is_bipartite, partization_bruteforce
+from _shapes import cycle_graph, path_graph, relabeled, star_graph
 
 
 def random_instances(count, seed):
@@ -60,7 +58,7 @@ def local(ids, mask):
 
 
 def mapped_witness(ids, w):
-    return w.type_id, tuple(ids[d] for d in w.dominators), w.coloring.relabeled(ids)
+    return w.type_id, tuple(ids[d] for d in w.dominators), relabeled(w.coloring, ids)
 
 
 def witness_key(w):
@@ -73,7 +71,7 @@ def solution_key(sol, ids=None):
     if ids is None:
         return sol.deleted, [(n, witness_key(w)) for n, w in sol.plan], sol.coloring
     plan = [(name, mapped_witness(ids, w)) for name, w in sol.plan]
-    return back(ids, sol.deleted), plan, sol.coloring.relabeled(ids)
+    return back(ids, sol.deleted), plan, relabeled(sol.coloring, ids)
 
 
 def test_vertex_cover_and_oct_on_masks():
@@ -219,7 +217,7 @@ def test_validation_on_masks():
     valid = 0
     for rng, g, active in random_instances(300, 76):
         sub, ids = g.induced(active)
-        coloring = tampered(rng, cd_chromatic_exact(sub)[1].relabeled(ids), g.n)
+        coloring = tampered(rng, relabeled(cd_chromatic_exact(sub)[1], ids), g.n)
         pos = {old: new for new, old in enumerate(ids)}
         # a vertex outside the mask becomes an out-of-range id of the copy
         copy = CdColoring(
@@ -320,14 +318,14 @@ def test_bruteforce_oracle_on_masks():
     for _, g, active in random_instances(200, 83):
         sub, ids = g.induced(active)
         q, coloring = cd_chromatic_bruteforce(sub, 10)
-        assert cd_chromatic_bruteforce(g, 10, active) == (q, coloring.relabeled(ids))
+        assert cd_chromatic_bruteforce(g, 10, active) == (q, relabeled(coloring, ids))
 
 
 def test_exact_engine_on_masks():
     for _, g, active in random_instances(200, 89):
         sub, ids = g.induced(active)
         q, coloring = cd_chromatic_exact(sub)
-        assert cd_chromatic_exact(g, active=active) == (q, coloring.relabeled(ids))
+        assert cd_chromatic_exact(g, active=active) == (q, relabeled(coloring, ids))
 
 
 def test_oracles_and_split_route_build_no_graph(monkeypatch):

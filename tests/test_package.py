@@ -12,11 +12,12 @@ import pytest
 import cdcolor
 from cdcolor.cli import main
 from cdcolor.coloring import CdColoring, ValidationReport
-from cdcolor.generate import cycle_graph, path_graph
 from cdcolor.graph import Graph, to_dimacs
 from cdcolor.partize import DeletionSolution, TypeWitness
 from cdcolor.split import GeneratedInstance
 from cdcolor.tds import KernelOutcome, TdsCertificate
+
+from _shapes import cycle_graph, path_graph
 
 PUBLIC = [
     "CapacityError", "CdColorError", "CdColoring", "DeletionSolution",
@@ -63,6 +64,53 @@ def test_every_module_level_import_is_used():
             for alias in stmt.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 assert name in used, f"{path.name} never uses its import {name}"
+
+
+# Definitions that nothing in src/ calls, kept for their callers outside it.
+# A name leaves this list when its last such caller goes: the bench-only two
+# with ROADMAP item 2's bench change.
+CALLED_FROM_OUTSIDE_SRC = {
+    # bench/cli_mix.py, and the CI step "Deletion for q = 4 solves each
+    # component once"
+    "disjoint_union",
+    "weight_masks",  # bench/layers.py
+    "Graph.without",  # bench/cli_mix.py
+}
+
+
+def test_src_defines_only_what_src_reaches():
+    """Each top-level function or class of src/cdcolor, and each method of
+    such a class, is referenced somewhere in src/cdcolor: by a name, an
+    attribute or a string (so ``_EXPORTS`` entries count). Test-only code
+    lives in tests/_shapes.py and tests/_brute.py instead."""
+    defined, referenced = set(), set()
+    for path in sorted(Path(SRC, "cdcolor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined.update(
+                    (f"{stmt.name}.{item.name}", item.name)
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unreached = {
+        qualname
+        for qualname, name in defined
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    }
+    extra = sorted(unreached - CALLED_FROM_OUTSIDE_SRC)
+    assert not extra, f"src/cdcolor defines, but never references: {extra}"
+    stale = sorted(CALLED_FROM_OUTSIDE_SRC - unreached)
+    assert not stale, f"gone from src/cdcolor, or referenced there now: {stale}"
 
 
 def test_unknown_name_raises():

@@ -9,15 +9,7 @@ from cdcolor.bits import mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
 from cdcolor.fpt import odd_cycle_transversal
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    net_graph,
-    path_graph,
-    random_graph,
-    star_graph,
-)
+from cdcolor.generate import disjoint_union, random_graph
 from cdcolor.graph import Graph, parse_graph
 from cdcolor.partize import (
     DeletionSolution,
@@ -34,6 +26,7 @@ from cdcolor.partize import (
 from cdcolor.split import generate_from_partization
 
 from _brute import PARTIZATION_BRUTE_N_CAP, partization_bruteforce, type2_by_type1
+from _shapes import complete_graph, cycle_graph, net_graph, path_graph, star_graph
 
 
 def check_yes(g, sol, k, q):

@@ -2,19 +2,19 @@ import random
 
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    net_graph,
-    path_graph,
-    random_connected_graph,
-    random_graph,
-    star_graph,
-)
-from cdcolor.graph import Graph, is_connected
+from cdcolor.generate import disjoint_union, random_connected_graph, random_graph
+from cdcolor.graph import Graph
 from cdcolor.partize import _TYPE_SOLVERS, _type0, cd_recognize_upto3
 from cdcolor.split import generate_from_partization
+
+from _shapes import (
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    net_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def connected_corpus(count, n_lo, n_hi, seed):

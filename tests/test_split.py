@@ -6,15 +6,8 @@ import pytest
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.errors import NotSplitError, PreconditionError
 from cdcolor.exact import cd_chromatic_bruteforce
-from cdcolor.generate import (
-    complete_graph,
-    complete_split_graph,
-    cycle_graph,
-    disjoint_union,
-    random_split_graph,
-    star_graph,
-)
-from cdcolor.graph import MAX_VERTICES, Graph, is_connected, split_partition, to_dimacs
+from cdcolor.generate import disjoint_union, random_split_graph
+from cdcolor.graph import MAX_VERTICES, Graph, split_partition, to_dimacs
 from cdcolor.partize import (
     partization2,
     partization3,
@@ -28,6 +21,13 @@ from cdcolor.split import (
 )
 
 from _brute import brute_oct_min, brute_vertex_cover_min, partization_bruteforce
+from _shapes import (
+    complete_graph,
+    complete_split_graph,
+    cycle_graph,
+    is_connected,
+    star_graph,
+)
 
 
 def test_split_coloring_named():

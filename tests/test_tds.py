@@ -10,16 +10,8 @@ from cdcolor.bits import bit_list, mask_of
 from cdcolor.coloring import validate_cd_coloring
 from cdcolor.errors import CapacityError, PreconditionError
 from cdcolor.exact import cd_chromatic_bruteforce, cd_chromatic_exact
-from cdcolor.generate import (
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    petersen_graph,
-    random_girth5_graph,
-    star_graph,
-)
-from cdcolor.graph import Graph, girth, is_connected, to_dimacs
+from cdcolor.generate import disjoint_union, random_girth5_graph
+from cdcolor.graph import Graph, girth, to_dimacs
 from cdcolor.tds import (
     TdsCertificate,
     _coloring_from_set,
@@ -37,6 +29,14 @@ from _brute import (
     greedy_tds_rescoring,
     tds_bruteforce,
     tree_total_domination,
+)
+from _shapes import (
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+    petersen_graph,
+    star_graph,
 )
 
 
