@@ -160,10 +160,18 @@ def _parse_sets(text: str):
 
 def _cmd_gen(args) -> int:
     if args.kind == "setcover":
-        _require_non_negative(args, "k")
+        _require_non_negative(args, "universe", "k")
+        sets = _parse_sets(args.sets)
+        if args.k > len(sets):
+            raise CdColorError(f"--k {args.k} exceeds the {len(sets)} sets of --sets")
+        stray = sorted(x for s in sets for x in s if not 1 <= x <= args.universe)
+        if stray:
+            raise CdColorError(
+                f"--sets element {stray[0]} lies outside 1..{args.universe} (--universe)"
+            )
         from .split import generate_from_setcover
 
-        inst = generate_from_setcover(args.universe, _parse_sets(args.sets), args.k)
+        inst = generate_from_setcover(args.universe, sets, args.k)
     elif args.kind == "lift":
         _require_non_negative(args, "k")
         from .split import generate_from_partization

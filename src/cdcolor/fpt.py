@@ -17,7 +17,10 @@ demands, and the demand vertices among them must keep it.  So one
 routine, ``odd_cycle_transversal``, answers all three queries of the
 deletion solvers exactly, on the graph itself: a plain transversal, one
 avoiding a vertex, and one whose residual bipartition puts two demand
-sets on opposite sides.
+sets on opposite sides.  A plain query first packs vertex-disjoint
+triangles greedily (``disjoint_triangles``): a transversal meets each,
+so more than k of them answer NO before any compression.  Constrained
+queries skip the count, as the deletion solvers repeat them on one set.
 
 A subproblem is a vertex mask of the input graph: the routines take an
 optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
@@ -85,6 +88,26 @@ def vertex_cover(g: Graph, k: int, active: Optional[int] = None) -> Optional[int
 
 
 # -- odd cycle transversal -----------------------------------------------------
+
+
+def disjoint_triangles(g: Graph, active: int, limit: int) -> list[int]:
+    """Vertex-disjoint triangles of ``g[active]`` as masks, taken greedily
+    in ascending vertex order, stopping at ``limit`` of them.  Every odd
+    cycle transversal of ``g[active]`` meets each, so their count is a
+    lower bound on its size."""
+    found = []
+    free = active
+    while free and len(found) < limit:
+        v = lowest_bit(free)
+        free &= ~(1 << v)  # in no triangle of the shrinking free set later either
+        nbrs = g.adj[v] & free
+        for u in iter_bits(nbrs):
+            common = nbrs & g.adj[u]
+            if common:
+                found.append((1 << v) | (1 << u) | (common & -common))
+                free &= ~found[-1]
+                break
+    return found
 
 
 _INF = 1 << 20
@@ -261,6 +284,8 @@ def odd_cycle_transversal(
         return None
     if bipartition_within(g, active, first, second) is not None:
         return 0
+    if not undeletable | first | second and len(disjoint_triangles(g, active, k + 1)) > k:
+        return None
     x = prefix = 0
     for v in iter_bits(active):
         x |= 1 << v

@@ -21,6 +21,16 @@ masks are built only for the tuple that matches.  Type 2 checks each of
 Type 1's edges once, then walks the retained vertices over the edges
 that passed.
 
+Types 4 and 5 also rule out dominators.  Take a cd-coloring with at
+most three classes and a vertex d dominating one of them: the vertices
+outside N[d] lie in the other classes, at most two, each independent,
+so they induce a bipartite graph.  So if k deletions reach a pattern with
+dominator d, ``g[active \\ N[d]]`` has an odd cycle transversal of size
+<= k, and more than k vertex-disjoint triangles there rule d out.  A
+tuple with such a dominator cannot match, so skipping it leaves the
+first match, and every certificate, as it was.  The verdict per vertex
+is kept in the shared memo beside the cover facts.
+
 Recognition is deletion with budget k = 0: ``cd_recognize_upto3``
 matches each component of ``g[active]`` and returns the same deletion
 record, with the vertices outside ``active`` deleted.  Type 0 (at most
@@ -38,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .bits import bit_list, iter_bits, lowest_bit, mask_of
 from .coloring import (
@@ -50,7 +60,7 @@ from .coloring import (
     validate_cd_coloring,
 )
 from .errors import CapacityError
-from .fpt import odd_cycle_transversal, vertex_cover
+from .fpt import disjoint_triangles, odd_cycle_transversal, vertex_cover
 from .graph import Graph, bipartition_within, iter_components, more_components_than
 
 # The q >= 4 walk's deletion sets times the table bits of g's components,
@@ -139,6 +149,32 @@ def _covers(g: Graph, budget: int, cands, memo: Dict[int, int]) -> Optional[int]
     for cand in cands:
         union |= vertex_cover(g, budget - union.bit_count(), cand)
     return union
+
+
+def _far_packed(g: Graph, k: int, active: int, memo: Dict[int, int]) -> Callable[[int], bool]:
+    """Test whether more than k disjoint triangles lie in ``g[active]``
+    outside N[v], so that v dominates a class of no remainder after at
+    most k deletions (the lemma in the module notes).  The test counts
+    the triangles of one packing of ``g[active]`` that avoid N[v],
+    built on first use, and runs v's own packing only when they come to
+    exactly k.  Verdicts are kept in ``memo`` under the key ``~v``,
+    which no vertex mask takes."""
+    packing = None
+
+    def test(v: int) -> bool:
+        nonlocal packing
+        known = memo.get(~v)
+        if known is None:
+            if packing is None:
+                packing = disjoint_triangles(g, active, active.bit_count())
+            far = active & ~g.closed(v)
+            count = sum(not t & ~far for t in packing)
+            if count == k:
+                count = len(disjoint_triangles(g, far, k + 1))
+            memo[~v] = known = count > k
+        return known
+
+    return test
 
 
 def _matched(
@@ -330,11 +366,17 @@ def delete_to_type4(
     g: Graph, k: int, active: Optional[int] = None, _memo: Optional[Dict[int, int]] = None
 ) -> Optional[DeletionSolution]:
     """Deletions leaving an ordered dominator triangle (x, y, z) with
-    three vertex-cover-cleaned independent parts."""
+    three vertex-cover-cleaned independent parts.
+
+    Each of x, y and z dominates a class, so by the lemma in the module
+    notes a tuple is skipped, before any cover, when more than k
+    disjoint triangles lie outside the closed neighborhood of one of
+    them.  The test runs once a tuple passes the budget check."""
     if active is None:
         active = g.full_mask
     base = k - active.bit_count()
     memo = {} if _memo is None else _memo
+    far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
         ax = g.adj[x] & active
         # a triangle's rotations have the same parts, so x is its lowest vertex
@@ -348,6 +390,10 @@ def delete_to_type4(
                 keep = x_cand | y_cand | z_cand | (1 << x) | (1 << y) | (1 << z)
                 rem = base + keep.bit_count()
                 if rem < 0:
+                    continue
+                if far_packed(x) or far_packed(y):
+                    break
+                if far_packed(z):
                     continue
                 s = _covers(g, rem, (x_cand, y_cand, z_cand), memo)
                 if s is None:
@@ -371,20 +417,34 @@ def delete_to_type5(
     the neighbors that only y and z share; a triple whose kept set is too
     small for the budget is skipped at once, and so is an x whose triples
     all keep too little: they keep at most ``N[x]``, the ``N(z)`` of each
-    z in ``N(x)``, and one more ``N(y)``."""
+    z in ``N(x)``, and one more ``N(y)``.
+
+    x and y each dominate a class, so by the lemma in the module notes
+    a dominator with more than k disjoint triangles outside its closed
+    neighborhood is skipped, as in ``delete_to_type4``: y once a triple
+    passes the budget check, and x before its triples when they number
+    more than the vertices of ``active``, so that the test can pay."""
     if active is None:
         active = g.full_mask
-    base = k - active.bit_count()
+    size = active.bit_count()
+    base = k - size
     top = max(((g.adj[v] & active).bit_count() for v in iter_bits(active)), default=0)
     memo = {} if _memo is None else _memo
+    far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
         ax = g.adj[x] & active
         reach = ax | (1 << x)
+        beyond = ~reach  # outside N[x]
+        walk = 0  # (y, z) pairs below: z in N(x), y in N(z) beyond
         for z in iter_bits(ax):
-            reach |= g.adj[z] & active
+            az = g.adj[z] & active
+            reach |= az
+            walk += (az & beyond).bit_count()
         if base + reach.bit_count() + top < 0:
             continue
-        for y in iter_bits(reach & ~ax & ~(1 << x)):  # y shares a neighbor z with x
+        if walk > size and far_packed(x):
+            continue
+        for y in iter_bits(reach & beyond):  # y shares a neighbor z with x
             ay = g.adj[y] & active
             pair = ax | ay | (1 << x) | (1 << y)
             for z in iter_bits(ax & ay):
@@ -394,6 +454,8 @@ def delete_to_type5(
                 rem = base + keep.bit_count()
                 if rem < 0:
                     continue
+                if far_packed(y):
+                    break
                 z_cand = az & ~pair
                 tau = _cover_number(g, z_cand, rem, memo)
                 if tau is None:

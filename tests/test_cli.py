@@ -507,6 +507,9 @@ def test_gen_names_the_flag_it_refuses(tmp_path, capsys):
             ["setcover", "--universe", "3", "--sets", "1,2;2,3", "--k", "-1"],
             "--k must be non-negative",
         ),
+        (["setcover", "--universe", "3", "--sets", "1,2;2,3", "--k", "5"], "--k 5 exceeds"),
+        (["setcover", "--universe", "3", "--sets", "1,4", "--k", "1"], "(--universe)"),
+        (["setcover", "--universe", "-1", "--sets", "1", "--k", "1"], "--universe must be"),
         # the file is absent: --k is refused before any file is read
         (
             ["lift", str(tmp_path / "absent.dimacs"), "--base", "vc", "--k", "-1"],

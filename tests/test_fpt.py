@@ -7,6 +7,7 @@ from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
     _min_vertex_cut,
     _split_network,
+    disjoint_triangles,
     odd_cycle_transversal,
     vertex_cover,
 )
@@ -64,6 +65,7 @@ def test_oct_examples():
 
 def test_oct_matches_bruteforce():
     rng = random.Random(127)
+    early = 0  # NO answered from more than k disjoint triangles
     for _ in range(120):
         g = random_graph(rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8]), rng)
         for k in (0, 1, 2, 3):
@@ -73,6 +75,28 @@ def test_oct_matches_bruteforce():
             if got is not None:
                 assert is_oct(g, got)
                 assert got.bit_count() <= k
+            early += len(disjoint_triangles(g, g.full_mask, k + 1)) > k
+    assert early >= 50
+
+
+def test_disjoint_triangles_bound_the_oct_from_below():
+    rng = random.Random(389)
+    for _ in range(200):
+        g = random_graph(rng.randint(1, 10), rng.choice([0.3, 0.5, 0.8]), rng)
+        active = rng.getrandbits(g.n)
+        sub, _ = g.induced(active)
+        oct_size = brute_oct_min(sub, sub.n).bit_count()
+        every = disjoint_triangles(g, active, g.n)
+        assert len(every) <= oct_size, (g.adj, active)
+        for i, t in enumerate(every):
+            assert t.bit_count() == 3 and not t & ~active
+            assert all(g.adj[v] & t == t & ~(1 << v) for v in bit_list(t))
+            assert not any(t & other for other in every[i + 1:])
+        # greedy and maximal: no triangle is left among the other vertices
+        free = active & ~mask_of(v for t in every for v in bit_list(t))
+        assert disjoint_triangles(g, free, g.n) == []
+        for limit in range(len(every) + 2):
+            assert disjoint_triangles(g, active, limit) == every[:limit]
 
 
 def test_oct_is_minimal():

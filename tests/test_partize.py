@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import random
 import warnings
 
 import pytest
 
-from cdcolor import exact, partize
+from cdcolor import exact, fpt, partize
 from cdcolor.bits import mask_of
 from cdcolor.coloring import CdColoring
 from cdcolor.errors import CapacityError
@@ -13,6 +14,7 @@ from cdcolor.generate import disjoint_union, random_graph
 from cdcolor.graph import Graph, parse_graph
 from cdcolor.partize import (
     DeletionSolution,
+    cd_recognize_upto3,
     delete_to_type1,
     delete_to_type2,
     delete_to_type3,
@@ -598,6 +600,72 @@ def test_a_no_lift_makes_few_vertex_cover_calls(monkeypatch):
     monkeypatch.setattr(partize, "vertex_cover", counting)
     assert partization(lift, 2, 3) is None
     assert len(calls) <= 400  # 741 before the matchers shared one memo
+
+
+def test_a_fixed_no_lift_pins_its_vertex_cover_calls(monkeypatch):
+    base = random_graph(30, 0.25, random.Random(1))
+    assert odd_cycle_transversal(base, 2) is None
+    lift = generate_from_partization(base, 2, 2).graph
+    calls = []
+    cover = partize.vertex_cover
+
+    def counting(g, k, active=None):
+        calls.append(active)
+        return cover(g, k, active)
+
+    monkeypatch.setattr(partize, "vertex_cover", counting)
+    assert partization3(lift, 2) is None
+    # 362 before Types 4 and 5 skipped dominators with k + 1 disjoint
+    # triangles outside their closed neighborhoods
+    assert len(calls) == 62
+
+
+def triangle_questions(rng):
+    """Deletion questions (n 4-16, q 2-3, k 0-3), OCT and VC lifts, and
+    recognition by ``cd_recognize_upto3`` and by each matcher at k = 0."""
+    asks = []
+    for i in range(1000):
+        g = random_graph(rng.randint(4, 16), rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
+        asks.append(functools.partial(partization, g, i % 4, 2 + i // 4 % 2))
+        if i % 5 == 0:
+            asks.append(functools.partial(cd_recognize_upto3, g))
+            asks += [functools.partial(solver, g, 0) for solver in partize._TYPE_SOLVERS]
+    for i in range(150):
+        k, q_base = i % 4, 1 + i // 4 % 2
+        base = random_graph(rng.randint(4, 12), rng.choice([0.25, 0.4, 0.6]), rng)
+        lift = generate_from_partization(base, k, q_base).graph
+        asks.append(functools.partial(partization, lift, k, q_base + 1))
+    return asks
+
+
+def test_triangle_bounds_never_change_an_answer(monkeypatch):
+    asks = triangle_questions(random.Random(401))
+    skips, early = [], []
+    far_packed, packing = partize._far_packed, fpt.disjoint_triangles
+
+    def counting_far(g, k, active, memo):
+        test = far_packed(g, k, active, memo)
+
+        def counted(v):
+            skips.append(test(v))
+            return skips[-1]
+
+        return counted
+
+    def counting_packing(g, active, limit):
+        found = packing(g, active, limit)
+        early.append(len(found) == limit)  # a plain query's limit is k + 1
+        return found
+
+    monkeypatch.setattr(partize, "_far_packed", counting_far)
+    monkeypatch.setattr(fpt, "disjoint_triangles", counting_packing)
+    pruned = [repr(ask()) for ask in asks]
+    assert sum(skips) >= 2000 and sum(early) >= 400
+    assert 300 <= sum(answer != "None" for answer in pruned) <= 1000
+    monkeypatch.setattr(partize, "_far_packed", lambda g, k, active, memo: lambda v: False)
+    monkeypatch.setattr(fpt, "disjoint_triangles", lambda g, active, limit: [])
+    for ask, want in zip(asks, pruned):
+        assert repr(ask()) == want, (ask.func.__name__, ask.args[0].adj, ask.args[1:])
 
 
 # Type 5 at (x, y, z) = (2, 3, 0) deletes 8, a private neighbor of z, by
