@@ -17,10 +17,10 @@ demands, and the demand vertices among them must keep it.  So one
 routine, ``odd_cycle_transversal``, answers all three queries of the
 deletion solvers exactly, on the graph itself: a plain transversal, one
 avoiding a vertex, and one whose residual bipartition puts two demand
-sets on opposite sides.  A plain query first packs vertex-disjoint
+sets on opposite sides.  Every query first packs vertex-disjoint
 triangles greedily (``disjoint_triangles``): a transversal meets each,
-so more than k of them answer NO before any compression.  Constrained
-queries skip the count, as the deletion solvers repeat them on one set.
+whatever its constraints, so more than k of them answer NO before any
+compression.
 
 A subproblem is a vertex mask of the input graph: the routines take an
 optional ``active`` mask, work on ``g[active]`` and answer in ``g``'s own
@@ -284,7 +284,7 @@ def odd_cycle_transversal(
         return None
     if bipartition_within(g, active, first, second) is not None:
         return 0
-    if not undeletable | first | second and len(disjoint_triangles(g, active, k + 1)) > k:
+    if len(disjoint_triangles(g, active, k + 1)) > k:
         return None
     x = prefix = 0
     for v in iter_bits(active):

@@ -26,7 +26,8 @@ most three classes and a vertex d dominating one of them: the vertices
 outside N[d] lie in the other classes, at most two, each independent,
 so they induce a bipartite graph.  So if k deletions reach a pattern with
 dominator d, ``g[active \\ N[d]]`` has an odd cycle transversal of size
-<= k, and more than k vertex-disjoint triangles there rule d out.  A
+<= k, and more than k vertex-disjoint triangles there rule d out: one
+greedy packing of ``g[active \\ N[d]]``, stopped at k + 1, decides.  A
 tuple with such a dominator cannot match, so skipping it leaves the
 first match, and every certificate, as it was.  The verdict per vertex
 is kept in the shared memo beside the cover facts.
@@ -154,24 +155,14 @@ def _covers(g: Graph, budget: int, cands, memo: Dict[int, int]) -> Optional[int]
 def _far_packed(g: Graph, k: int, active: int, memo: Dict[int, int]) -> Callable[[int], bool]:
     """Test whether more than k disjoint triangles lie in ``g[active]``
     outside N[v], so that v dominates a class of no remainder after at
-    most k deletions (the lemma in the module notes).  The test counts
-    the triangles of one packing of ``g[active]`` that avoid N[v],
-    built on first use, and runs v's own packing only when they come to
-    exactly k.  Verdicts are kept in ``memo`` under the key ``~v``,
-    which no vertex mask takes."""
-    packing = None
+    most k deletions (the lemma in the module notes).  Verdicts are kept
+    in ``memo`` under the key ``~v``, which no vertex mask takes."""
 
     def test(v: int) -> bool:
-        nonlocal packing
         known = memo.get(~v)
         if known is None:
-            if packing is None:
-                packing = disjoint_triangles(g, active, active.bit_count())
             far = active & ~g.closed(v)
-            count = sum(not t & ~far for t in packing)
-            if count == k:
-                count = len(disjoint_triangles(g, far, k + 1))
-            memo[~v] = known = count > k
+            memo[~v] = known = len(disjoint_triangles(g, far, k + 1)) > k
         return known
 
     return test
@@ -369,31 +360,32 @@ def delete_to_type4(
     three vertex-cover-cleaned independent parts.
 
     Each of x, y and z dominates a class, so by the lemma in the module
-    notes a tuple is skipped, before any cover, when more than k
-    disjoint triangles lie outside the closed neighborhood of one of
-    them.  The test runs once a tuple passes the budget check."""
+    notes a dominator with more than k disjoint triangles outside its
+    closed neighborhood is skipped before any cover: x before its
+    triangles are walked, y before its z's, and z beside the budget
+    check."""
     if active is None:
         active = g.full_mask
     base = k - active.bit_count()
     memo = {} if _memo is None else _memo
     far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
+        if far_packed(x):
+            continue
         ax = g.adj[x] & active
         # a triangle's rotations have the same parts, so x is its lowest vertex
         above = ax & ~((2 << x) - 1)
         for y in iter_bits(above):
+            if far_packed(y):
+                continue
             ay = g.adj[y] & active
+            x_cand = ax & ~g.closed(y)
             for z in iter_bits(above & ay):
-                x_cand = ax & ~g.closed(y)
                 y_cand = ay & ~g.closed(z)
                 z_cand = g.adj[z] & active & ~g.closed(x)
                 keep = x_cand | y_cand | z_cand | (1 << x) | (1 << y) | (1 << z)
                 rem = base + keep.bit_count()
-                if rem < 0:
-                    continue
-                if far_packed(x) or far_packed(y):
-                    break
-                if far_packed(z):
+                if rem < 0 or far_packed(z):
                     continue
                 s = _covers(g, rem, (x_cand, y_cand, z_cand), memo)
                 if s is None:
@@ -421,30 +413,22 @@ def delete_to_type5(
 
     x and y each dominate a class, so by the lemma in the module notes
     a dominator with more than k disjoint triangles outside its closed
-    neighborhood is skipped, as in ``delete_to_type4``: y once a triple
-    passes the budget check, and x before its triples when they number
-    more than the vertices of ``active``, so that the test can pay."""
+    neighborhood is skipped, as in ``delete_to_type4``: x right after
+    its bound, and y once a triple passes the budget check."""
     if active is None:
         active = g.full_mask
-    size = active.bit_count()
-    base = k - size
+    base = k - active.bit_count()
     top = max(((g.adj[v] & active).bit_count() for v in iter_bits(active)), default=0)
     memo = {} if _memo is None else _memo
     far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
         ax = g.adj[x] & active
         reach = ax | (1 << x)
-        beyond = ~reach  # outside N[x]
-        walk = 0  # (y, z) pairs below: z in N(x), y in N(z) beyond
         for z in iter_bits(ax):
-            az = g.adj[z] & active
-            reach |= az
-            walk += (az & beyond).bit_count()
-        if base + reach.bit_count() + top < 0:
+            reach |= g.adj[z] & active
+        if base + reach.bit_count() + top < 0 or far_packed(x):
             continue
-        if walk > size and far_packed(x):
-            continue
-        for y in iter_bits(reach & beyond):  # y shares a neighbor z with x
+        for y in iter_bits(reach & ~ax & ~(1 << x)):  # y shares a neighbor z with x
             ay = g.adj[y] & active
             pair = ax | ay | (1 << x) | (1 << y)
             for z in iter_bits(ax & ay):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cdcolor import fpt
 from cdcolor.bits import bit_list, mask_of
 from cdcolor.errors import PreconditionError
 from cdcolor.fpt import (
@@ -61,6 +62,11 @@ def test_oct_examples():
     assert odd_cycle_transversal(complete_graph(4), 1) is None
     got = odd_cycle_transversal(complete_graph(4), 2)
     assert got.bit_count() == 2
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), path_graph(2), complete_graph(3)])
+def test_oct_with_a_negative_budget_is_none(g):
+    assert odd_cycle_transversal(g, -1) is None
 
 
 def test_oct_matches_bruteforce():
@@ -223,6 +229,14 @@ def test_forced_sides_match_the_terminal_graph_past_the_oracle():
     # transversal on the graph plus two terminals that pin the demands
     rng = random.Random(367)
     yes = no = 0
+    early = []  # per query: NO from more than k disjoint triangles
+    packing = fpt.disjoint_triangles
+
+    def counting(g, active, limit):
+        found = packing(g, active, limit)
+        early.append(len(found) == limit)  # the query's limit is k + 1
+        return found
+
     for _ in range(1000):
         n = rng.randint(8, 14)
         g = random_graph(n, rng.choice([0.2, 0.3, 0.5]), rng)
@@ -232,7 +246,9 @@ def test_forced_sides_match_the_terminal_graph_past_the_oracle():
         exclude = rng.choice([None, *bit_list(active)])
         undeletable = 0 if exclude is None else 1 << exclude
         k = rng.randint(0, 3)
-        oct_mask = odd_cycle_transversal(g, k, active, undeletable, p, q)
+        with pytest.MonkeyPatch.context() as patch:  # the reference's queries are not counted
+            patch.setattr(fpt, "disjoint_triangles", counting)
+            oct_mask = odd_cycle_transversal(g, k, active, undeletable, p, q)
         want = forced_sides_via_terminals(g, p, q, exclude, k, active)
         assert (oct_mask is None) == (want is None), (g.adj, p, q, exclude, k, active)
         if oct_mask is None:
@@ -245,6 +261,7 @@ def test_forced_sides_match_the_terminal_graph_past_the_oracle():
         for v in bit_list(oct_mask):  # no vertex can go back
             assert bipartition_within(g, active & ~oct_mask | 1 << v, p, q) is None
     assert yes >= 400 and no >= 400, (yes, no)
+    assert sum(early) >= 50, sum(early)
 
 
 def test_forced_sides_exclude_inside_p():

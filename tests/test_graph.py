@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -140,6 +141,28 @@ def test_constructor_rejects_bad_graphs():
 def test_constructor_rejects_rows_out_of_range(row):
     with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
         Graph(2, [row, 0])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: Graph(-1, []), ValueError("vertex count must be non-negative")),
+        (lambda: Graph(2, [0]), ValueError("adjacency list length must equal vertex count")),
+        (lambda: Graph(2, [0, 0], ["a"]), ValueError("labels length must equal vertex count")),
+        (lambda: Graph(2, [0, 0], ["a", "a"]), ValueError("labels must be unique")),
+        (lambda: Graph.from_edges(2, [(1, 1)]), ValueError("self-loop at vertex 1")),
+        (lambda: parse_graph("p edge 2 1\ne 1 x\n", "dimacs"), ParseError("malformed edge")),
+        (lambda: parse_graph("p edge 2 0\n", "xml"), ValueError("unknown format 'xml'")),
+        (lambda: detect_format(""), "dimacs"),
+        (lambda: hash(Graph(2, [2, 1])) == hash(Graph.from_edges(2, [(0, 1)])), True),
+    ],
+)
+def test_input_checks(call, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            call()
+    else:
+        assert call() == want
 
 
 def test_components():

@@ -177,6 +177,12 @@ def test_setcover_generator_rejects_negative_k():
         generate_from_setcover(3, [{1, 2}, {2, 3}], -1)
 
 
+@pytest.mark.parametrize("sets", [[{1, 4}], [{0}], [{2}, {-1, 3}]])
+def test_setcover_generator_rejects_elements_outside_the_universe(sets):
+    with pytest.raises(PreconditionError, match="set elements must lie in the universe"):
+        generate_from_setcover(3, sets, 1)
+
+
 def test_setcover_instances_are_split_and_match_solvers():
     rng = random.Random(181)
     for _ in range(25):
