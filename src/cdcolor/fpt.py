@@ -98,13 +98,15 @@ def disjoint_triangles(g: Graph, active: int, limit: int) -> list[int]:
     found = []
     free = active
     while free and len(found) < limit:
-        v = lowest_bit(free)
-        free &= ~(1 << v)  # in no triangle of the shrinking free set later either
-        nbrs = g.adj[v] & free
-        for u in iter_bits(nbrs):
-            common = nbrs & g.adj[u]
+        low = free & -free
+        free ^= low  # in no triangle of the shrinking free set later either
+        nbrs = g.adj[low.bit_length() - 1] & free
+        while nbrs & (nbrs - 1):  # a triangle needs two of them
+            u = nbrs & -nbrs
+            nbrs ^= u  # if u has no neighbor left here, no later candidate needs u
+            common = nbrs & g.adj[u.bit_length() - 1]
             if common:
-                found.append((1 << v) | (1 << u) | (common & -common))
+                found.append(low | u | (common & -common))
                 free &= ~found[-1]
                 break
     return found

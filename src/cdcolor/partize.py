@@ -360,32 +360,34 @@ def delete_to_type4(
     three vertex-cover-cleaned independent parts.
 
     Each of x, y and z dominates a class, so by the lemma in the module
-    notes a dominator with more than k disjoint triangles outside its
-    closed neighborhood is skipped before any cover: x before its
-    triangles are walked, y before its z's, and z beside the budget
-    check."""
+    notes a tuple is skipped, before any cover, when more than k
+    disjoint triangles lie outside the closed neighborhood of one of
+    them.  The test runs once a tuple passes the budget check, and the
+    rest of the walk of an x it rules out is skipped."""
     if active is None:
         active = g.full_mask
     base = k - active.bit_count()
     memo = {} if _memo is None else _memo
     far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
-        if far_packed(x):
-            continue
         ax = g.adj[x] & active
         # a triangle's rotations have the same parts, so x is its lowest vertex
         above = ax & ~((2 << x) - 1)
         for y in iter_bits(above):
-            if far_packed(y):
-                continue
+            if memo.get(~x):  # ruled out at an earlier triangle
+                break
             ay = g.adj[y] & active
-            x_cand = ax & ~g.closed(y)
             for z in iter_bits(above & ay):
+                x_cand = ax & ~g.closed(y)
                 y_cand = ay & ~g.closed(z)
                 z_cand = g.adj[z] & active & ~g.closed(x)
                 keep = x_cand | y_cand | z_cand | (1 << x) | (1 << y) | (1 << z)
                 rem = base + keep.bit_count()
-                if rem < 0 or far_packed(z):
+                if rem < 0:
+                    continue
+                if far_packed(x) or far_packed(y):
+                    break
+                if far_packed(z):
                     continue
                 s = _covers(g, rem, (x_cand, y_cand, z_cand), memo)
                 if s is None:
@@ -413,22 +415,32 @@ def delete_to_type5(
 
     x and y each dominate a class, so by the lemma in the module notes
     a dominator with more than k disjoint triangles outside its closed
-    neighborhood is skipped, as in ``delete_to_type4``: x right after
-    its bound, and y once a triple passes the budget check."""
+    neighborhood is skipped, as in ``delete_to_type4``: x and y once a
+    triple passes the budget check, and x also before its triples when
+    its verdict is known (from Type 4, or from an earlier x's y), or
+    when they number more than the vertices of ``active``, so that the
+    test can pay."""
     if active is None:
         active = g.full_mask
-    base = k - active.bit_count()
+    size = active.bit_count()
+    base = k - size
     top = max(((g.adj[v] & active).bit_count() for v in iter_bits(active)), default=0)
     memo = {} if _memo is None else _memo
     far_packed = _far_packed(g, k, active, memo)
     for x in iter_bits(active):
         ax = g.adj[x] & active
         reach = ax | (1 << x)
+        beyond = ~reach  # outside N[x]
+        walk = 0  # (y, z) pairs below: z in N(x), y in N(z) beyond
         for z in iter_bits(ax):
-            reach |= g.adj[z] & active
-        if base + reach.bit_count() + top < 0 or far_packed(x):
+            az = g.adj[z] & active
+            reach |= az
+            walk += (az & beyond).bit_count()
+        if base + reach.bit_count() + top < 0:
             continue
-        for y in iter_bits(reach & ~ax & ~(1 << x)):  # y shares a neighbor z with x
+        if memo.get(~x) or walk > size and far_packed(x):
+            continue
+        for y in iter_bits(reach & beyond):  # y shares a neighbor z with x
             ay = g.adj[y] & active
             pair = ax | ay | (1 << x) | (1 << y)
             for z in iter_bits(ax & ay):
@@ -438,7 +450,7 @@ def delete_to_type5(
                 rem = base + keep.bit_count()
                 if rem < 0:
                     continue
-                if far_packed(y):
+                if far_packed(x) or far_packed(y):
                     break
                 z_cand = az & ~pair
                 tau = _cover_number(g, z_cand, rem, memo)
